@@ -29,8 +29,8 @@ fn to_json<T: Serialize>(value: &T) -> String {
 ///
 /// With `explain_solver` the report also attributes the solve: which DP
 /// path fired (the `O(n log n)` monotone envelope vs the exact `O(n²)`
-/// pass, and why) and whether the discretization table came warm from
-/// the process-wide cache. The same labels ride on the trace timeline's
+/// pass, and why) and whether the discretized law came warm from the
+/// process-wide memo. The same labels ride on the trace timeline's
 /// `solve` stage args in serve mode, so offline and traced runs can be
 /// cross-checked. In `--json` mode the explanation wraps the plan as
 /// `{"plan": ..., "solver_explanation": ...}` — opt-in, so plain plan
@@ -109,8 +109,10 @@ pub fn run_plan(cfg: &PlanConfig, json: bool, explain_solver: bool) -> Result<St
             None => "no discretized DP (closed-form or sampling heuristic)",
         };
         let table = match eval_source {
-            Some(rsj_dist::EvalTableSource::CacheHit) => "warm (process-wide cache hit)",
-            Some(rsj_dist::EvalTableSource::Built) => "cold (discretized and evaluated fresh)",
+            Some(rsj_dist::EvalTableSource::CacheHit) => "warm (process-wide memo hit)",
+            Some(rsj_dist::EvalTableSource::Built) => {
+                "cold (discretized and last-point tail values computed fresh)"
+            }
             None => "none (solver did not discretize)",
         };
         out.push_str(&format!("solver path:      {path}\n"));

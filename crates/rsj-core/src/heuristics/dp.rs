@@ -501,8 +501,8 @@ impl Strategy for DiscretizedDp {
         cancel: &CancelToken,
     ) -> Result<ReservationSequence> {
         cancel.check()?;
-        // Cached discretization + evaluation table: repeated solves over
-        // the same (dist, scheme, n, ε) skip every quantile/cdf call.
+        // Memoized discretization: repeated solves over the same
+        // (dist, scheme, n, ε) skip every quantile/cdf call.
         let eval = discretize_eval(dist, self.scheme, self.n, self.epsilon)?;
         let solution = if self.monotone {
             optimal_discrete_cancellable(&eval.discrete, cost, &Parallelism::current(), cancel)?
@@ -521,17 +521,16 @@ impl Strategy for DiscretizedDp {
         }
         // Unbounded: extend past v_n = Q(1-ε) with conditional-mean steps.
         // The DP always ends at v_n, whose survival and conditional mean
-        // sit precomputed (exactly — the table's last entry is the same
-        // quadrature a direct call performs) in the evaluation table;
-        // deeper steps leave the grid and fall back to direct calls.
+        // the memo entry holds (exactly — the same calls a direct
+        // evaluation makes); deeper steps leave the grid and fall back to
+        // direct calls.
         let mut t = *times.last().expect("DP sequence non-empty");
-        let last = eval.table.len() - 1;
-        let mut table_entry = (t == eval.table.points()[last])
-            .then(|| (eval.table.survival()[last], eval.table.cond_mean()[last]));
+        let mut memo_tail =
+            (t == eval.discrete.max_value()).then_some((eval.tail_survival, eval.tail_cond_mean));
         while times.len() < self.policy.max_len {
             // Off-grid steps cost a quadrature each; stay responsive here.
             cancel.check()?;
-            let (survival, cached_cm) = match table_entry.take() {
+            let (survival, cached_cm) = match memo_tail.take() {
                 Some((survival, cm)) => (survival, Some(cm)),
                 None => (dist.survival(t), None),
             };
@@ -696,16 +695,18 @@ mod tests {
 
     #[test]
     fn eval_table_path_is_bit_identical_to_direct_path() {
-        // The satellite guarantee for the cdf/survival hoisting: the
-        // cached-table strategy equals the direct-evaluation strategy
-        // bit-for-bit, bounded and unbounded supports alike.
+        // The memoized strategy equals the direct-evaluation strategy
+        // bit-for-bit for all nine Table 1 families, bounded and unbounded
+        // supports alike, so the memo's last-point tail values are checked
+        // wherever the DP reads them.
         rsj_dist::clear_eval_cache();
         let c = CostModel::new(0.95, 1.0, 1.05).unwrap();
-        let dists: Vec<Box<dyn rsj_dist::ContinuousDistribution>> = vec![
-            Box::new(Exponential::new(1.0).unwrap()),
-            Box::new(rsj_dist::LogNormal::new(3.0, 0.5).unwrap()),
-            Box::new(Uniform::new(10.0, 20.0).unwrap()),
-        ];
+        let dists: Vec<Box<dyn rsj_dist::ContinuousDistribution>> =
+            rsj_dist::DistSpec::paper_table1()
+                .into_iter()
+                .map(|(_, spec)| spec.build().unwrap())
+                .collect();
+        assert_eq!(dists.len(), 9);
         for scheme in [
             DiscretizationScheme::EqualTime,
             DiscretizationScheme::EqualProbability,

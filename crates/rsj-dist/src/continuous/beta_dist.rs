@@ -2,7 +2,7 @@
 //! Theorem 12).
 
 use crate::error::{check_param, Result};
-use crate::special::beta::{beta_inc, beta_inc_unreg, inverse_beta_inc, ln_beta};
+use crate::special::beta::IncBeta;
 use crate::traits::{ContinuousDistribution, Support};
 
 /// Beta distribution with shape parameters `α, β > 0`, support `[0, 1]`.
@@ -12,8 +12,9 @@ use crate::traits::{ContinuousDistribution, Support};
 pub struct BetaDist {
     alpha: f64,
     beta: f64,
-    /// Cached `ln B(α, β)`.
-    ln_b: f64,
+    /// `I_x(α, β)` with its constants (`ln B(α, β)` among them) computed
+    /// once.
+    ibeta: IncBeta,
 }
 
 impl BetaDist {
@@ -24,7 +25,7 @@ impl BetaDist {
         Ok(Self {
             alpha,
             beta,
-            ln_b: ln_beta(alpha, beta),
+            ibeta: IncBeta::new(alpha, beta),
         })
     }
 
@@ -64,11 +65,12 @@ impl ContinuousDistribution for BetaDist {
             let exponent = if t == 0.0 { self.alpha } else { self.beta };
             return match exponent.partial_cmp(&1.0).unwrap() {
                 std::cmp::Ordering::Less => f64::INFINITY,
-                std::cmp::Ordering::Equal => (-self.ln_b).exp(),
+                std::cmp::Ordering::Equal => (-self.ibeta.ln_beta()).exp(),
                 std::cmp::Ordering::Greater => 0.0,
             };
         }
-        ((self.alpha - 1.0) * t.ln() + (self.beta - 1.0) * (1.0 - t).ln() - self.ln_b).exp()
+        ((self.alpha - 1.0) * t.ln() + (self.beta - 1.0) * (1.0 - t).ln() - self.ibeta.ln_beta())
+            .exp()
     }
 
     fn cdf(&self, t: f64) -> f64 {
@@ -77,13 +79,13 @@ impl ContinuousDistribution for BetaDist {
         } else if t >= 1.0 {
             1.0
         } else {
-            beta_inc(self.alpha, self.beta, t)
+            self.ibeta.regularized(t)
         }
     }
 
     fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "quantile: p out of [0,1]: {p}");
-        inverse_beta_inc(self.alpha, self.beta, p)
+        self.ibeta.inverse(p)
     }
 
     fn mean(&self) -> f64 {
@@ -104,9 +106,9 @@ impl ContinuousDistribution for BetaDist {
         if tau >= 1.0 {
             return 1.0;
         }
-        let num = beta_inc_unreg(self.alpha + 1.0, self.beta, 1.0)
-            - beta_inc_unreg(self.alpha + 1.0, self.beta, tau);
-        let den = self.ln_b.exp() - beta_inc_unreg(self.alpha, self.beta, tau);
+        let shifted = IncBeta::new(self.alpha + 1.0, self.beta);
+        let num = shifted.unregularized(1.0) - shifted.unregularized(tau);
+        let den = self.ibeta.ln_beta().exp() - self.ibeta.unregularized(tau);
         if den <= 0.0 {
             return 1.0;
         }

@@ -2,7 +2,7 @@
 //! (Table 1 / Table 5 / Theorem 7).
 
 use crate::error::{check_param, Result};
-use crate::special::gamma::{gamma_p, gamma_q, inverse_gamma_p, ln_gamma, upper_incomplete_gamma};
+use crate::special::gamma::IncGamma;
 use crate::traits::{ContinuousDistribution, Support};
 
 /// Gamma distribution with shape `α > 0` and rate `β > 0`, support `[0, ∞)`.
@@ -12,6 +12,8 @@ use crate::traits::{ContinuousDistribution, Support};
 pub struct GammaDist {
     shape: f64,
     rate: f64,
+    /// `P(α, ·)` and `Q(α, ·)` with `ln Γ(α)` computed once.
+    igamma: IncGamma,
 }
 
 impl GammaDist {
@@ -20,7 +22,11 @@ impl GammaDist {
     pub fn new(shape: f64, rate: f64) -> Result<Self> {
         check_param("alpha", shape, "must be > 0", shape > 0.0)?;
         check_param("beta", rate, "must be > 0", rate > 0.0)?;
-        Ok(Self { shape, rate })
+        Ok(Self {
+            shape,
+            rate,
+            igamma: IncGamma::new(shape),
+        })
     }
 
     /// Shape parameter `α`.
@@ -61,7 +67,7 @@ impl ContinuousDistribution for GammaDist {
         // exp(α ln β + (α-1) ln t - βt - ln Γ(α)) avoids overflow for large α.
         (self.shape * self.rate.ln() + (self.shape - 1.0) * t.ln()
             - self.rate * t
-            - ln_gamma(self.shape))
+            - self.igamma.ln_gamma_a())
         .exp()
     }
 
@@ -69,7 +75,7 @@ impl ContinuousDistribution for GammaDist {
         if t <= 0.0 {
             0.0
         } else {
-            gamma_p(self.shape, self.rate * t)
+            self.igamma.p(self.rate * t)
         }
     }
 
@@ -77,13 +83,13 @@ impl ContinuousDistribution for GammaDist {
         if t <= 0.0 {
             1.0
         } else {
-            gamma_q(self.shape, self.rate * t)
+            self.igamma.q(self.rate * t)
         }
     }
 
     fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "quantile: p out of [0,1]: {p}");
-        inverse_gamma_p(self.shape, p) / self.rate
+        self.igamma.inverse_p(p) / self.rate
     }
 
     fn mean(&self) -> f64 {
@@ -100,7 +106,7 @@ impl ContinuousDistribution for GammaDist {
             return self.mean();
         }
         let z = tau * self.rate;
-        let upper = upper_incomplete_gamma(self.shape, z);
+        let upper = self.igamma.upper(z);
         if upper <= 0.0 {
             // Deep tail: conditioning mass underflowed; fall back to τ + 1/β
             // (the gamma hazard approaches the exponential rate β).

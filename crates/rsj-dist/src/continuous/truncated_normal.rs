@@ -18,6 +18,8 @@ pub struct TruncatedNormal {
     mu: f64,
     sigma: f64,
     a: f64,
+    /// Cached `Φ((a-μ)/σ)`, the parent's mass below the truncation point.
+    cdf_a: f64,
     /// Cached truncation mass `1 - Φ((a-μ)/σ)`.
     tail_mass: f64,
 }
@@ -42,6 +44,7 @@ impl TruncatedNormal {
             mu,
             sigma,
             a,
+            cdf_a: norm_cdf((a - mu) / sigma),
             tail_mass,
         })
     }
@@ -104,8 +107,7 @@ impl ContinuousDistribution for TruncatedNormal {
             return 0.0;
         }
         let z = (t - self.mu) / self.sigma;
-        let za = (self.a - self.mu) / self.sigma;
-        ((norm_cdf(z) - norm_cdf(za)) / self.tail_mass).clamp(0.0, 1.0)
+        ((norm_cdf(z) - self.cdf_a) / self.tail_mass).clamp(0.0, 1.0)
     }
 
     fn survival(&self, t: f64) -> f64 {
@@ -125,8 +127,7 @@ impl ContinuousDistribution for TruncatedNormal {
             return f64::INFINITY;
         }
         // Table 5: Q(x) = μ + σ Φ⁻¹(Φ(α) + x·(1 - Φ(α))) with α = (a-μ)/σ.
-        let fa = norm_cdf((self.a - self.mu) / self.sigma);
-        self.mu + self.sigma * norm_quantile(fa + p * self.tail_mass)
+        self.mu + self.sigma * norm_quantile(self.cdf_a + p * self.tail_mass)
     }
 
     fn mean(&self) -> f64 {

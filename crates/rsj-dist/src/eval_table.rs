@@ -1,23 +1,25 @@
 //! Precomputed distribution evaluations over a discretization grid
-//! (system S22) plus a process-wide memo for
-//! discretization-and-table pairs.
+//! (system S22) plus a process-wide memo of discretizations.
 //!
-//! The discretized DP and the brute-force sweep call `F(tᵢ)` / survival /
-//! `E[X | X > tᵢ]` at the *same* grid points for every solve over a given
-//! `(distribution, scheme, n, ε)` tuple — previously re-evaluating the
-//! special functions (`ln Γ`, incomplete gamma/beta inverses, …) on every
-//! visit. An [`EvalTable`] evaluates each grid point once; the
-//! [`discretize_eval`] cache shares the table (and the discretization
-//! itself) across solver instances, experiment steps and worker threads.
+//! The discretized DP solves over a `(distribution, scheme, n, ε)` tuple
+//! read the §4.2.1 discrete law and, for the unbounded-tail extension,
+//! two values at its last support point `vₙ`: `P(X ≥ vₙ)` and the exact
+//! `E[X | X > vₙ]`. [`discretize_eval`] memoizes exactly that — a
+//! [`DiscretizedEval`] — so repeated solves skip every quantile/cdf call
+//! and the tail quadrature, across solver instances, experiment steps and
+//! worker threads.
+//!
+//! An [`EvalTable`] evaluates `F`, survival and conditional means at every
+//! point of a grid, for callers that need the whole columns.
 //!
 //! ## Exactness
 //!
+//! The memo's tail values are what direct `survival(vₙ)` and
+//! `conditional_mean_above(vₙ)` calls return, bit for bit. `EvalTable`'s
 //! `cdf`/`survival` entries are the distribution's own values at the grid
-//! points — bit-for-bit what a direct call returns. The conditional-mean
-//! column is exact (one adaptive quadrature) at the **last** grid point —
-//! the only one the DP's unbounded-tail extension consumes — and a
-//! trapezoid-of-survival approximation at interior points, clearly
-//! documented for callers that can tolerate it.
+//! points; its conditional-mean column is exact (one adaptive quadrature)
+//! at the **last** grid point and a trapezoid-of-survival approximation at
+//! interior points, clearly documented for callers that can tolerate it.
 
 use crate::discrete::{discretize, DiscreteDistribution, DiscretizationScheme};
 use crate::error::{DistError, Result};
@@ -38,8 +40,7 @@ pub struct EvalTable {
 impl EvalTable {
     /// Evaluates `dist` at each of the strictly increasing `points`.
     ///
-    /// Cost: one `cdf_batch` + one `survival_batch` sweep over the grid
-    /// (values bit-identical to per-point `cdf`/`survival` calls) plus a
+    /// Cost: one `cdf` and one `survival` call per grid point plus a
     /// single adaptive quadrature for the tail beyond the last point.
     pub fn build(dist: &dyn ContinuousDistribution, points: Vec<f64>) -> Result<Self> {
         if points.is_empty() {
@@ -59,14 +60,8 @@ impl EvalTable {
             prev = p;
         }
         let n = points.len();
-        // Batch evaluation: one virtual dispatch per column instead of one
-        // per grid point, with values bit-identical to per-point calls
-        // (the `cdf_batch`/`survival_batch` contract, enforced by
-        // `table_matches_direct_calls_bit_for_bit` below).
-        let mut cdf = vec![0.0; n];
-        dist.cdf_batch(&points, &mut cdf);
-        let mut survival = vec![0.0; n];
-        dist.survival_batch(&points, &mut survival);
+        let cdf: Vec<f64> = points.iter().map(|&p| dist.cdf(p)).collect();
+        let survival: Vec<f64> = points.iter().map(|&p| dist.survival(p)).collect();
 
         // Conditional means, back to front. The last entry is the exact
         // `E[X | X > v_n]` (one quadrature inside the default trait
@@ -130,14 +125,17 @@ impl EvalTable {
     }
 }
 
-/// A discretization paired with the evaluation table over its support
-/// points — the unit the process-wide cache shares between solvers.
+/// A discretization paired with the two values the DP's tail extension
+/// reads at its last support point — the unit the process-wide cache
+/// shares between solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscretizedEval {
     /// The §4.2.1 discrete law (identical to what [`discretize`] returns).
     pub discrete: DiscreteDistribution,
-    /// Distribution evaluations at `discrete.values()`.
-    pub table: EvalTable,
+    /// `P(X ≥ vₙ)` at the last support point `vₙ = discrete.max_value()`.
+    pub tail_survival: f64,
+    /// The exact `E[X | X > vₙ]`, or `vₙ` when `tail_survival` is 0.
+    pub tail_cond_mean: f64,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -148,10 +146,11 @@ struct CacheKey {
     epsilon_bits: u64,
 }
 
-/// Bound on cached entries. Each entry holds ~4 `n`-length vectors
-/// (n ≤ a few thousand in practice); 128 entries is a generous working
-/// set for a full experiment suite. On overflow the map is cleared — a
-/// crude but branch-free eviction that can only cost recomputation.
+/// Bound on cached entries. Each entry holds two `n`-length vectors (the
+/// discrete law's values and probabilities; n ≤ a few thousand in
+/// practice); 128 entries is a generous working set for a full experiment
+/// suite. On overflow the map is cleared — a crude but branch-free
+/// eviction that can only cost recomputation.
 const CACHE_CAPACITY: usize = 128;
 
 static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<DiscretizedEval>>>> = OnceLock::new();
@@ -159,16 +158,16 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// How the most recent [`discretize_eval`] call on this thread obtained
-/// its table. A per-thread side channel (like `rsj-core`'s DP-path
-/// attribution) so solve explanations can say "warm" or "cold" without
-/// racing other threads' cache traffic the way global hit/miss deltas
-/// would.
+/// its entry: the discretized law and its last-point tail values. A
+/// per-thread side channel (like `rsj-core`'s DP-path attribution) so
+/// solve explanations can say "warm" or "cold" without racing other
+/// threads' cache traffic the way global hit/miss deltas would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalTableSource {
-    /// Served from the process-wide cache (warm).
+    /// Served from the process-wide memo (warm).
     CacheHit,
-    /// Discretized and evaluated fresh (cold); the entry was then cached
-    /// if the distribution has a faithful cache key.
+    /// Discretized and its tail values computed fresh (cold); the entry
+    /// was then memoized if the distribution has a faithful cache key.
     Built,
 }
 
@@ -210,9 +209,9 @@ fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<DiscretizedEval>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Discretizes `dist` (same semantics as [`discretize`]) and builds the
-/// evaluation table over the resulting support, memoized process-wide by
-/// `(dist.cache_key(), scheme, n, epsilon)`.
+/// Discretizes `dist` (same semantics as [`discretize`]) and evaluates
+/// `survival` and `conditional_mean_above` at the last support point,
+/// memoized process-wide by `(dist.cache_key(), scheme, n, epsilon)`.
 ///
 /// Distributions without a faithful [`ContinuousDistribution::cache_key`]
 /// are computed fresh on every call (correctness first). Concurrent
@@ -241,8 +240,19 @@ pub fn discretize_eval(
     record_eval_source(EvalTableSource::Built);
 
     let discrete = discretize(dist, scheme, n, epsilon)?;
-    let table = EvalTable::build(dist, discrete.values().to_vec())?;
-    let entry = Arc::new(DiscretizedEval { discrete, table });
+    // The same two evaluations `EvalTable::build` makes at its last point.
+    let last = discrete.max_value();
+    let tail_survival = dist.survival(last);
+    let tail_cond_mean = if tail_survival > 0.0 {
+        dist.conditional_mean_above(last)
+    } else {
+        last
+    };
+    let entry = Arc::new(DiscretizedEval {
+        discrete,
+        tail_survival,
+        tail_cond_mean,
+    });
 
     if let Some(key) = key {
         let mut map = cache().lock().expect("eval cache lock");
@@ -341,6 +351,11 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         let reference = discretize(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
         assert_eq!(a.discrete, reference, "cached law must equal discretize()");
+        // The tail values are the table's last entries, bit for bit.
+        let t = EvalTable::build(&d, reference.values().to_vec()).unwrap();
+        let last = t.len() - 1;
+        assert_eq!(a.tail_survival.to_bits(), t.survival()[last].to_bits());
+        assert_eq!(a.tail_cond_mean.to_bits(), t.cond_mean()[last].to_bits());
         clear_eval_cache();
     }
 
@@ -354,6 +369,10 @@ mod tests {
         let b = discretize_eval(&d, DiscretizationScheme::EqualProbability, 32, 1e-7).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "no faithful key → no sharing");
         assert_eq!(a.discrete, b.discrete);
+        let t = EvalTable::build(&d, a.discrete.values().to_vec()).unwrap();
+        let last = t.len() - 1;
+        assert_eq!(a.tail_survival.to_bits(), t.survival()[last].to_bits());
+        assert_eq!(a.tail_cond_mean.to_bits(), t.cond_mean()[last].to_bits());
         let (hits, _) = eval_cache_stats();
         assert_eq!(hits, 0);
         clear_eval_cache();

@@ -30,31 +30,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Evaluates [`erf`] over a grid, slice-in/slice-out. Bit-identical to the
-/// per-point calls; exists so grid pipelines (discretization tables, batch
-/// CDF evaluation) can sweep a whole grid in one tight loop.
-///
-/// # Panics
-/// Panics if `xs` and `out` differ in length.
-pub fn erf_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "erf_slice: length mismatch");
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = erf(x);
-    }
-}
-
-/// Evaluates [`erfc`] over a grid, slice-in/slice-out — the tail-safe
-/// companion to [`erf_slice`].
-///
-/// # Panics
-/// Panics if `xs` and `out` differ in length.
-pub fn erfc_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "erfc_slice: length mismatch");
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = erfc(x);
-    }
-}
-
 /// Inverse error function: returns `x` with `erf(x) = z` for `z ∈ (-1, 1)`.
 ///
 /// Uses the identity `erf⁻¹(z) = Φ⁻¹((z+1)/2) / √2`.
@@ -126,20 +101,6 @@ mod tests {
     fn erf_is_odd() {
         for &x in &[0.1, 0.7, 1.3, 2.5] {
             assert_close(erf(-x), -erf(x), 1e-14, &format!("odd x={x}"));
-        }
-    }
-
-    #[test]
-    fn slice_kernels_match_scalar_bits() {
-        let xs: Vec<f64> = (-40..=40).map(|i| i as f64 / 8.0).collect();
-        let mut out = vec![f64::NAN; xs.len()];
-        erf_slice(&xs, &mut out);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(out[i].to_bits(), erf(x).to_bits(), "erf_slice at {x}");
-        }
-        erfc_slice(&xs, &mut out);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(out[i].to_bits(), erfc(x).to_bits(), "erfc_slice at {x}");
         }
     }
 

@@ -52,20 +52,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// Evaluates [`ln_gamma`] over a grid, slice-in/slice-out. Bit-identical
-/// to the per-point calls; the batch companion to [`crate::special::erf::erf_slice`]
-/// for grid pipelines that sweep many gamma-family evaluations at once.
-///
-/// # Panics
-/// Panics if `xs` and `out` differ in length (and, in debug builds, on
-/// non-finite arguments, as [`ln_gamma`] does).
-pub fn ln_gamma_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "ln_gamma_slice: length mismatch");
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = ln_gamma(x);
-    }
-}
-
 /// The gamma function `Γ(x)` for `x > 0`.
 pub fn gamma(x: f64) -> f64 {
     if x <= 0.0 {
@@ -84,8 +70,9 @@ const EPS: f64 = 1e-16;
 const FPMIN: f64 = f64::MIN_POSITIVE / EPS;
 
 /// Series representation of the lower regularized incomplete gamma `P(a, x)`.
-/// Converges fast for `x < a + 1`.
-fn gamma_p_series(a: f64, x: f64) -> f64 {
+/// Converges fast for `x < a + 1`. Takes `ln_x = x.ln()` and
+/// `gln = ln Γ(a)` from the caller.
+fn gamma_p_series(a: f64, x: f64, ln_x: f64, gln: f64) -> f64 {
     let mut ap = a;
     let mut sum = 1.0 / a;
     let mut del = sum;
@@ -97,12 +84,13 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
+    sum * (-x + a * ln_x - gln).exp()
 }
 
 /// Continued-fraction representation of the upper regularized incomplete
 /// gamma `Q(a, x)` (modified Lentz). Converges fast for `x >= a + 1`.
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
+/// Takes `ln_x = x.ln()` and `gln = ln Γ(a)` from the caller.
+fn gamma_q_cf(a: f64, x: f64, ln_x: f64, gln: f64) -> f64 {
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / FPMIN;
     let mut d = 1.0 / b;
@@ -125,37 +113,182 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (-x + a * x.ln() - ln_gamma(a)).exp() * h
+    (-x + a * ln_x - gln).exp() * h
+}
+
+/// The regularized incomplete gamma functions of one shape `a`, with
+/// `ln Γ(a)` computed once at construction.
+///
+/// [`gamma_p`], [`gamma_q`], [`upper_incomplete_gamma`] and
+/// [`inverse_gamma_p`] build one of these per call; a distribution that
+/// evaluates many points of the same shape (`GammaDist`) keeps one
+/// instead. Either way the arithmetic, and so every bit of the result, is
+/// the same.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct IncGamma {
+    a: f64,
+    /// `ln Γ(a)`.
+    gln: f64,
+}
+
+impl IncGamma {
+    /// The incomplete gamma functions of shape `a > 0` (checked by the
+    /// callers: the free functions and `GammaDist::new`).
+    pub(crate) fn new(a: f64) -> Self {
+        debug_assert!(a > 0.0, "IncGamma: a must be positive, got {a}");
+        Self {
+            a,
+            gln: ln_gamma(a),
+        }
+    }
+
+    /// `ln Γ(a)`, as [`ln_gamma`] returns it.
+    pub(crate) fn ln_gamma_a(&self) -> f64 {
+        self.gln
+    }
+
+    /// `P(a, x)` given `ln_x = x.ln()`, so a caller that also needs the
+    /// density at `x` takes the logarithm once.
+    fn p_ln(&self, x: f64, ln_x: f64) -> f64 {
+        if x == 0.0 {
+            return 0.0;
+        }
+        if x < self.a + 1.0 {
+            gamma_p_series(self.a, x, ln_x, self.gln)
+        } else {
+            1.0 - gamma_q_cf(self.a, x, ln_x, self.gln)
+        }
+    }
+
+    /// Lower regularized incomplete gamma `P(a, x)` for `x >= 0`.
+    ///
+    /// # Panics
+    /// Panics if `x` is negative (or NaN).
+    pub(crate) fn p(&self, x: f64) -> f64 {
+        assert!(x >= 0.0, "gamma_p: x must be non-negative, got {x}");
+        self.p_ln(x, x.ln())
+    }
+
+    /// Upper regularized incomplete gamma `Q(a, x) = 1 - P(a, x)` for
+    /// `x >= 0`, computed without cancellation in the upper tail.
+    ///
+    /// # Panics
+    /// Panics if `x` is negative (or NaN).
+    pub(crate) fn q(&self, x: f64) -> f64 {
+        assert!(x >= 0.0, "gamma_q: x must be non-negative, got {x}");
+        if x == 0.0 {
+            return 1.0;
+        }
+        let ln_x = x.ln();
+        if x < self.a + 1.0 {
+            1.0 - gamma_p_series(self.a, x, ln_x, self.gln)
+        } else {
+            gamma_q_cf(self.a, x, ln_x, self.gln)
+        }
+    }
+
+    /// Non-regularized upper incomplete gamma `Γ(a, x) = Q(a, x) · Γ(a)`.
+    pub(crate) fn upper(&self, x: f64) -> f64 {
+        self.q(x) * self.gln.exp()
+    }
+
+    /// Inverse of `P(a, ·)`: the `x` with `P(a, x) = p`, for
+    /// `p ∈ [0, 1]`. Each Newton step takes `ln x` once, for both `P` and
+    /// the density.
+    ///
+    /// # Panics
+    /// Panics if `p` is outside `[0, 1]`.
+    pub(crate) fn inverse_p(&self, p: f64) -> f64 {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "inverse_gamma_p: p must be in [0, 1], got {p}"
+        );
+        if p == 0.0 {
+            return 0.0;
+        }
+        if p == 1.0 {
+            return f64::INFINITY;
+        }
+
+        let (a, gln) = (self.a, self.gln);
+        let a1 = a - 1.0;
+
+        // Initial guess.
+        let mut x = if a > 1.0 {
+            // Wilson–Hilferty starting point.
+            let z = norm_quantile(p);
+            let t = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * a.sqrt());
+            if t > 0.0 {
+                a * t * t * t
+            } else {
+                // Deep lower tail where Wilson–Hilferty breaks down: use the
+                // leading series term P(a, x) ≈ x^a / (a Γ(a)).
+                ((p * a).ln() + gln).exp().powf(1.0 / a)
+            }
+        } else {
+            let t = 1.0 - a * (0.253 + a * 0.12);
+            if p < t {
+                (p / t).powf(1.0 / a)
+            } else {
+                1.0 - (1.0 - (p - t) / (1.0 - t)).ln()
+            }
+        };
+        if !x.is_finite() || x <= 0.0 {
+            x = a; // always a valid interior point
+        }
+
+        // Establish a bracket [lo, hi] with P(a, lo) < p < P(a, hi).
+        let mut lo = 0.0;
+        let mut hi = x.max(a);
+        let mut guard = 0;
+        while self.p(hi) < p {
+            hi *= 2.0;
+            guard += 1;
+            if guard > 600 {
+                break;
+            }
+        }
+        if x <= lo || x >= hi {
+            x = 0.5 * (lo + hi); // keep the seed inside the bracket
+        }
+
+        // Bracketed Newton: fall back to bisection whenever the Newton step
+        // leaves the bracket or the density underflows.
+        for _ in 0..200 {
+            let ln_x = x.ln();
+            let err = self.p_ln(x, ln_x) - p;
+            if err > 0.0 {
+                hi = x;
+            } else {
+                lo = x;
+            }
+            let pdf = (-x + a1 * ln_x - gln).exp();
+            let mut xn = if pdf > 0.0 { x - err / pdf } else { f64::NAN };
+            if !xn.is_finite() || xn <= lo || xn >= hi {
+                xn = 0.5 * (lo + hi);
+            }
+            let dx = (xn - x).abs();
+            x = xn;
+            if dx <= 1e-15 * x.abs().max(1e-300) || hi - lo <= 1e-15 * hi {
+                break;
+            }
+        }
+        x
+    }
 }
 
 /// Lower regularized incomplete gamma function
 /// `P(a, x) = γ(a, x) / Γ(a)` for `a > 0`, `x >= 0`.
 pub fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_p: a must be positive, got {a}");
-    assert!(x >= 0.0, "gamma_p: x must be non-negative, got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
+    IncGamma::new(a).p(x)
 }
 
 /// Upper regularized incomplete gamma function
 /// `Q(a, x) = Γ(a, x) / Γ(a) = 1 - P(a, x)`.
 pub fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_q: a must be positive, got {a}");
-    assert!(x >= 0.0, "gamma_q: x must be non-negative, got {x}");
-    if x == 0.0 {
-        return 1.0;
-    }
-    if x < a + 1.0 {
-        1.0 - gamma_p_series(a, x)
-    } else {
-        gamma_q_cf(a, x)
-    }
+    IncGamma::new(a).q(x)
 }
 
 /// Non-regularized upper incomplete gamma `Γ(a, x)`.
@@ -163,7 +296,11 @@ pub fn gamma_q(a: f64, x: f64) -> f64 {
 /// This is the form used by the Mean-by-Mean recurrences of Appendix B
 /// (Weibull and Gamma distributions).
 pub fn upper_incomplete_gamma(a: f64, x: f64) -> f64 {
-    gamma_q(a, x) * gamma(a)
+    assert!(
+        a > 0.0,
+        "upper_incomplete_gamma: a must be positive, got {a}"
+    );
+    IncGamma::new(a).upper(x)
 }
 
 /// Inverse of the lower regularized incomplete gamma: returns `x` such that
@@ -174,80 +311,7 @@ pub fn upper_incomplete_gamma(a: f64, x: f64) -> f64 {
 /// safeguarded Newton iteration on `P(a, ·)`.
 pub fn inverse_gamma_p(a: f64, p: f64) -> f64 {
     assert!(a > 0.0, "inverse_gamma_p: a must be positive, got {a}");
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "inverse_gamma_p: p must be in [0, 1], got {p}"
-    );
-    if p == 0.0 {
-        return 0.0;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-
-    let gln = ln_gamma(a);
-    let a1 = a - 1.0;
-
-    // Initial guess.
-    let mut x = if a > 1.0 {
-        // Wilson–Hilferty starting point.
-        let z = norm_quantile(p);
-        let t = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * a.sqrt());
-        if t > 0.0 {
-            a * t * t * t
-        } else {
-            // Deep lower tail where Wilson–Hilferty breaks down: use the
-            // leading series term P(a, x) ≈ x^a / (a Γ(a)).
-            ((p * a).ln() + gln).exp().powf(1.0 / a)
-        }
-    } else {
-        let t = 1.0 - a * (0.253 + a * 0.12);
-        if p < t {
-            (p / t).powf(1.0 / a)
-        } else {
-            1.0 - (1.0 - (p - t) / (1.0 - t)).ln()
-        }
-    };
-    if !x.is_finite() || x <= 0.0 {
-        x = a; // always a valid interior point
-    }
-
-    // Establish a bracket [lo, hi] with P(a, lo) < p < P(a, hi).
-    let mut lo = 0.0;
-    let mut hi = x.max(a);
-    let mut guard = 0;
-    while gamma_p(a, hi) < p {
-        hi *= 2.0;
-        guard += 1;
-        if guard > 600 {
-            break;
-        }
-    }
-    if x <= lo || x >= hi {
-        x = 0.5 * (lo + hi); // keep the seed inside the bracket
-    }
-
-    // Bracketed Newton: fall back to bisection whenever the Newton step
-    // leaves the bracket or the density underflows.
-    for _ in 0..200 {
-        let err = gamma_p(a, x) - p;
-        if err > 0.0 {
-            hi = x;
-        } else {
-            lo = x;
-        }
-        let pdf = (-x + a1 * x.ln() - gln).exp();
-        let mut xn = if pdf > 0.0 { x - err / pdf } else { f64::NAN };
-        if !xn.is_finite() || xn <= lo || xn >= hi {
-            xn = 0.5 * (lo + hi);
-        }
-        let dx = (xn - x).abs();
-        x = xn;
-        if dx <= 1e-15 * x.abs().max(1e-300) || hi - lo <= 1e-15 * hi {
-            break;
-        }
-    }
-    x
+    IncGamma::new(a).inverse_p(p)
 }
 
 /// Inverse of the *upper* regularized incomplete gamma: `x` with `Q(a, x) = q`.
@@ -261,16 +325,6 @@ pub fn inverse_gamma_q(a: f64, q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ln_gamma_slice_matches_scalar_bits() {
-        let xs: Vec<f64> = (1..=80).map(|i| i as f64 * 0.37).collect();
-        let mut out = vec![f64::NAN; xs.len()];
-        ln_gamma_slice(&xs, &mut out);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(out[i].to_bits(), ln_gamma(x).to_bits(), "at {x}");
-        }
-    }
 
     fn assert_close(a: f64, b: f64, tol: f64, msg: &str) {
         let denom = b.abs().max(1.0);

@@ -97,47 +97,6 @@ pub trait ContinuousDistribution: Send + Sync + std::fmt::Debug {
         (1.0 - self.cdf(t)).clamp(0.0, 1.0)
     }
 
-    /// Evaluates `F` at every point of a grid, slice-in/slice-out.
-    ///
-    /// Bit-identical to calling [`cdf`](Self::cdf) point by point — the
-    /// default *is* that loop, and overrides must preserve it (the
-    /// `EvalTable` bit-identity tests enforce this for the grid pipeline).
-    /// The win is dispatch: through `&dyn ContinuousDistribution` the
-    /// default method is monomorphized per implementor, so the inner
-    /// `self.cdf` call devirtualizes and inlines — one virtual call per
-    /// *grid* instead of one per point.
-    ///
-    /// # Panics
-    /// Panics if `points` and `out` differ in length.
-    fn cdf_batch(&self, points: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            points.len(),
-            out.len(),
-            "cdf_batch: points/out length mismatch"
-        );
-        for (o, &p) in out.iter_mut().zip(points) {
-            *o = self.cdf(p);
-        }
-    }
-
-    /// Evaluates the survival function at every point of a grid,
-    /// slice-in/slice-out. Same contract as [`cdf_batch`](Self::cdf_batch):
-    /// bit-identical to the per-point [`survival`](Self::survival) calls,
-    /// with the virtual dispatch hoisted out of the loop.
-    ///
-    /// # Panics
-    /// Panics if `points` and `out` differ in length.
-    fn survival_batch(&self, points: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            points.len(),
-            out.len(),
-            "survival_batch: points/out length mismatch"
-        );
-        for (o, &p) in out.iter_mut().zip(points) {
-            *o = self.survival(p);
-        }
-    }
-
     /// Standard deviation `σ`.
     fn std_dev(&self) -> f64 {
         self.variance().sqrt()

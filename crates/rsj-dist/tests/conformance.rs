@@ -243,34 +243,3 @@ fn support_contains_all_quantiles() {
         }
     }
 }
-
-#[test]
-fn batch_evaluation_is_bit_identical_to_per_point_calls() {
-    // The `cdf_batch`/`survival_batch` contract: same bits as the scalar
-    // calls, through dynamic dispatch, for every Table 1 family — the
-    // grid pipeline (EvalTable) relies on this to keep solver digests
-    // unchanged.
-    for (name, d) in all() {
-        let lo = d.support().lower();
-        let top = hi(d.as_ref());
-        let points: Vec<f64> = (0..=257)
-            .map(|k| lo + (top - lo) * k as f64 / 257.0)
-            .collect();
-        let mut cdf = vec![f64::NAN; points.len()];
-        d.cdf_batch(&points, &mut cdf);
-        let mut survival = vec![f64::NAN; points.len()];
-        d.survival_batch(&points, &mut survival);
-        for (i, &p) in points.iter().enumerate() {
-            assert_eq!(
-                cdf[i].to_bits(),
-                d.cdf(p).to_bits(),
-                "{name}: cdf_batch[{i}] at {p}"
-            );
-            assert_eq!(
-                survival[i].to_bits(),
-                d.survival(p).to_bits(),
-                "{name}: survival_batch[{i}] at {p}"
-            );
-        }
-    }
-}

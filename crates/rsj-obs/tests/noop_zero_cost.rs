@@ -4,21 +4,35 @@
 
 use rsj_obs::{Level, MemorySink, NoopRecorder, Recorder, ScopedTimer};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Subscriber/metrics state is process-global; the tests in this file
 /// serialize on this lock so they cannot observe each other's setup.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
+/// Takes [`GLOBAL_STATE`] even if another test panicked while holding
+/// it: each test sets up the state it needs, so one failure must not
+/// fail the others.
+fn global_state() -> MutexGuard<'static, ()> {
+    GLOBAL_STATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Counts allocations so tests can assert a region performed none.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so the test
+    /// harness's own threads allocating concurrently cannot show up in
+    /// a measured region. `const`-initialised, so reading it never
+    /// allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: allocations during thread teardown find no slot.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -30,8 +44,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A stand-in for an instrumented hot path: spans, leveled events with
@@ -60,7 +75,7 @@ fn instrumented_work(recorder: &impl Recorder, iterations: u64) -> f64 {
 
 #[test]
 fn disabled_observability_does_not_allocate_or_record() {
-    let _guard = GLOBAL_STATE.lock().unwrap();
+    let _guard = global_state();
     // Process-global state: make the disabled state explicit rather than
     // assuming test ordering.
     rsj_obs::init(None);
@@ -92,7 +107,7 @@ fn disabled_observability_does_not_allocate_or_record() {
 
 #[test]
 fn disabled_tracing_emits_nothing_to_a_sink_installed_later() {
-    let _guard = GLOBAL_STATE.lock().unwrap();
+    let _guard = global_state();
     // Events emitted while disabled are gone: installing a sink afterwards
     // must observe an empty world, proving nothing was buffered.
     rsj_obs::init(None);
@@ -115,7 +130,7 @@ fn disabled_tracing_emits_nothing_to_a_sink_installed_later() {
 
 #[test]
 fn request_tracing_toggle_gates_timeline_capture() {
-    let _guard = GLOBAL_STATE.lock().unwrap();
+    let _guard = global_state();
     rsj_obs::set_request_tracing(false);
     let off = rsj_obs::Timeline::begin_if_enabled(std::time::Instant::now());
     assert!(!off.is_enabled());
