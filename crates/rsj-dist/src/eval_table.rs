@@ -9,6 +9,26 @@
 //! and the tail quadrature, across solver instances, experiment steps and
 //! worker threads.
 //!
+//! ## Memo policy
+//!
+//! Entries differ in what they cost to rebuild by more than an order of
+//! magnitude: a Beta or Gamma law inverts an incomplete beta or gamma
+//! function by Newton iteration at each of its `n` quantiles, where an
+//! Exponential law takes one `ln`. The memo therefore evicts by
+//! GreedyDual-Size (Cao & Irani, USITS 1997). Each entry is charged the
+//! wall time of its cold build (`discretize` plus the two tail values) and
+//! its size, 16 bytes per support point. Its priority is
+//! `L + build_ns / bytes`, where `L` is the priority of the last entry
+//! evicted; a hit resets it to that value. When an insert would exceed
+//! the budget, the lowest-priority entry goes first (the least recently
+//! used among equals) and `L` rises to its priority. So an unused costly
+//! table ages out only after `L` has climbed past it, and a cheap one
+//! soon after it stops being used. The budget is 128 entries and
+//! 2,048,000 bytes (128 entries at `n = 1000`). An entry larger than the
+//! byte budget on its own is returned but not stored. The policy only
+//! decides whether a deterministic build is repeated, so it never changes
+//! an output bit.
+//!
 //! An [`EvalTable`] evaluates `F`, survival and conditional means at every
 //! point of a grid, for callers that need the whole columns.
 //!
@@ -25,8 +45,9 @@ use crate::discrete::{discretize, DiscreteDistribution, DiscretizationScheme};
 use crate::error::{DistError, Result};
 use crate::traits::ContinuousDistribution;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Distribution evaluations precomputed over a fixed grid of points.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,16 +167,146 @@ struct CacheKey {
     epsilon_bits: u64,
 }
 
-/// Bound on cached entries. Each entry holds two `n`-length vectors (the
-/// discrete law's values and probabilities; n ≤ a few thousand in
-/// practice); 128 entries is a generous working set for a full experiment
-/// suite. On overflow the map is cleared — a crude but branch-free
-/// eviction that can only cost recomputation.
-const CACHE_CAPACITY: usize = 128;
+/// Most entries the memo holds.
+const CACHE_MAX_ENTRIES: usize = 128;
+/// Most bytes of support points the memo holds: 128 entries at `n = 1000`.
+const CACHE_MAX_BYTES: usize = 2_048_000;
+/// What an entry is charged per support point: its value and probability.
+const BYTES_PER_POINT: usize = 16;
 
-static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<DiscretizedEval>>>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
+/// Counters of the process-wide discretization memo, as returned by
+/// [`eval_cache_stats`]; all zero after [`clear_eval_cache`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct EvalCacheStats {
+    /// Lookups served from the memo.
+    pub hits: u64,
+    /// Lookups of a cacheable law that had to build their entry.
+    pub misses: u64,
+    /// Entries dropped to stay within the budget.
+    pub evictions: u64,
+    /// Entries held.
+    pub entries: usize,
+    /// Bytes held, at 16 per support point.
+    pub bytes: usize,
+    /// Total wall time of the builds made on misses, in seconds.
+    pub build_seconds: f64,
+}
+
+/// GreedyDual-Size eviction (see the module docs) over a bounded map.
+/// Callers pass each entry's build cost and size, so tests can inject
+/// them.
+#[derive(Debug)]
+pub(crate) struct GreedyDualSize<K, V> {
+    slots: HashMap<K, Slot<V>>,
+    max_entries: usize,
+    max_bytes: usize,
+    bytes: usize,
+    /// `L`: the priority of the most recently evicted entry.
+    inflation: f64,
+    /// Access counter behind the least-recently-used tie-break.
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    build_time: Duration,
+}
+
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    bytes: usize,
+    /// Build nanoseconds per byte held.
+    cost_per_byte: f64,
+    priority: f64,
+    last_used: u64,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> GreedyDualSize<K, V> {
+    pub(crate) fn new(max_entries: usize, max_bytes: usize) -> Self {
+        GreedyDualSize {
+            slots: HashMap::new(),
+            max_entries,
+            max_bytes,
+            bytes: 0,
+            inflation: 0.0,
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            build_time: Duration::ZERO,
+        }
+    }
+
+    /// The value under `key`, counted as a hit (which resets its
+    /// priority to `L + cost / bytes`) or a miss.
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
+        let Some(slot) = self.slots.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.clock += 1;
+        slot.priority = self.inflation + slot.cost_per_byte;
+        slot.last_used = self.clock;
+        Some(slot.value.clone())
+    }
+
+    /// Stores `value`, which took `cost` to build and holds `bytes`,
+    /// evicting the lowest-priority entries until it fits. An entry
+    /// already under `key` is kept, and a value larger than the byte
+    /// budget on its own is not stored; `cost` counts toward the total
+    /// build time either way.
+    pub(crate) fn insert(&mut self, key: K, value: V, bytes: usize, cost: Duration) {
+        self.build_time += cost;
+        if bytes > self.max_bytes || self.slots.contains_key(&key) {
+            return;
+        }
+        while self.slots.len() >= self.max_entries || self.bytes + bytes > self.max_bytes {
+            let victim = self
+                .slots
+                .iter()
+                .min_by(|(_, a), (_, b)| {
+                    a.priority
+                        .total_cmp(&b.priority)
+                        .then(a.last_used.cmp(&b.last_used))
+                })
+                .map(|(key, _)| key.clone())
+                .expect("a memo over its budget holds an entry");
+            let evicted = self.slots.remove(&victim).expect("victim is held");
+            self.bytes -= evicted.bytes;
+            self.inflation = evicted.priority;
+            self.evictions += 1;
+        }
+        self.clock += 1;
+        let cost_per_byte = cost.as_nanos() as f64 / bytes as f64;
+        self.bytes += bytes;
+        self.slots.insert(
+            key,
+            Slot {
+                value,
+                bytes,
+                cost_per_byte,
+                priority: self.inflation + cost_per_byte,
+                last_used: self.clock,
+            },
+        );
+    }
+
+    pub(crate) fn stats(&self) -> EvalCacheStats {
+        EvalCacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            entries: self.slots.len(),
+            bytes: self.bytes,
+            build_seconds: self.build_time.as_secs_f64(),
+        }
+    }
+}
+
+type Memo = GreedyDualSize<CacheKey, Arc<DiscretizedEval>>;
+
+static CACHE: OnceLock<Mutex<Memo>> = OnceLock::new();
 
 /// How the most recent [`discretize_eval`] call on this thread obtained
 /// its entry: the discretized law and its last-point tail values. A
@@ -167,7 +318,8 @@ pub enum EvalTableSource {
     /// Served from the process-wide memo (warm).
     CacheHit,
     /// Discretized and its tail values computed fresh (cold); the entry
-    /// was then memoized if the distribution has a faithful cache key.
+    /// was then offered to the memo if the distribution has a faithful
+    /// cache key.
     Built,
 }
 
@@ -205,18 +357,26 @@ fn record_eval_source(source: EvalTableSource) {
     LAST_EVAL_SOURCE.with(|c| c.set(Some(source)));
 }
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<DiscretizedEval>>> {
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn cache() -> MutexGuard<'static, Memo> {
+    CACHE
+        .get_or_init(|| Mutex::new(Memo::new(CACHE_MAX_ENTRIES, CACHE_MAX_BYTES)))
+        .lock()
+        .expect("eval cache lock")
 }
 
 /// Discretizes `dist` (same semantics as [`discretize`]) and evaluates
 /// `survival` and `conditional_mean_above` at the last support point,
 /// memoized process-wide by `(dist.cache_key(), scheme, n, epsilon)`.
 ///
+/// The memo holds at most 128 entries and 2,048,000 bytes (16 per support
+/// point). When full, it evicts the entry with the least build time per
+/// byte, aged by GreedyDual-Size (see the module docs), so the tables
+/// that are slow to rebuild stay warm longest.
+///
 /// Distributions without a faithful [`ContinuousDistribution::cache_key`]
 /// are computed fresh on every call (correctness first). Concurrent
 /// misses on the same key may compute the entry twice; both arrive at
-/// identical values, and one wins the insert.
+/// identical values, and the first insert is kept.
 pub fn discretize_eval(
     dist: &dyn ContinuousDistribution,
     scheme: DiscretizationScheme,
@@ -230,15 +390,14 @@ pub fn discretize_eval(
         epsilon_bits: epsilon.to_bits(),
     });
     if let Some(key) = &key {
-        if let Some(hit) = cache().lock().expect("eval cache lock").get(key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = cache().get(key) {
             record_eval_source(EvalTableSource::CacheHit);
-            return Ok(Arc::clone(hit));
+            return Ok(hit);
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
     }
     record_eval_source(EvalTableSource::Built);
 
+    let start = Instant::now();
     let discrete = discretize(dist, scheme, n, epsilon)?;
     // The same two evaluations `EvalTable::build` makes at its last point.
     let last = discrete.max_value();
@@ -255,35 +414,31 @@ pub fn discretize_eval(
     });
 
     if let Some(key) = key {
-        let mut map = cache().lock().expect("eval cache lock");
-        if map.len() >= CACHE_CAPACITY {
-            map.clear();
-        }
-        map.entry(key).or_insert_with(|| Arc::clone(&entry));
+        let cost = start.elapsed();
+        let bytes = BYTES_PER_POINT * entry.discrete.len();
+        cache().insert(key, Arc::clone(&entry), bytes, cost);
     }
     Ok(entry)
 }
 
-/// `(hits, misses)` of the process-wide discretization cache since start
-/// (or the last reset). Exported by the benchmark binaries next to their
-/// timings.
-pub fn eval_cache_stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+/// The process-wide discretization memo's counters since start (or the
+/// last [`clear_eval_cache`]). `rsj serve` publishes them as gauges when
+/// its metrics are scraped.
+pub fn eval_cache_stats() -> EvalCacheStats {
+    cache().stats()
 }
 
-/// Empties the cache and zeroes the hit/miss counters. Benchmarks call
-/// this between timed solves so warm-cache and cold-cache timings stay
+/// Empties the cache and zeroes its counters. Benchmarks call this
+/// between timed solves so warm-cache and cold-cache timings stay
 /// distinguishable.
 pub fn clear_eval_cache() {
-    cache().lock().expect("eval cache lock").clear();
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
+    *cache() = Memo::new(CACHE_MAX_ENTRIES, CACHE_MAX_BYTES);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::continuous::{Exponential, LogNormal, Uniform};
+    use crate::continuous::{BetaDist, Exponential, LogNormal, Uniform};
 
     #[test]
     fn table_matches_direct_calls_bit_for_bit() {
@@ -336,15 +491,26 @@ mod tests {
         assert!(EvalTable::build(&d, vec![1.0, f64::NAN]).is_err());
     }
 
+    /// Serializes the tests that use the process-wide memo: they clear it
+    /// and assert exact counts, and tests run on parallel threads.
+    fn global_memo_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn cache_shares_entries_and_counts_hits() {
+        let _guard = global_memo_lock();
         clear_eval_cache();
         let d = LogNormal::new(1.25, 0.4).unwrap();
         let a = discretize_eval(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
         let b = discretize_eval(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        let (hits, misses) = eval_cache_stats();
-        assert_eq!((hits, misses), (1, 1));
+        let stats = eval_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.entries, stats.bytes), (1, 16 * a.discrete.len()));
+        assert!(stats.build_seconds > 0.0);
 
         // Different scheme / n / epsilon are distinct entries.
         let c = discretize_eval(&d, DiscretizationScheme::EqualTime, 64, 1e-7).unwrap();
@@ -357,10 +523,12 @@ mod tests {
         assert_eq!(a.tail_survival.to_bits(), t.survival()[last].to_bits());
         assert_eq!(a.tail_cond_mean.to_bits(), t.cond_mean()[last].to_bits());
         clear_eval_cache();
+        assert_eq!(eval_cache_stats(), EvalCacheStats::default());
     }
 
     #[test]
     fn uncacheable_distributions_are_computed_fresh() {
+        let _guard = global_memo_lock();
         clear_eval_cache();
         let samples: Vec<f64> = (1..=200).map(|i| i as f64 * 0.1).collect();
         let d = crate::interpolated::InterpolatedEmpirical::from_samples(&samples).unwrap();
@@ -373,8 +541,147 @@ mod tests {
         let last = t.len() - 1;
         assert_eq!(a.tail_survival.to_bits(), t.survival()[last].to_bits());
         assert_eq!(a.tail_cond_mean.to_bits(), t.cond_mean()[last].to_bits());
-        let (hits, _) = eval_cache_stats();
-        assert_eq!(hits, 0);
+        assert_eq!(eval_cache_stats(), EvalCacheStats::default());
         clear_eval_cache();
+    }
+
+    #[test]
+    fn costly_table_stays_warm_through_a_stream_of_cheap_ones() {
+        let _guard = global_memo_lock();
+        clear_eval_cache();
+        let scheme = DiscretizationScheme::EqualProbability;
+        let beta = BetaDist::new(2.3, 2.9).unwrap();
+        discretize_eval(&beta, scheme, 1000, 1e-7).unwrap();
+        for i in 0..200 {
+            let cheap = Exponential::new(1.0 + 0.01 * i as f64).unwrap();
+            discretize_eval(&cheap, scheme, 1000, 1e-7).unwrap();
+        }
+        let stats = eval_cache_stats();
+        assert_eq!(stats.misses, 201);
+        assert!(stats.evictions >= 201 - CACHE_MAX_ENTRIES as u64);
+        discretize_eval(&beta, scheme, 1000, 1e-7).unwrap();
+        assert_eq!(last_eval_source(), Some(EvalTableSource::CacheHit));
+        clear_eval_cache();
+    }
+
+    /// An `n = 1000` table, and what building one costs for most laws
+    /// and for a Beta or Gamma law.
+    const TABLE_BYTES: usize = 16 * 1000;
+    const CHEAP: Duration = Duration::from_micros(170);
+    const COSTLY: Duration = Duration::from_micros(25 * 170);
+
+    #[test]
+    fn policy_never_exceeds_its_budget() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let mut memo = GreedyDualSize::new(8, 1_000);
+        for _ in 0..5_000 {
+            let key: u32 = rng.gen_range(0..64);
+            if memo.get(&key).is_none() {
+                let bytes = rng.gen_range(1..1_200);
+                memo.insert(key, (), bytes, Duration::from_micros(rng.gen_range(1..500)));
+            }
+            let stats = memo.stats();
+            assert!(stats.entries <= 8 && stats.bytes <= 1_000, "{stats:?}");
+            let held: usize = memo.slots.values().map(|slot| slot.bytes).sum();
+            assert_eq!(stats.bytes, held);
+        }
+        assert!(memo.stats().evictions > 0);
+    }
+
+    #[test]
+    fn costly_entry_survives_a_thousand_cheap_inserts() {
+        let mut memo = GreedyDualSize::new(CACHE_MAX_ENTRIES, CACHE_MAX_BYTES);
+        memo.insert(0u32, (), TABLE_BYTES, COSTLY);
+        for key in 1..=1_000 {
+            memo.insert(key, (), TABLE_BYTES, CHEAP);
+        }
+        assert_eq!(memo.stats().evictions, 1_001 - CACHE_MAX_ENTRIES as u64);
+        assert!(memo.get(&0).is_some(), "the costly entry was evicted");
+    }
+
+    #[test]
+    fn unused_costly_entry_ages_out() {
+        let mut memo = GreedyDualSize::new(CACHE_MAX_ENTRIES, CACHE_MAX_BYTES);
+        memo.insert(0u32, (), TABLE_BYTES, COSTLY);
+        // L rises by about one cheap priority per 127 evictions, so it
+        // passes the costly entry's after some 25 × 127 cheap inserts.
+        for key in 1..=5_000 {
+            memo.insert(key, (), TABLE_BYTES, CHEAP);
+        }
+        assert!(memo.get(&0).is_none(), "the costly entry never aged out");
+    }
+
+    #[test]
+    fn hit_refreshes_priority() {
+        let mut memo = GreedyDualSize::new(2, CACHE_MAX_BYTES);
+        memo.insert('x', (), TABLE_BYTES, CHEAP);
+        memo.insert('a', (), TABLE_BYTES, CHEAP);
+        // Evicts 'x' (equal priority, least recently used) and raises L.
+        memo.insert('b', (), TABLE_BYTES, CHEAP);
+        assert!(memo.get(&'a').is_some());
+        // 'b' was inserted after 'a' but never hit, so it goes first.
+        memo.insert('c', (), TABLE_BYTES, CHEAP);
+        assert!(memo.get(&'b').is_none());
+        assert!(memo.get(&'a').is_some());
+    }
+
+    #[test]
+    fn entry_over_the_byte_budget_is_not_stored() {
+        let mut memo = GreedyDualSize::new(4, 100);
+        memo.insert(1u32, (), 60, Duration::from_micros(10));
+        memo.insert(2, (), 101, Duration::from_micros(10));
+        assert!(memo.get(&2).is_none());
+        assert!(memo.get(&1).is_some());
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.bytes, stats.evictions), (1, 60, 0));
+        assert_eq!(stats.build_seconds, 20e-6);
+    }
+
+    /// A Zipf(1.1) stream over 1,024 equal-sized tables, one class in nine
+    /// of them 25× costlier to build than the rest, like the Beta and
+    /// Gamma laws among the nine Table 1 families.
+    #[test]
+    fn zipf_replay_rebuilds_far_less_than_clearing_at_capacity() {
+        use rand::{Rng, SeedableRng};
+        const KEYS: usize = 1_024;
+        let cost = |key: usize| if key % 9 < 2 { COSTLY } else { CHEAP };
+        let mut cumulative = Vec::with_capacity(KEYS);
+        let mut total = 0.0;
+        for rank in 1..=KEYS {
+            total += (rank as f64).powf(-1.1);
+            cumulative.push(total);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let stream: Vec<usize> = (0..20_000)
+            .map(|_| {
+                let u = rng.gen::<f64>() * total;
+                cumulative.partition_point(|&c| c < u).min(KEYS - 1)
+            })
+            .collect();
+
+        let mut memo = GreedyDualSize::new(CACHE_MAX_ENTRIES, CACHE_MAX_BYTES);
+        let mut greedy_dual = Duration::ZERO;
+        for &key in &stream {
+            if memo.get(&key).is_none() {
+                greedy_dual += cost(key);
+                memo.insert(key, (), TABLE_BYTES, cost(key));
+            }
+        }
+
+        // The policy it replaced: clear everything once 128 entries are held.
+        let mut held = std::collections::HashSet::new();
+        let mut clear_all = Duration::ZERO;
+        for &key in &stream {
+            if !held.contains(&key) {
+                clear_all += cost(key);
+                if held.len() >= CACHE_MAX_ENTRIES {
+                    held.clear();
+                }
+                held.insert(key);
+            }
+        }
+        let ratio = greedy_dual.as_secs_f64() / clear_all.as_secs_f64();
+        assert!(ratio <= 0.6, "rebuild cost ratio {ratio:.3}");
     }
 }

@@ -66,7 +66,7 @@ pub use empirical::Empirical;
 pub use error::{DistError, Result};
 pub use eval_table::{
     clear_eval_cache, clear_last_eval_source, discretize_eval, eval_cache_stats, last_eval_source,
-    DiscretizedEval, EvalTable, EvalTableSource,
+    DiscretizedEval, EvalCacheStats, EvalTable, EvalTableSource,
 };
 pub use fit::{fit_affine, fit_lognormal, AffineFit, LogNormalFit};
 pub use interpolated::InterpolatedEmpirical;

@@ -1373,6 +1373,23 @@ fn queue_depth_gauge(shared: &Shared) {
         .set(shared.admission.depth() as f64);
 }
 
+/// Copies the discretization memo's counters into gauges at scrape time,
+/// so the solve path does no work for them.
+fn publish_eval_cache_gauges() {
+    let stats = rsj_dist::eval_cache_stats();
+    let registry = rsj_obs::global_registry();
+    for (name, value) in [
+        ("rsj_dist_eval_cache_hits", stats.hits as f64),
+        ("rsj_dist_eval_cache_misses", stats.misses as f64),
+        ("rsj_dist_eval_cache_evictions", stats.evictions as f64),
+        ("rsj_dist_eval_cache_entries", stats.entries as f64),
+        ("rsj_dist_eval_cache_bytes", stats.bytes as f64),
+        ("rsj_dist_eval_cache_build_seconds", stats.build_seconds),
+    ] {
+        registry.gauge(name).set(value);
+    }
+}
+
 /// The request's op as a static label (for per-op metrics and timeline
 /// records) — no allocation on the request path.
 fn op_name(decoded: &Result<Request, (ErrorKind, String)>) -> &'static str {
@@ -1490,13 +1507,16 @@ fn dispatch(
             },
             false,
         ),
-        Request::Metrics { .. } => (
-            Response::Metrics {
-                v: PROTOCOL_VERSION,
-                prometheus: rsj_obs::global_registry().snapshot().to_prometheus(),
-            },
-            false,
-        ),
+        Request::Metrics { .. } => {
+            publish_eval_cache_gauges();
+            (
+                Response::Metrics {
+                    v: PROTOCOL_VERSION,
+                    prometheus: rsj_obs::global_registry().snapshot().to_prometheus(),
+                },
+                false,
+            )
+        }
         Request::Health { .. } => (
             Response::Health {
                 v: PROTOCOL_VERSION,

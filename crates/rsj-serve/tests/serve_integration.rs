@@ -393,6 +393,47 @@ fn shutdown_drains_in_flight_requests() {
     );
 }
 
+fn gauge_value(prometheus: &str, name: &str) -> f64 {
+    assert!(
+        prometheus.contains(&format!("# TYPE {name} gauge\n")),
+        "missing gauge {name}"
+    );
+    prometheus
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("{name} ")))
+        .map(|v| v.trim().parse().expect("gauge value"))
+        .expect("gauge sample")
+}
+
+#[test]
+fn metrics_publish_eval_cache_gauges() {
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+
+    // A law no other test uses, so its eval table is built cold.
+    let request = Request::plan_with(
+        DistSpec::LogNormal {
+            mu: 2.17,
+            sigma: 0.61,
+        },
+        fast_dp(),
+    );
+    expect_plan(client.call(&request).expect("plan"));
+
+    let prometheus = client.metrics().expect("metrics");
+    assert!(gauge_value(&prometheus, "rsj_dist_eval_cache_misses") >= 1.0);
+    assert!(gauge_value(&prometheus, "rsj_dist_eval_cache_entries") >= 1.0);
+    assert!(gauge_value(&prometheus, "rsj_dist_eval_cache_bytes") > 0.0);
+    assert!(gauge_value(&prometheus, "rsj_dist_eval_cache_build_seconds") > 0.0);
+    for name in ["rsj_dist_eval_cache_hits", "rsj_dist_eval_cache_evictions"] {
+        assert!(gauge_value(&prometheus, name) >= 0.0);
+    }
+
+    handle.signal();
+    drop(client);
+    join.join().expect("server thread").expect("clean exit");
+}
+
 #[test]
 fn simulate_on_request_attaches_batch_stats() {
     let _guard = registry_lock();
