@@ -502,12 +502,14 @@ fn saturation_point(
                 point.ok += 1;
                 ok_latencies.push(latency);
             }
-            Ok(Response::Error { kind, .. }) if kind == rsj_serve::ErrorKind::Overloaded => {
-                point.shed_overloaded += 1
-            }
-            Ok(Response::Error { kind, .. }) if kind == rsj_serve::ErrorKind::DeadlineExceeded => {
-                point.shed_deadline += 1
-            }
+            Ok(Response::Error {
+                kind: rsj_serve::ErrorKind::Overloaded,
+                ..
+            }) => point.shed_overloaded += 1,
+            Ok(Response::Error {
+                kind: rsj_serve::ErrorKind::DeadlineExceeded,
+                ..
+            }) => point.shed_deadline += 1,
             Ok(_) => point.failed += 1,
             Err(_) => point.failed += 1,
         }

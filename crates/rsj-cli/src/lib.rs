@@ -57,10 +57,7 @@ USAGE:
                                           [--trace-buffer <n>] retains the last n
                                           request timelines for the trace op;
                                           [--slow-ms <n>] warns (with a stage
-                                          breakdown) on requests slower than n ms;
-                                          [--batch <n>] lets each worker drain up
-                                          to n queued requests and share one warm
-                                          eval table per group (default 8)
+                                          breakdown) on requests slower than n ms
     rsj request  --addr host:port         one-shot client for a running server:
                  (--config <plan.json> | --ping | --metrics | --health |
                   --ready | --shutdown)

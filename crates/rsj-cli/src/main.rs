@@ -146,11 +146,6 @@ fn main() -> ExitCode {
                 Some(Err(_)) => return fail("invalid --slow-ms: expected a number"),
                 None => {}
             }
-            match flag_value(&args, "--batch").map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => opts.batch = Some(n),
-                Some(Err(_)) => return fail("invalid --batch: expected a number"),
-                None => {}
-            }
             return match rsj_cli::run_serve(&opts) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(msg) => fail_runtime(&msg),

@@ -41,10 +41,6 @@ pub struct ServeOptions {
     /// Warn (one event, full stage breakdown) on requests slower than
     /// this many milliseconds (`--slow-ms`; unset disables).
     pub slow_ms: Option<u64>,
-    /// Per-worker dequeue batch: each worker drains up to this many
-    /// queued requests at once and solves same-table groups on one warm
-    /// eval table (`--batch`, default 8; 1 disables batching).
-    pub batch: Option<usize>,
 }
 
 impl Default for ServeOptions {
@@ -60,7 +56,6 @@ impl Default for ServeOptions {
             snapshot_every: None,
             trace_buffer: None,
             slow_ms: None,
-            batch: None,
         }
     }
 }
@@ -110,12 +105,6 @@ pub fn run_serve(opts: &ServeOptions) -> Result<(), String> {
         config.trace_buffer = buffer;
     }
     config.slow_ms = opts.slow_ms;
-    if let Some(batch) = opts.batch {
-        if batch == 0 {
-            return Err("--batch must be >= 1".to_string());
-        }
-        config.batch = batch;
-    }
     let server = Server::bind(config).map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     println!("rsj-serve listening on {}", server.local_addr());
     use std::io::Write;

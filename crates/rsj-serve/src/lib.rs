@@ -25,16 +25,15 @@
 //!   read buffering, incremental line assembly, partial-write resumption
 //!   and idle deadline, so a slow or idle peer costs a buffer rather than
 //!   a thread. Complete frames cross a bounded MPMC queue into a fixed
-//!   worker pool; each worker drains up to a configurable batch of
-//!   queued requests grouped by table-order key so same-table solves
-//!   share a warm eval table.
+//!   worker pool, one request per pop.
 //! * **Server** ([`server`]) — admission control ([`admission`]:
 //!   watermark-hysteresis load shedding with typed `overloaded`
 //!   fast-rejects), per-request deadlines enforced at dequeue and
 //!   propagated into the solvers as cooperative cancellation,
 //!   single-flight coalescing of identical concurrent solves
 //!   ([`singleflight`]), a sharded exact-LRU plan cache ([`cache`]) keyed
-//!   on the planner's faithful cache key, per-connection request limits
+//!   on the planner's faithful cache key — one path for a `plan` and for
+//!   each `plan_batch` item — per-connection request limits
 //!   and read timeouts, panic-tolerant workers, graceful idempotent
 //!   shutdown that drains in-flight requests, and full `rsj-obs`
 //!   instrumentation (request/error/shed/coalesce counters, latency and
@@ -95,8 +94,8 @@ pub use protocol::{
     classify, decode_request, encode, sanitize_trace_id, BatchItem, ErrorKind, HealthInfo,
     Provenance, Request, Response, Timings, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
-pub use reservation_strategies::PlanRequest;
 pub use recovery::{recover, RecoveryStats};
+pub use reservation_strategies::PlanRequest;
 pub use retry::{
     BreakerConfig, BreakerState, CircuitBreaker, ResilientClient, RetryClass, RetryPolicy,
 };

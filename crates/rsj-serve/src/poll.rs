@@ -33,11 +33,20 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READABLE: Interest = Interest { readable: true, writable: false };
+    pub const READABLE: Interest = Interest {
+        readable: true,
+        writable: false,
+    };
     /// Read + write interest (used while a partial write is parked).
-    pub const BOTH: Interest = Interest { readable: true, writable: true };
+    pub const BOTH: Interest = Interest {
+        readable: true,
+        writable: true,
+    };
     /// No interest; the fd stays registered but silent (backpressure).
-    pub const NONE: Interest = Interest { readable: false, writable: false };
+    pub const NONE: Interest = Interest {
+        readable: false,
+        writable: false,
+    };
 }
 
 /// One readiness notification from [`Poller::wait`].
@@ -75,7 +84,9 @@ impl Waker {
 
 impl Clone for Waker {
     fn clone(&self) -> Waker {
-        Waker { fd: unsafe { sys::dup(self.fd) } }
+        Waker {
+            fd: unsafe { sys::dup(self.fd) },
+        }
     }
 }
 
@@ -199,7 +210,11 @@ mod backend {
                     return Err(e);
                 }
             };
-            let poller = Poller { epfd, wake_rx, wake_tx };
+            let poller = Poller {
+                epfd,
+                wake_rx,
+                wake_tx,
+            };
             poller.ctl(EPOLL_CTL_ADD, wake_rx, WAKER_TOKEN, Interest::READABLE)?;
             Ok(poller)
         }
@@ -212,7 +227,10 @@ mod backend {
             if interest.writable {
                 events |= EPOLLOUT;
             }
-            let mut ev = EpollEvent { events, data: token as u64 };
+            let mut ev = EpollEvent {
+                events,
+                data: token as u64,
+            };
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc != 0 {
                 return Err(io::Error::last_os_error());
@@ -238,7 +256,9 @@ mod backend {
         }
 
         pub fn waker(&self) -> super::Waker {
-            super::Waker { fd: unsafe { sys::dup(self.wake_tx) } }
+            super::Waker {
+                fd: unsafe { sys::dup(self.wake_tx) },
+            }
         }
 
         pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
@@ -248,9 +268,8 @@ mod backend {
                 Some(d) => d.as_millis().min(c_int::MAX as u128) as c_int,
                 None => -1,
             };
-            let n = unsafe {
-                epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms)
-            };
+            let n =
+                unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms) };
             if n < 0 {
                 let err = io::Error::last_os_error();
                 if err.kind() == io::ErrorKind::Interrupted {
@@ -324,11 +343,18 @@ mod backend {
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             let (wake_rx, wake_tx) = sys::nonblocking_pipe()?;
-            Ok(Poller { registrations: Mutex::new(HashMap::new()), wake_rx, wake_tx })
+            Ok(Poller {
+                registrations: Mutex::new(HashMap::new()),
+                wake_rx,
+                wake_tx,
+            })
         }
 
         pub fn register(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.registrations.lock().unwrap().insert(fd, (token, interest));
+            self.registrations
+                .lock()
+                .unwrap()
+                .insert(fd, (token, interest));
             Ok(())
         }
 
@@ -342,14 +368,20 @@ mod backend {
         }
 
         pub fn waker(&self) -> super::Waker {
-            super::Waker { fd: unsafe { sys::dup(self.wake_tx) } }
+            super::Waker {
+                fd: unsafe { sys::dup(self.wake_tx) },
+            }
         }
 
         pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
             out.clear();
             let mut fds = Vec::new();
             let mut tokens = Vec::new();
-            fds.push(PollFd { fd: self.wake_rx, events: POLLIN, revents: 0 });
+            fds.push(PollFd {
+                fd: self.wake_rx,
+                events: POLLIN,
+                revents: 0,
+            });
             tokens.push(WAKER_TOKEN);
             {
                 let regs = self.registrations.lock().unwrap();
@@ -361,7 +393,11 @@ mod backend {
                     if interest.writable {
                         events |= POLLOUT;
                     }
-                    fds.push(PollFd { fd, events, revents: 0 });
+                    fds.push(PollFd {
+                        fd,
+                        events,
+                        revents: 0,
+                    });
                     tokens.push(token);
                 }
             }
@@ -421,7 +457,9 @@ pub struct Poller {
 impl Poller {
     /// Create a poller plus its internal self-pipe waker.
     pub fn new() -> io::Result<Poller> {
-        Ok(Poller { inner: backend::Poller::new()? })
+        Ok(Poller {
+            inner: backend::Poller::new()?,
+        })
     }
 
     /// Start watching `fd` under `token`.
@@ -466,7 +504,9 @@ mod tests {
         let poller = Poller::new().unwrap();
         let mut events = Vec::new();
         let started = Instant::now();
-        poller.wait(&mut events, Some(Duration::from_millis(30))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(30)))
+            .unwrap();
         assert!(events.is_empty());
         assert!(started.elapsed() >= Duration::from_millis(20));
     }
@@ -481,7 +521,9 @@ mod tests {
         });
         let mut events = Vec::new();
         let started = Instant::now();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert!(events.is_empty());
         assert!(started.elapsed() < Duration::from_secs(4));
         handle.join().unwrap();
@@ -495,13 +537,17 @@ mod tests {
         let mut client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
-        poller.register(server.as_raw_fd(), 7, Interest::READABLE).unwrap();
+        poller
+            .register(server.as_raw_fd(), 7, Interest::READABLE)
+            .unwrap();
 
         client.write_all(b"hello").unwrap();
         let mut events = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while events.is_empty() && Instant::now() < deadline {
-            poller.wait(&mut events, Some(Duration::from_millis(100))).unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(100)))
+                .unwrap();
         }
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 7);
@@ -523,15 +569,23 @@ mod tests {
         server.set_nonblocking(true).unwrap();
         client.write_all(b"x").unwrap();
 
-        poller.register(server.as_raw_fd(), 3, Interest::NONE).unwrap();
+        poller
+            .register(server.as_raw_fd(), 3, Interest::NONE)
+            .unwrap();
         let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
         assert!(events.is_empty(), "paused registration must stay silent");
 
-        poller.reregister(server.as_raw_fd(), 3, Interest::READABLE).unwrap();
+        poller
+            .reregister(server.as_raw_fd(), 3, Interest::READABLE)
+            .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while events.is_empty() && Instant::now() < deadline {
-            poller.wait(&mut events, Some(Duration::from_millis(100))).unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(100)))
+                .unwrap();
         }
         assert_eq!(events.len(), 1);
         assert!(events[0].readable);

@@ -98,10 +98,10 @@ pub enum Request {
         trace: bool,
     },
     /// Compute a whole batch of plans in one round trip (protocol v2).
-    /// Items are solved grouped by their shared eval table, so a batch of
-    /// cache misses over one distribution costs one discretization instead
-    /// of N. Each item succeeds or fails independently — the response is a
-    /// vec of per-item tagged results in input order.
+    /// Each item takes the path a `plan` takes — plan cache, single-flight
+    /// coalescing with identical in-flight items or plans, solver, journal
+    /// — and succeeds or fails independently; the response is a vec of
+    /// per-item tagged results in input order.
     PlanBatch {
         /// Protocol version; `plan_batch` requires `v: 2`.
         #[serde(default = "default_version")]
@@ -585,8 +585,8 @@ pub enum Response {
         /// The batch's trace id (one id for the whole batch).
         #[serde(default, skip_serializing_if = "Option::is_none")]
         trace_id: Option<String>,
-        /// The server-side stage timeline (one `item` stage per solved
-        /// item), when the request asked with `trace: true`.
+        /// The server-side stage timeline (one `item` stage per item),
+        /// when the request asked with `trace: true`.
         #[serde(default, skip_serializing_if = "Option::is_none")]
         timeline: Option<rsj_obs::TimelineRecord>,
     },
@@ -795,7 +795,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             req,
-            Request::plan_batch(vec![PlanRequest::new(DistSpec::Exponential { lambda: 1.0 })])
+            Request::plan_batch(vec![PlanRequest::new(DistSpec::Exponential {
+                lambda: 1.0
+            })])
         );
         // …and a bare plan_batch frame (defaulting to v1) is rejected with
         // a pointer at v2, not a confusing malformed_request.

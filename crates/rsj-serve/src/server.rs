@@ -13,16 +13,16 @@
 //! 2. only *complete decoded requests* cross the bounded MPMC
 //!    [`AdmissionQueue`]. Above the high watermark the request is *shed*
 //!    on the reactor thread with a typed [`ErrorKind::Overloaded`] line.
-//!    Workers drain up to `batch` queued requests at once, grouping
-//!    same-table plan requests adjacently so consecutive solves share one
-//!    warm discretization table, and dispatch: `ping`/`metrics` answer
-//!    immediately, `plan` goes through the LRU cache, the table-grouped
-//!    single-flight, or the [`Planner`] facade, `plan_batch` solves a
-//!    whole vector of plan requests sharing tables via
-//!    [`Planner::plan_many`] semantics, `shutdown` raises the flag. A
-//!    request carrying `deadline_ms` is shed at dequeue if already
-//!    expired, and its solve is cancelled cooperatively (via
-//!    [`CancelToken`]) if the deadline fires mid-flight;
+//!    A worker pops one request at a time and dispatches it: `ping` /
+//!    `metrics` answer immediately, `shutdown` raises the flag, and a
+//!    `plan` and each item of a `plan_batch` take one path — the LRU
+//!    plan cache, then single-flight coalescing of identical in-flight
+//!    misses, then the [`Planner`] facade, then the journal. A batch's
+//!    items are visited in [`Planner::batch_order`] and answered in input
+//!    order. A request carrying `deadline_ms` is shed at dequeue if
+//!    already expired, each batch item is shed once it has, and a solve
+//!    is cancelled cooperatively (via [`CancelToken`]) if the deadline
+//!    fires mid-flight;
 //! 3. finished responses return to the reactor over an outbox (a queue
 //!    plus a self-pipe waker) and are flushed with partial-write
 //!    resumption. Once the shutdown flag is up the reactor stops
@@ -48,9 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use reservation_strategies::{CancelToken, Plan, PlanRequest, Planner, SimulateOptions};
-use rsj_core::{CostModel, SolverSpec};
-use rsj_dist::DistSpec;
+use reservation_strategies::{CancelToken, Plan, PlanRequest, Planner, RsjError, SimulateOptions};
 
 use crate::admission::{AdmissionConfig, AdmissionQueue, Pop};
 use crate::cache::PlanCache;
@@ -123,10 +121,6 @@ pub struct ServerConfig {
     pub max_line_bytes: usize,
     /// Admission-queue sizing (capacity and shed watermarks).
     pub admission: AdmissionConfig,
-    /// How many queued requests one worker drains per wakeup; same-table
-    /// plan requests in a drained batch are grouped adjacently so their
-    /// solves share one warm discretization table. 1 disables batching.
-    pub batch: usize,
     /// Fault-injection schedule; `None` in production.
     pub chaos: Option<ChaosPolicy>,
     /// Crash-safety settings; `None` serves memory-only (a restart loses
@@ -152,7 +146,6 @@ impl Default for ServerConfig {
             cache_shards: 8,
             max_line_bytes: 1 << 20,
             admission: AdmissionConfig::default(),
-            batch: 8,
             chaos: None,
             durability: None,
             trace_buffer: 0,
@@ -651,9 +644,7 @@ impl Reactor {
             }
             if self.draining {
                 let done = self.conns.iter().all(Option::is_none);
-                let expired = self
-                    .drain_deadline
-                    .is_some_and(|d| Instant::now() >= d);
+                let expired = self.drain_deadline.is_some_and(|d| Instant::now() >= d);
                 if done {
                     return Ok(());
                 }
@@ -665,8 +656,7 @@ impl Reactor {
                 }
             }
             self.poller.wait(&mut events, Some(EVENT_LOOP_TICK))?;
-            for i in 0..events.len() {
-                let ev = events[i];
+            for &ev in &events {
                 if ev.token == TOKEN_LISTENER {
                     self.accept_ready()?;
                     continue;
@@ -822,132 +812,128 @@ impl Reactor {
         self.update_interest(token);
     }
 
-    /// Dispatch queued lines: decode on the reactor, then hand the
-    /// complete decoded request to the workers (or shed it, or answer a
-    /// connection-limit error directly). At most one request per
-    /// connection is in flight at a time.
+    /// Dispatch the next queued line: decode on the reactor, then hand
+    /// the complete decoded request to the workers (or shed it, or answer
+    /// a connection-limit error directly). At most one request per
+    /// connection is in flight at a time, so this dispatches at most one.
     fn pump(&mut self, token: usize) {
         if self.draining {
             return;
         }
         let shared = Arc::clone(&self.shared);
-        loop {
-            let (line, line_at, conn_id, served, is_first, base, accepted_at);
+        let (line, line_at, conn_id, served, is_first, base, accepted_at);
+        {
+            let Some(Some(conn)) = self.conns.get_mut(token) else {
+                return;
+            };
+            if conn.in_flight
+                || !conn.out.is_empty()
+                || conn.finish.is_some()
+                || conn.close_after_write
             {
-                let Some(Some(conn)) = self.conns.get_mut(token) else {
-                    return;
-                };
-                if conn.in_flight
-                    || !conn.out.is_empty()
-                    || conn.finish.is_some()
-                    || conn.close_after_write
-                {
-                    return;
-                }
-                let Some((l, at)) = conn.lines.pop_front() else {
-                    return;
-                };
-                conn.served += 1;
-                conn_id = conn.conn_id;
-                served = conn.served;
-                is_first = conn.first_base.is_some();
-                base = conn.first_base.take().unwrap_or(at);
-                accepted_at = conn.accepted_at;
-                line = l;
-                line_at = at;
-            }
-            if served > shared.config.max_requests_per_conn {
-                counter("rsj_serve_errors_total").inc();
-                let response = Response::error(
-                    ErrorKind::TooManyRequests,
-                    format!(
-                        "connection exceeded {} requests; reconnect to continue",
-                        shared.config.max_requests_per_conn
-                    ),
-                );
-                self.queue_direct_response(token, &response);
                 return;
             }
-            let started = Instant::now();
-            let decoded = decode_request(&line);
-            let decode_ended = Instant::now();
-            let version = decoded
-                .as_ref()
-                .map(|r| r.version())
-                .unwrap_or(PROTOCOL_VERSION);
-            let (client_trace_id, want_trace) = match &decoded {
-                Ok(
-                    Request::Plan {
-                        trace_id, trace, ..
-                    }
-                    | Request::PlanBatch {
-                        trace_id, trace, ..
-                    },
-                ) => (sanitize_trace_id(trace_id.as_deref()), *trace),
-                _ => (None, false),
+            let Some((l, at)) = conn.lines.pop_front() else {
+                return;
             };
-            let op = op_name(&decoded);
-            // A timeline exists when the server retains traces, when slow
-            // logging needs a breakdown, or when this request asked for
-            // one. Otherwise the disabled timeline allocates nothing.
-            let tracing = want_trace || shared.trace.is_some() || shared.config.slow_ms.is_some();
-            let timeline = if tracing {
-                let mut t = rsj_obs::Timeline::begin(rsj_obs::TraceContext::generate(), base);
-                if let Some(id) = &client_trace_id {
-                    t.adopt_trace_id(id.clone());
+            conn.served += 1;
+            conn_id = conn.conn_id;
+            served = conn.served;
+            is_first = conn.first_base.is_some();
+            base = conn.first_base.take().unwrap_or(at);
+            accepted_at = conn.accepted_at;
+            line = l;
+            line_at = at;
+        }
+        if served > shared.config.max_requests_per_conn {
+            counter("rsj_serve_errors_total").inc();
+            let response = Response::error(
+                ErrorKind::TooManyRequests,
+                format!(
+                    "connection exceeded {} requests; reconnect to continue",
+                    shared.config.max_requests_per_conn
+                ),
+            );
+            self.queue_direct_response(token, &response);
+            return;
+        }
+        let started = Instant::now();
+        let decoded = decode_request(&line);
+        let decode_ended = Instant::now();
+        let version = decoded
+            .as_ref()
+            .map(|r| r.version())
+            .unwrap_or(PROTOCOL_VERSION);
+        let (client_trace_id, want_trace) = match &decoded {
+            Ok(
+                Request::Plan {
+                    trace_id, trace, ..
                 }
-                if is_first {
-                    // The connection sat between accept and its first
-                    // complete line: client think time, not server
-                    // latency — recorded so the timeline has no
-                    // unattributed gap, and named so the slow-warn gate
-                    // can subtract it.
-                    t.record_span("read_wait", accepted_at, line_at);
+                | Request::PlanBatch {
+                    trace_id, trace, ..
+                },
+            ) => (sanitize_trace_id(trace_id.as_deref()), *trace),
+            _ => (None, false),
+        };
+        let op = op_name(&decoded);
+        // A timeline exists when the server retains traces, when slow
+        // logging needs a breakdown, or when this request asked for
+        // one. Otherwise the disabled timeline allocates nothing.
+        let tracing = want_trace || shared.trace.is_some() || shared.config.slow_ms.is_some();
+        let timeline = if tracing {
+            let mut t = rsj_obs::Timeline::begin(rsj_obs::TraceContext::generate(), base);
+            if let Some(id) = &client_trace_id {
+                t.adopt_trace_id(id.clone());
+            }
+            if is_first {
+                // The connection sat between accept and its first
+                // complete line: client think time, not server
+                // latency — recorded so the timeline has no
+                // unattributed gap, and named so the slow-warn gate
+                // can subtract it.
+                t.record_span("read_wait", accepted_at, line_at);
+            }
+            t.record_span("decode", started, decode_ended);
+            t
+        } else {
+            rsj_obs::Timeline::disabled()
+        };
+        let item = WorkItem {
+            token,
+            conn_id,
+            req_index: (served - 1) as u64,
+            decoded,
+            version,
+            base,
+            client_trace_id,
+            op,
+            started,
+            enqueued_at: Instant::now(),
+            timeline,
+        };
+        match shared.admission.try_admit(item) {
+            Ok(()) => {
+                queue_depth_gauge(&shared);
+                if let Some(Some(conn)) = self.conns.get_mut(token) {
+                    conn.in_flight = true;
                 }
-                t.record_span("decode", started, decode_ended);
-                t
-            } else {
-                rsj_obs::Timeline::disabled()
-            };
-            let item = WorkItem {
-                token,
-                conn_id,
-                req_index: (served - 1) as u64,
-                decoded,
-                version,
-                base,
-                client_trace_id,
-                op,
-                started,
-                enqueued_at: Instant::now(),
-                timeline,
-            };
-            match shared.admission.try_admit(item) {
-                Ok(()) => {
-                    queue_depth_gauge(&shared);
-                    if let Some(Some(conn)) = self.conns.get_mut(token) {
-                        conn.in_flight = true;
-                    }
-                    return;
-                }
-                Err(rejected) => {
-                    // Shed on the reactor thread: a typed fast-reject
-                    // costs one encode and one buffered write, never a
-                    // worker slot.
-                    counter("rsj_serve_shed_total").inc();
-                    let response = Response::error_traced(
-                        ErrorKind::Overloaded,
-                        format!(
-                            "admission queue above its high watermark ({} queued ≥ {}); retry with backoff",
-                            shared.admission.depth(),
-                            shared.admission.config().high_watermark
-                        ),
-                        rejected.client_trace_id,
-                    )
-                    .with_version(rejected.version);
-                    self.queue_direct_response(token, &response);
-                    return;
-                }
+            }
+            Err(rejected) => {
+                // Shed on the reactor thread: a typed fast-reject
+                // costs one encode and one buffered write, never a
+                // worker slot.
+                counter("rsj_serve_shed_total").inc();
+                let response = Response::error_traced(
+                    ErrorKind::Overloaded,
+                    format!(
+                        "admission queue above its high watermark ({} queued ≥ {}); retry with backoff",
+                        shared.admission.depth(),
+                        shared.admission.config().high_watermark
+                    ),
+                    rejected.client_trace_id,
+                )
+                .with_version(rejected.version);
+                self.queue_direct_response(token, &response);
             }
         }
     }
@@ -1195,66 +1181,19 @@ fn open_journal(durability: &DurabilityConfig) -> std::io::Result<JournalState> 
     })
 }
 
-/// One worker: dequeue a batch, group same-table plans adjacently, and
-/// handle each, absorbing handler panics so a poisoned request (or an
-/// injected chaos panic) never shrinks the pool.
+/// One worker: dequeue one request at a time and handle it, absorbing
+/// handler panics so a poisoned request (or an injected chaos panic)
+/// never shrinks the pool.
 fn worker_loop(shared: &Shared) {
-    let batch = shared.config.batch.max(1);
     loop {
         match shared.admission.pop(READ_POLL) {
-            Pop::Item(first) => {
-                let mut items = vec![first];
-                while items.len() < batch {
-                    match shared.admission.try_pop() {
-                        Some(item) => items.push(item),
-                        None => break,
-                    }
-                }
+            Pop::Item(item) => {
                 queue_depth_gauge(shared);
-                if items.len() > 1 {
-                    // Stable decorate-sort: plan requests over the same
-                    // (distribution, cost) land adjacently so consecutive
-                    // solves reuse one warm discretization table;
-                    // non-plan ops sort first in FIFO order.
-                    let mut keyed: Vec<(Option<String>, usize, WorkItem)> = items
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, item)| (table_order_key(&item), i, item))
-                        .collect();
-                    keyed.sort_by(|a, b| (a.0.as_deref(), a.1).cmp(&(b.0.as_deref(), b.1)));
-                    items = keyed.into_iter().map(|(_, _, item)| item).collect();
-                }
-                for item in items {
-                    process_item(shared, item);
-                }
+                process_item(shared, item);
             }
             Pop::TimedOut => {}
             Pop::Closed => break,
         }
-    }
-}
-
-/// The batch-grouping key: identical keys mean the solves share the same
-/// discretized evaluation table (distribution + exact cost bits), so
-/// running them back-to-back makes every solve after the first warm.
-fn table_order_key(item: &WorkItem) -> Option<String> {
-    match &item.decoded {
-        Ok(Request::Plan {
-            distribution, cost, ..
-        }) => {
-            let dist = serde_json::to_string(distribution).ok()?;
-            let cost = match cost {
-                Some(c) => format!(
-                    "{:x},{:x},{:x}",
-                    c.alpha.to_bits(),
-                    c.beta.to_bits(),
-                    c.gamma.to_bits()
-                ),
-                None => "default".to_string(),
-            };
-            Some(format!("{dist}|{cost}"))
-        }
-        _ => None,
     }
 }
 
@@ -1316,7 +1255,9 @@ fn handle_item(shared: &Shared, item: WorkItem) -> WorkResult {
     // sent one, or the server-minted id when tracing is on.
     let trace_id = timeline.trace_id().or_else(|| client_trace_id.clone());
     let (response, is_shutdown) = dispatch(shared, decoded, base, &mut timeline);
-    let response = response.with_trace_id(trace_id.clone()).with_version(version);
+    let response = response
+        .with_trace_id(trace_id.clone())
+        .with_version(version);
     if let Response::Error { kind, .. } = &response {
         counter("rsj_serve_errors_total").inc();
         if *kind == ErrorKind::DeadlineExceeded {
@@ -1500,6 +1441,17 @@ fn dispatch(
         Ok(request) => request,
         Err((kind, message)) => return (Response::error(kind, message), false),
     };
+    // A recovering server sheds plan work with a typed `not_ready`:
+    // answering from a half-warm cache would turn guaranteed hits into
+    // misses and double-solve the backlog.
+    if matches!(request, Request::Plan { .. } | Request::PlanBatch { .. }) && !shared.is_recovered()
+    {
+        counter("rsj_serve_not_ready_total").inc();
+        return (
+            Response::error(ErrorKind::NotReady, not_ready_message(shared)),
+            false,
+        );
+    }
     match request {
         Request::Ping { .. } => (
             Response::Pong {
@@ -1561,27 +1513,15 @@ fn dispatch(
             trace,
             ..
         } => {
-            // A recovering server sheds plan work with a typed
-            // `not_ready`: answering from a half-warm cache would turn
-            // guaranteed hits into misses and double-solve the backlog.
-            if !shared.is_recovered() {
-                counter("rsj_serve_not_ready_total").inc();
-                return (
-                    Response::error(ErrorKind::NotReady, not_ready_message(shared)),
-                    false,
-                );
-            }
-            let deadline = deadline_ms.map(|ms| base + Duration::from_millis(ms));
-            let mut response = handle_plan(
-                shared,
+            let request = PlanRequest {
                 distribution,
                 cost,
                 solver,
                 seed,
                 simulate,
-                deadline,
-                timeline,
-            );
+            };
+            let deadline = deadline_ms.map(|ms| base + Duration::from_millis(ms));
+            let mut response = handle_plan(shared, request, deadline, timeline);
             // The `write` span can't be in this snapshot (the response is
             // serialized after it's built); the ring's copy of the same
             // trace, pushed after the write completes, has it.
@@ -1598,14 +1538,7 @@ fn dispatch(
             trace,
             ..
         } => {
-            if !shared.is_recovered() {
-                counter("rsj_serve_not_ready_total").inc();
-                return (
-                    Response::error(ErrorKind::NotReady, not_ready_message(shared)),
-                    false,
-                );
-            }
-            // One batch-level deadline anchors every item's cancellation.
+            // One batch-level deadline bounds every item.
             let deadline = deadline_ms.map(|ms| base + Duration::from_millis(ms));
             let mut response = handle_plan_batch(shared, items, deadline, timeline);
             if trace {
@@ -1643,95 +1576,111 @@ fn full_cache_key(planner: &Planner, simulate: Option<SimulateOptions>) -> Optio
     Some(format!("{base}|sim={sim}"))
 }
 
-fn deadline_response(deadline: Instant) -> Response {
-    Response::error(
+fn deadline_exceeded(deadline: Instant) -> (ErrorKind, String) {
+    (
         ErrorKind::DeadlineExceeded,
         format!("deadline expired {} ms ago", deadline.elapsed().as_millis()),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_plan(
-    shared: &Shared,
-    distribution: DistSpec,
-    cost: Option<CostModel>,
-    solver: SolverSpec,
-    seed: Option<u64>,
-    simulate: Option<SimulateOptions>,
-    deadline: Option<Instant>,
-    timeline: &mut rsj_obs::Timeline,
-) -> Response {
-    let started = Instant::now();
-    // Shed-at-dequeue: a request whose deadline lapsed while queued is
-    // dead on arrival; answering it would only waste a solver slot.
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            return deadline_response(d);
+/// Counter deltas of one request, added to the registry once when it is
+/// answered: a `plan_batch` frame costs one registry lookup per counter,
+/// not one per item.
+#[derive(Default)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+    leaders: u64,
+    coalesced: u64,
+}
+
+impl Tally {
+    fn publish(&self) {
+        // Each leader runs the solver once; followers and hits never do.
+        for (name, n) in [
+            ("rsj_serve_cache_hits_total", self.hits),
+            ("rsj_serve_cache_misses_total", self.misses),
+            ("rsj_serve_singleflight_leaders_total", self.leaders),
+            ("rsj_serve_solver_invocations_total", self.leaders),
+            ("rsj_serve_singleflight_coalesced_total", self.coalesced),
+        ] {
+            if n > 0 {
+                counter(name).add(n);
+            }
         }
     }
-    let solver = match seed {
-        Some(seed) => solver.with_seed(seed),
-        None => solver,
-    };
-    let mut builder = Planner::builder().distribution(distribution).solver(solver);
-    if let Some(cost) = cost {
-        builder = builder.cost_rates(cost.alpha, cost.beta, cost.gamma);
-    }
-    if let Some(simulate) = simulate {
-        builder = builder.simulate(simulate);
-    }
-    let planner = match builder.build() {
-        Ok(planner) => planner,
-        Err(e) => return Response::error(classify(&e), e.to_string()),
-    };
-    let build_ended = Instant::now();
-    timeline.record_span("build", started, build_ended);
-    let build_seconds = (build_ended - started).as_secs_f64();
+}
 
+/// How a plan reached its caller, for [`Provenance`].
+#[derive(Clone, Copy, PartialEq)]
+enum Origin {
+    Cached,
+    Computed,
+    Coalesced,
+}
+
+/// A plan as [`serve_plan`] delivered it.
+struct Served {
+    plan: Arc<Plan>,
+    origin: Origin,
+    /// Wall time from the cache miss to the plan; 0 for a cache hit.
+    solve_seconds: f64,
+}
+
+/// The one plan path: a `plan` calls it once and a `plan_batch` once per
+/// item. It sheds the item if `deadline` has lapsed, answers from the
+/// plan cache, and otherwise runs single-flight over identical in-flight
+/// misses — from a batch or a singleton — so the leader's one solve is
+/// cached and journaled before anyone hears it.
+fn serve_plan(
+    shared: &Shared,
+    built: Result<Planner, RsjError>,
+    simulate: Option<SimulateOptions>,
+    deadline: Option<Instant>,
+    tally: &mut Tally,
+    timeline: &mut rsj_obs::Timeline,
+) -> Result<Served, (ErrorKind, String)> {
+    // Shed-at-dequeue: an item whose deadline lapsed while it waited is
+    // dead on arrival; answering it would only waste a solver slot.
+    if let Some(d) = deadline.filter(|d| Instant::now() >= *d) {
+        return Err(deadline_exceeded(d));
+    }
+    let planner = built.map_err(|e| (classify(&e), e.to_string()))?;
     let key = full_cache_key(&planner, simulate);
     let cached = timeline.time("cache_lookup", || {
         key.as_deref().and_then(|key| shared.cache.get(key))
     });
-    if let Some(cached) = cached {
-        counter("rsj_serve_cache_hits_total").inc();
-        return plan_response(
-            &planner,
-            (*cached).clone(),
-            Origin::Cached,
-            build_seconds,
-            0.0,
-            started,
-        );
+    if let Some(plan) = cached {
+        tally.hits += 1;
+        return Ok(Served {
+            plan,
+            origin: Origin::Cached,
+            solve_seconds: 0.0,
+        });
     }
-    counter("rsj_serve_cache_misses_total").inc();
-
+    tally.misses += 1;
     let solve_started = Instant::now();
-    let group = planner.group_key();
     let flighted = match key.as_deref() {
-        // Identical concurrent misses coalesce onto one solver run, and
-        // *same-table* concurrent misses (identical group key: same
-        // distribution and cost, different solver) serialize so their
-        // leaders share one warm discretization table. The abandoned
-        // value is what followers see if the leader panics (e.g. an
-        // injected chaos fault) — typed, not a hang.
-        Some(key) => shared.flights.run_grouped(
+        // Identical concurrent misses coalesce onto one solver run. The
+        // abandoned value is what followers see if the leader panics
+        // (e.g. an injected chaos fault) — typed, not a hang.
+        Some(key) => shared.flights.run(
             key,
-            group.as_deref(),
             deadline,
             Err((ErrorKind::Internal, "in-flight solve abandoned".to_string())),
-            || solve(shared, &planner, key, deadline, timeline),
+            || solve(shared, &planner, Some(key), deadline, timeline),
         ),
         // Uncacheable requests have no stable identity to coalesce on.
-        None => Flighted::Led(solve_uncached(&planner, deadline, timeline)),
+        None => Flighted::Led(solve(shared, &planner, None, deadline, timeline)),
     };
     let solve_seconds = solve_started.elapsed().as_secs_f64();
     let (outcome, origin) = match flighted {
         Flighted::Led(outcome) => {
-            counter("rsj_serve_singleflight_leaders_total").inc();
+            tally.leaders += 1;
             (outcome, Origin::Computed)
         }
         Flighted::Joined(outcome) => {
-            counter("rsj_serve_singleflight_coalesced_total").inc();
+            tally.coalesced += 1;
             // A follower's wall time here is spent parked on the
             // leader's flight, not solving.
             timeline.record_span("singleflight_wait", solve_started, Instant::now());
@@ -1739,184 +1688,155 @@ fn handle_plan(
         }
         Flighted::TimedOut => {
             let d = deadline.expect("only a deadline can time a follower out");
-            return deadline_response(d);
+            return Err(deadline_exceeded(d));
         }
     };
-    match outcome {
-        Ok(plan) => plan_response(
-            &planner,
-            (*plan).clone(),
-            origin,
-            build_seconds,
-            solve_seconds,
-            started,
-        ),
+    Ok(Served {
+        plan: outcome?,
+        origin,
+        solve_seconds,
+    })
+}
+
+/// Runs the solver, cancellable by `deadline`. A plan with a cache key is
+/// cached and journaled before it is returned: append-before-response,
+/// so once a client hears the answer the record is already flushed to
+/// the OS and survives `kill -9`.
+fn solve(
+    shared: &Shared,
+    planner: &Planner,
+    key: Option<&str>,
+    deadline: Option<Instant>,
+    timeline: &mut rsj_obs::Timeline,
+) -> SolveOutcome {
+    let cancel = deadline.map_or_else(CancelToken::none, CancelToken::with_deadline);
+    let plan = match planner.plan_traced(&cancel, timeline) {
+        Ok(plan) => Arc::new(plan),
+        Err(e) => return Err((classify(&e), e.to_string())),
+    };
+    if let Some(key) = key {
+        shared.cache.insert(key.to_string(), Arc::clone(&plan));
+        timeline.time("journal_append", || shared.journal_append(key, &plan));
+    }
+    Ok(plan)
+}
+
+/// Answers a `plan` op through [`serve_plan`].
+fn handle_plan(
+    shared: &Shared,
+    request: PlanRequest,
+    deadline: Option<Instant>,
+    timeline: &mut rsj_obs::Timeline,
+) -> Response {
+    let started = Instant::now();
+    let built = request.planner();
+    let build_ended = Instant::now();
+    timeline.record_span("build", started, build_ended);
+    let mut tally = Tally::default();
+    let served = serve_plan(
+        shared,
+        built,
+        request.simulate,
+        deadline,
+        &mut tally,
+        timeline,
+    );
+    tally.publish();
+    match served {
+        Ok(served) => Response::Plan {
+            v: PROTOCOL_VERSION,
+            provenance: provenance(request.solver.name(), served.origin),
+            timings: Timings {
+                build_seconds: (build_ended - started).as_secs_f64(),
+                solve_seconds: served.solve_seconds,
+                total_seconds: started.elapsed().as_secs_f64(),
+            },
+            plan: (*served.plan).clone(),
+            trace_id: None,
+            timeline: None,
+        },
         Err((kind, message)) => Response::error(kind, message),
     }
 }
 
-/// Answers a `plan_batch` op: cache hits answer per item, the misses
-/// solve through [`Planner::plan_many_traced`] — which sorts them by
-/// cache-key group so every same-table solve after the first reuses the
-/// warm discretization table — and each solved plan is journaled before
-/// the batch response is released.
+/// Answers a `plan_batch` op: every item goes through [`serve_plan`],
+/// visited in [`Planner::batch_order`] and answered in input order. A
+/// frame whose deadline lapsed before it was dequeued gets one
+/// frame-level `deadline_exceeded`; once the deadline lapses mid-frame,
+/// each item not yet run gets its own.
 fn handle_plan_batch(
     shared: &Shared,
     items: Vec<PlanRequest>,
     deadline: Option<Instant>,
     timeline: &mut rsj_obs::Timeline,
 ) -> Response {
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            return deadline_response(d);
-        }
+    if let Some(d) = deadline.filter(|d| Instant::now() >= *d) {
+        let (kind, message) = deadline_exceeded(d);
+        return Response::error(kind, message);
     }
-    let count = items.len();
-    let mut results: Vec<Option<BatchItem>> = (0..count).map(|_| None).collect();
-    let mut misses: Vec<(usize, PlanRequest, Option<String>)> = Vec::new();
-    let mut hits = 0u64;
-    timeline.time("cache_lookup", || {
-        for (i, item) in items.into_iter().enumerate() {
-            match item.planner() {
-                Err(e) => results[i] = Some(BatchItem::error(classify(&e), e.to_string())),
-                Ok(planner) => {
-                    let key = full_cache_key(&planner, item.simulate);
-                    if let Some(hit) = key.as_deref().and_then(|k| shared.cache.get(k)) {
-                        hits += 1;
-                        results[i] = Some(BatchItem::Plan {
-                            plan: (*hit).clone(),
-                            provenance: make_provenance(item.solver.name(), true, false),
-                        });
-                        continue;
-                    }
-                    misses.push((i, item, key));
-                }
-            }
-        }
-    });
-    // One registry lookup per counter for the whole batch, not per item.
-    if hits > 0 {
-        counter("rsj_serve_cache_hits_total").add(hits);
-    }
-    if !misses.is_empty() {
-        counter("rsj_serve_cache_misses_total").add(misses.len() as u64);
-        counter("rsj_serve_solver_invocations_total").add(misses.len() as u64);
-        let cancel = match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::none(),
-        };
-        let requests: Vec<PlanRequest> = misses.iter().map(|(_, req, _)| req.clone()).collect();
-        let solved = Planner::plan_many_traced(&requests, &cancel, timeline);
-        // Append-before-response, exactly like the singleton path: every
-        // plan in the batch is journaled before any client hears it.
-        timeline.time("journal_append", || {
-            for ((i, req, key), outcome) in misses.into_iter().zip(solved) {
-                results[i] = Some(match outcome {
-                    Ok(plan) => {
-                        let plan = Arc::new(plan);
-                        if let Some(key) = key {
-                            shared.cache.insert(key.clone(), Arc::clone(&plan));
-                            shared.journal_append(&key, &plan);
-                        }
-                        BatchItem::Plan {
-                            plan: (*plan).clone(),
-                            provenance: make_provenance(req.solver.name(), false, false),
-                        }
-                    }
-                    Err(e) => BatchItem::error(classify(&e), e.to_string()),
-                });
-            }
+    let mut tally = Tally::default();
+    let order = timeline.time("build", || Planner::batch_order(&items));
+    let mut results: Vec<(usize, BatchItem)> = Vec::with_capacity(items.len());
+    for (i, built) in order {
+        let item = &items[i];
+        // A cache hit or a coalesced item runs no solve here, so it must
+        // not inherit the previous item's eval-table attribution.
+        rsj_dist::clear_last_eval_source();
+        // Items record no inner stages, so a frame's timeline stays one
+        // stage per item however large the frame is.
+        let served = timeline.time("item", || {
+            let mut untraced = rsj_obs::Timeline::disabled();
+            serve_plan(
+                shared,
+                built,
+                item.simulate,
+                deadline,
+                &mut tally,
+                &mut untraced,
+            )
         });
+        if timeline.is_enabled() {
+            timeline.annotate_last("item", i.to_string());
+            if let Some(source) = rsj_dist::last_eval_source() {
+                timeline.annotate_last("eval_table", source.as_str());
+            }
+            match &served {
+                Ok(served) => timeline.annotate_last("digest", served.plan.digest.as_str()),
+                Err((_, message)) => timeline.annotate_last("error", message.as_str()),
+            }
+        }
+        results.push((
+            i,
+            match served {
+                Ok(served) => BatchItem::Plan {
+                    plan: (*served.plan).clone(),
+                    provenance: provenance(item.solver.name(), served.origin),
+                },
+                Err((kind, message)) => BatchItem::Error { kind, message },
+            },
+        ));
     }
+    tally.publish();
+    results.sort_by_key(|(i, _)| *i);
     Response::PlanBatch {
         v: PROTOCOL_VERSION_MAX,
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every batch item answered"))
-            .collect(),
+        results: results.into_iter().map(|(_, result)| result).collect(),
         trace_id: None,
         timeline: None,
     }
-}
-
-/// Runs the solver as a single-flight leader: cancellable by `deadline`,
-/// publishing into the cache on success.
-fn solve(
-    shared: &Shared,
-    planner: &Planner,
-    key: &str,
-    deadline: Option<Instant>,
-    timeline: &mut rsj_obs::Timeline,
-) -> SolveOutcome {
-    let plan = solve_uncached(planner, deadline, timeline)?;
-    shared.cache.insert(key.to_string(), Arc::clone(&plan));
-    // Append-before-response: once the client hears this answer, the
-    // record is already flushed to the OS, so it survives `kill -9`.
-    timeline.time("journal_append", || shared.journal_append(key, &plan));
-    Ok(plan)
-}
-
-fn solve_uncached(
-    planner: &Planner,
-    deadline: Option<Instant>,
-    timeline: &mut rsj_obs::Timeline,
-) -> SolveOutcome {
-    counter("rsj_serve_solver_invocations_total").inc();
-    let cancel = match deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::none(),
-    };
-    match planner.plan_traced(&cancel, timeline) {
-        Ok(plan) => Ok(Arc::new(plan)),
-        Err(e) => Err((classify(&e), e.to_string())),
-    }
-}
-
-/// How a plan reached this response, for [`Provenance`].
-#[derive(Clone, Copy)]
-enum Origin {
-    Cached,
-    Computed,
-    Coalesced,
 }
 
 /// Response provenance shared by the singleton and batch paths. The
 /// protocol field is restamped by `with_version` to the client's
 /// negotiated version before the response leaves the worker.
-fn make_provenance(solver: &str, cached: bool, coalesced: bool) -> Provenance {
+fn provenance(solver: &str, origin: Origin) -> Provenance {
     Provenance {
         server: concat!("rsj-serve/", env!("CARGO_PKG_VERSION")).to_string(),
         protocol: PROTOCOL_VERSION,
         solver: solver.to_string(),
         threads: rsj_par::Parallelism::current().threads(),
-        cached,
-        coalesced,
-    }
-}
-
-fn plan_response(
-    planner: &Planner,
-    plan: Plan,
-    origin: Origin,
-    build_seconds: f64,
-    solve_seconds: f64,
-    started: Instant,
-) -> Response {
-    Response::Plan {
-        v: PROTOCOL_VERSION,
-        provenance: make_provenance(
-            planner.solver_spec().name(),
-            matches!(origin, Origin::Cached),
-            matches!(origin, Origin::Coalesced),
-        ),
-        timings: Timings {
-            build_seconds,
-            solve_seconds,
-            total_seconds: started.elapsed().as_secs_f64(),
-        },
-        plan,
-        trace_id: None,
-        timeline: None,
+        cached: origin == Origin::Cached,
+        coalesced: origin == Origin::Coalesced,
     }
 }
 
@@ -2016,38 +1936,6 @@ mod tests {
         );
     }
 
-    fn item_for(request: Request) -> WorkItem {
-        WorkItem {
-            token: 0,
-            conn_id: 0,
-            req_index: 0,
-            decoded: Ok(request),
-            version: PROTOCOL_VERSION,
-            base: Instant::now(),
-            client_trace_id: None,
-            op: "plan",
-            started: Instant::now(),
-            enqueued_at: Instant::now(),
-            timeline: rsj_obs::Timeline::disabled(),
-        }
-    }
-
-    #[test]
-    fn table_order_key_groups_by_distribution_and_cost_only() {
-        let exp = DistSpec::Exponential { lambda: 1.0 };
-        let logn = DistSpec::LogNormal {
-            mu: 3.0,
-            sigma: 0.5,
-        };
-        let a = table_order_key(&item_for(Request::plan(exp.clone())));
-        let b = table_order_key(&item_for(Request::plan(exp)));
-        let c = table_order_key(&item_for(Request::plan(logn)));
-        assert!(a.is_some());
-        assert_eq!(a, b, "same distribution and cost share a table group");
-        assert_ne!(a, c, "different distributions never share");
-        assert_eq!(table_order_key(&item_for(Request::ping())), None);
-    }
-
     #[test]
     fn ingest_splits_lines_and_rejects_byte_drip_overflow() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -2073,7 +1961,8 @@ mod tests {
             finish: None,
             interest: Interest::READABLE,
         };
-        conn.read_buf.extend_from_slice(b"{\"op\":\"ping\"}\n\n{\"op\":");
+        conn.read_buf
+            .extend_from_slice(b"{\"op\":\"ping\"}\n\n{\"op\":");
         assert!(matches!(
             ingest_lines(&mut conn, 64, Duration::from_secs(30)),
             Ingest::Ok

@@ -1,6 +1,7 @@
 //! Single-flight coalescing: at most one in-flight computation per key.
 //!
-//! When N connections miss the plan cache on the same
+//! When N requests — `plan`s or `plan_batch` items alike — miss the plan
+//! cache on the same
 //! [`cache_key`](reservation_strategies::Planner::cache_key)
 //! simultaneously, running N identical solver invocations multiplies a
 //! thundering herd by the cost of a DP or brute-force sweep. A
@@ -51,13 +52,6 @@ impl<V> Flighted<V> {
 #[derive(Debug, Default)]
 pub struct SingleFlight<V> {
     flights: Mutex<HashMap<String, Arc<Flight<V>>>>,
-    /// Per-table serialization locks for [`run_grouped`]: leaders of
-    /// *distinct* keys that share a group token take the same lock, so
-    /// the second leader starts only after the first has warmed the
-    /// shared eval-table memo.
-    ///
-    /// [`run_grouped`]: SingleFlight::run_grouped
-    tables: Mutex<HashMap<String, Arc<Mutex<()>>>>,
 }
 
 impl<V: Clone> SingleFlight<V> {
@@ -65,55 +59,7 @@ impl<V: Clone> SingleFlight<V> {
     pub fn new() -> Self {
         Self {
             flights: Mutex::new(HashMap::new()),
-            tables: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// [`run`](Self::run) extended from "identical key" to "identical
-    /// table": callers whose keys differ but whose `group` token matches
-    /// (same distribution + cost bits, different solver) still coalesce
-    /// *partially* — followers of the same key share the leader's result
-    /// as usual, while leaders of distinct keys in one group serialize on
-    /// a per-group lock so the first leader's solve warms the process-wide
-    /// eval-table memo for the rest. `group: None` behaves exactly like
-    /// [`run`](Self::run).
-    pub fn run_grouped<F>(
-        &self,
-        key: &str,
-        group: Option<&str>,
-        deadline: Option<Instant>,
-        abandoned: V,
-        compute: F,
-    ) -> Flighted<V>
-    where
-        F: FnOnce() -> V,
-    {
-        let Some(group) = group else {
-            return self.run(key, deadline, abandoned, compute);
-        };
-        let table = {
-            let mut tables = self.tables.lock().expect("singleflight tables lock");
-            Arc::clone(
-                tables
-                    .entry(group.to_owned())
-                    .or_insert_with(|| Arc::new(Mutex::new(()))),
-            )
-        };
-        // Serialize only the *computation*; key-level join/lead election
-        // stays inside run(), so followers of this key never touch the
-        // table lock and can still time out on their own deadline.
-        let result = self.run(key, deadline, abandoned, || {
-            let _table = table.lock().expect("table lock");
-            compute()
-        });
-        let mut tables = self.tables.lock().expect("singleflight tables lock");
-        // Two strong refs = the map plus ours: nobody else is waiting on
-        // this table, so drop the entry to keep the map bounded by the
-        // number of *concurrently* active groups.
-        if Arc::strong_count(&table) <= 2 {
-            tables.remove(group);
-        }
-        result
     }
 
     /// Runs `compute` for `key`, coalescing with any identical in-flight
@@ -269,55 +215,6 @@ mod tests {
         let sf = SingleFlight::new();
         assert_eq!(sf.run("a", None, 0, || 1), Flighted::Led(1));
         assert_eq!(sf.run("b", None, 0, || 2), Flighted::Led(2));
-    }
-
-    #[test]
-    fn grouped_leaders_of_distinct_keys_serialize() {
-        let sf = Arc::new(SingleFlight::<usize>::new());
-        let concurrent = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let start = Arc::new(Barrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let (sf, concurrent, peak, start) = (
-                    Arc::clone(&sf),
-                    Arc::clone(&concurrent),
-                    Arc::clone(&peak),
-                    Arc::clone(&start),
-                );
-                std::thread::spawn(move || {
-                    start.wait();
-                    // Four distinct keys, one shared table group.
-                    sf.run_grouped(&format!("key-{i}"), Some("table"), None, 0, || {
-                        let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                        std::thread::sleep(Duration::from_millis(20));
-                        concurrent.fetch_sub(1, Ordering::SeqCst);
-                        i
-                    })
-                })
-            })
-            .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(
-            peak.load(Ordering::SeqCst),
-            1,
-            "same-table computations must not overlap"
-        );
-        // Distinct keys never share results.
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r, &Flighted::Led(i));
-        }
-        // The table map does not leak retired groups.
-        assert_eq!(sf.tables.lock().unwrap().len(), 0);
-    }
-
-    #[test]
-    fn run_grouped_without_a_group_is_plain_run() {
-        let sf = SingleFlight::new();
-        assert_eq!(sf.run_grouped("k", None, None, 0, || 5), Flighted::Led(5));
-        assert_eq!(sf.in_flight(), 0);
-        assert_eq!(sf.tables.lock().unwrap().len(), 0);
     }
 
     #[test]

@@ -29,10 +29,7 @@ fn spawn_server(
     (addr, handle, join)
 }
 
-fn stop(
-    handle: rsj_serve::ShutdownHandle,
-    join: std::thread::JoinHandle<std::io::Result<()>>,
-) {
+fn stop(handle: rsj_serve::ShutdownHandle, join: std::thread::JoinHandle<std::io::Result<()>>) {
     handle.signal();
     join.join().expect("server thread").expect("clean exit");
 }
@@ -75,8 +72,8 @@ fn request_split_at_every_byte_boundary_still_decodes() {
         let mut reader = BufReader::new(stream);
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("read");
-        let response: Response = serde_json::from_str(reply.trim())
-            .unwrap_or_else(|e| panic!("split at {split}: {e}"));
+        let response: Response =
+            serde_json::from_str(reply.trim()).unwrap_or_else(|e| panic!("split at {split}: {e}"));
         assert!(
             matches!(response, Response::Plan { .. }),
             "split at {split}: {response:?}"
@@ -220,7 +217,10 @@ fn five_hundred_twelve_connections_get_offline_identical_digests() {
     });
     let dists = [
         DistSpec::Exponential { lambda: 1.0 },
-        DistSpec::LogNormal { mu: 3.0, sigma: 0.5 },
+        DistSpec::LogNormal {
+            mu: 3.0,
+            sigma: 0.5,
+        },
         DistSpec::Weibull {
             lambda: 1.0,
             kappa: 0.5,
@@ -281,9 +281,17 @@ fn v1_v2_interop_matrix() {
         // Explicit v1 and v2 clients each get their own version back.
         (r#"{"op":"ping","v":1}"#.to_string(), 1, None),
         (r#"{"op":"ping","v":2}"#.to_string(), 2, None),
-        (plan_v1.replace(r#""op":"plan","#, r#""op":"plan","v":2,"#), 2, None),
+        (
+            plan_v1.replace(r#""op":"plan","#, r#""op":"plan","v":2,"#),
+            2,
+            None,
+        ),
         // The batch op exists only at v2.
-        (format!(r#"{{"op":"plan_batch","v":2,{batch_items}}}"#), 2, None),
+        (
+            format!(r#"{{"op":"plan_batch","v":2,{batch_items}}}"#),
+            2,
+            None,
+        ),
         (
             format!(r#"{{"op":"plan_batch",{batch_items}}}"#),
             1,
@@ -330,7 +338,11 @@ fn plan_batch_round_trips_mixed_ok_and_error_items() {
     let items = vec![
         PlanRequest::new(DistSpec::Exponential { lambda: 1.0 }).with_solver(fast_dp()),
         PlanRequest::new(DistSpec::Exponential { lambda: -1.0 }).with_solver(fast_dp()),
-        PlanRequest::new(DistSpec::LogNormal { mu: 3.0, sigma: 0.5 }).with_solver(fast_dp()),
+        PlanRequest::new(DistSpec::LogNormal {
+            mu: 3.0,
+            sigma: 0.5,
+        })
+        .with_solver(fast_dp()),
     ];
     let offline: Vec<Option<String>> = items
         .iter()
@@ -426,7 +438,10 @@ fn resilient_plan_batch_retries_only_the_failed_items() {
         assert_eq!(items.len(), 1, "retry must re-send only the failed item");
         assert_eq!(
             items[0].distribution,
-            DistSpec::LogNormal { mu: 3.0, sigma: 0.5 },
+            DistSpec::LogNormal {
+                mu: 3.0,
+                sigma: 0.5
+            },
             "the retried item is the one that failed"
         );
         assert_ne!(trace_a, trace_b, "each attempt carries a fresh trace id");
@@ -456,7 +471,10 @@ fn resilient_plan_batch_retries_only_the_failed_items() {
         .plan_batch(
             vec![
                 PlanRequest::new(DistSpec::Exponential { lambda: 1.0 }),
-                PlanRequest::new(DistSpec::LogNormal { mu: 3.0, sigma: 0.5 }),
+                PlanRequest::new(DistSpec::LogNormal {
+                    mu: 3.0,
+                    sigma: 0.5,
+                }),
             ],
             None,
         )
@@ -493,7 +511,10 @@ fn resilient_plan_batch_does_not_retry_fatal_items() {
         )
         .expect("batch");
     assert!(results[0].is_ok());
-    assert_eq!(results[1].error_kind(), Some(ErrorKind::InvalidDistribution));
+    assert_eq!(
+        results[1].error_kind(),
+        Some(ErrorKind::InvalidDistribution)
+    );
     assert_eq!(client.retries_spent(), 0, "fatal items must not retry");
     assert!(client.last_trace_id().is_some(), "attempts are traced");
     stop(handle, join);

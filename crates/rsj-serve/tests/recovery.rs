@@ -17,12 +17,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use reservation_strategies::Planner;
+use reservation_strategies::{PlanRequest, Planner};
 use rsj_core::SolverSpec;
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::journal::{frame_spans, read_log_bytes, JOURNAL_FILE};
 use rsj_serve::{
-    Client, CorruptionPolicy, DurabilityConfig, ErrorKind, Request, Response, Server, ServerConfig,
+    BatchItem, Client, CorruptionPolicy, DurabilityConfig, ErrorKind, Request, Response, Server,
+    ServerConfig,
 };
 
 fn registry_lock() -> MutexGuard<'static, ()> {
@@ -121,6 +122,20 @@ fn plan_digest_and_cached(response: &Response) -> (String, bool) {
     }
 }
 
+/// [`dp_request`]'s plan as `plan_batch` items, one per index.
+fn dp_items(indices: std::ops::Range<usize>) -> Vec<PlanRequest> {
+    indices
+        .map(|i| PlanRequest::new(dist_for(i)).with_solver(dp_solver()))
+        .collect()
+}
+
+fn item_digest_and_cached(item: &BatchItem) -> (String, bool) {
+    match item {
+        BatchItem::Plan { plan, provenance } => (plan.digest.clone(), provenance.cached),
+        other => panic!("expected a plan item, got {other:?}"),
+    }
+}
+
 /// Child-process entry for the kill -9 test: runs a durable server in the
 /// foreground until killed. Gated on an env var so `cargo test` never
 /// runs it directly (`#[ignore]` keeps it out of the default set too).
@@ -184,10 +199,14 @@ fn kill_neg9_mid_load_then_warm_restart() {
         std::thread::sleep(Duration::from_millis(25));
     };
 
-    // Drive load: solve N distinct plans, remembering what the client was
-    // told. Everything answered is journaled (append-before-response).
+    // Drive load: solve N distinct plans, then M more in one batch,
+    // remembering what the client was told. Everything answered is
+    // journaled (append-before-response).
     const PLANS: usize = 6;
+    const BATCHED: usize = 4;
+    let batch = PLANS..PLANS + BATCHED;
     let mut answered = Vec::new();
+    let batched: Vec<String>;
     {
         let mut client = Client::connect(addr).expect("connect to child");
         client
@@ -198,8 +217,16 @@ fn kill_neg9_mid_load_then_warm_restart() {
             let (digest, _) = plan_digest_and_cached(&response);
             answered.push((i, digest));
         }
+        let results = client
+            .plan_batch(dp_items(batch.clone()))
+            .expect("plan_batch");
+        batched = results
+            .iter()
+            .map(|item| item_digest_and_cached(item).0)
+            .collect();
     }
     assert_eq!(answered.len(), PLANS);
+    assert_eq!(batched.len(), BATCHED);
 
     // SIGKILL, mid-operation, no drain, no flush beyond the per-append
     // OS flush. The journal must already hold every answered plan.
@@ -220,7 +247,8 @@ fn kill_neg9_mid_load_then_warm_restart() {
     assert!(health.ready && health.recovered, "{health:?}");
     let recovery = health.recovery.expect("recovery stats present");
     assert_eq!(
-        recovery.recovered_records, PLANS as u64,
+        recovery.recovered_records,
+        (PLANS + BATCHED) as u64,
         "every answered plan must survive kill -9: {recovery:?}"
     );
     assert_eq!(recovery.corrupt_records, 0, "{recovery:?}");
@@ -234,6 +262,24 @@ fn kill_neg9_mid_load_then_warm_restart() {
         assert!(cached, "plan {i} was not served from the recovered cache");
         assert_eq!(&digest, pre_crash_digest, "plan {i} digest drifted");
         assert_eq!(digest, offline_digest(*i), "plan {i} differs from offline");
+    }
+    // The batch's plans survive the same way, item by item.
+    let results = client
+        .plan_batch(dp_items(batch.clone()))
+        .expect("warm plan_batch");
+    assert_eq!(results.len(), BATCHED);
+    for ((i, item), pre_crash_digest) in batch.zip(&results).zip(&batched) {
+        let (digest, cached) = item_digest_and_cached(item);
+        assert!(
+            cached,
+            "batch item {i} was not served from the recovered cache"
+        );
+        assert_eq!(&digest, pre_crash_digest, "batch item {i} digest drifted");
+        assert_eq!(
+            digest,
+            offline_digest(i),
+            "batch item {i} differs from offline"
+        );
     }
 
     handle.signal();

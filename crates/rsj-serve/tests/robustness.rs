@@ -14,8 +14,8 @@ use reservation_strategies::plan_digest;
 use rsj_core::{DiscretizedDp, SolverSpec, Strategy};
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::{
-    encode, AdmissionConfig, BreakerConfig, ChaosPolicy, Client, ClientError, ErrorKind, Request,
-    ResilientClient, Response, RetryPolicy, Server, ServerConfig,
+    encode, AdmissionConfig, BatchItem, BreakerConfig, ChaosPolicy, Client, ClientError, ErrorKind,
+    PlanRequest, Request, ResilientClient, Response, RetryPolicy, Server, ServerConfig,
 };
 
 fn registry_lock() -> MutexGuard<'static, ()> {
@@ -47,21 +47,35 @@ fn counter_value(prometheus: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// A brute-force Monte-Carlo request slow enough (~2s in debug builds) to
-/// hold a worker while the test probes the server's behavior under load.
+/// A brute-force Monte-Carlo plan slow enough (~2s in debug builds,
+/// ~0.4s in release) to hold a worker while the test probes the server's
+/// behavior under load; `seed` picks the cache key.
+fn slow_item(seed: u64) -> PlanRequest {
+    PlanRequest::new(DistSpec::LogNormal {
+        mu: 3.0,
+        sigma: 0.5,
+    })
+    .with_solver(SolverSpec::BruteForce {
+        grid: 2000,
+        samples: 20_000,
+        analytic: false,
+        seed,
+    })
+}
+
 fn slow_plan() -> Request {
-    Request::plan_with(
-        DistSpec::LogNormal {
-            mu: 3.0,
-            sigma: 0.5,
-        },
-        SolverSpec::BruteForce {
-            grid: 2000,
-            samples: 20_000,
-            analytic: false,
-            seed: 11,
-        },
-    )
+    let item = slow_item(11);
+    Request::plan_with(item.distribution, item.solver)
+}
+
+/// The digest and `(cached, coalesced)` provenance of a batch slot.
+fn slot(item: &BatchItem) -> (String, bool, bool) {
+    match item {
+        BatchItem::Plan { plan, provenance } => {
+            (plan.digest.clone(), provenance.cached, provenance.coalesced)
+        }
+        other => panic!("expected a plan item, got {other:?}"),
+    }
 }
 
 fn error_kind(response: &Response) -> Option<ErrorKind> {
@@ -225,6 +239,69 @@ fn deadlines_shed_at_dequeue_and_cancel_mid_solve() {
 }
 
 #[test]
+fn batch_deadlines_shed_the_frame_at_dequeue_and_the_unrun_items_mid_frame() {
+    let _guard = registry_lock();
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    // Anchor later deadlines at line arrival, not at accept time.
+    client.ping().expect("ping");
+
+    // A frame whose deadline lapsed before dequeue is shed whole.
+    let response = client
+        .call(&Request::plan_batch(vec![slow_item(21)]).with_deadline_ms(0))
+        .expect("call");
+    assert_eq!(error_kind(&response), Some(ErrorKind::DeadlineExceeded));
+
+    // A deadline that lapses mid-frame fails the item it cancels and
+    // every item not yet run, one slot each; whatever ran before it is a
+    // plan bit-identical to the offline solver. Items are visited in
+    // group order, so which slots those are is not asserted.
+    let fast = |lambda: f64| {
+        PlanRequest::new(DistSpec::Exponential { lambda }).with_solver(SolverSpec::Dp {
+            scheme: DiscretizationScheme::EqualProbability,
+            n: 150,
+            epsilon: 1e-6,
+            monotone: true,
+        })
+    };
+    let items = vec![
+        fast(1.3),
+        slow_item(21),
+        fast(2.6),
+        slow_item(22),
+        fast(3.9),
+    ];
+    let response = client
+        .call(&Request::plan_batch(items.clone()).with_deadline_ms(200))
+        .expect("call");
+    let Response::PlanBatch { results, .. } = response else {
+        panic!("expected per-item results, got {response:?}");
+    };
+    assert_eq!(results.len(), items.len());
+    let mut expired = 0;
+    for (i, (item, result)) in items.iter().zip(&results).enumerate() {
+        match result {
+            BatchItem::Plan { plan, .. } => {
+                let offline = item.planner().unwrap().plan().unwrap();
+                assert_eq!(plan.digest, offline.digest, "slot {i}");
+            }
+            BatchItem::Error { kind, .. } => {
+                assert_eq!(*kind, ErrorKind::DeadlineExceeded, "slot {i}: {result:?}");
+                expired += 1;
+            }
+        }
+    }
+    assert!(
+        expired >= 1,
+        "the deadline must fire mid-frame: {results:?}"
+    );
+
+    handle.signal();
+    drop(client);
+    join.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
 fn concurrent_identical_misses_coalesce_onto_one_solve() {
     let _guard = registry_lock();
     const CLIENTS: usize = 6;
@@ -300,6 +377,128 @@ fn concurrent_identical_misses_coalesce_onto_one_solve() {
             .count(),
         1,
         "exactly one response is the computed leader: {results:?}"
+    );
+
+    handle.signal();
+    drop(probe);
+    join.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn identical_items_in_one_batch_solve_once() {
+    let _guard = registry_lock();
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let before = counter_value(
+        &client.metrics().expect("metrics"),
+        "rsj_serve_solver_invocations_total",
+    );
+
+    // Parameterizations unique to this test, so every item misses.
+    let dp = SolverSpec::Dp {
+        scheme: DiscretizationScheme::EqualProbability,
+        n: 300,
+        epsilon: 1e-7,
+        monotone: true,
+    };
+    let a = PlanRequest::new(DistSpec::LogNormal {
+        mu: 2.17,
+        sigma: 0.37,
+    })
+    .with_solver(dp.clone());
+    let b = PlanRequest::new(DistSpec::LogNormal {
+        mu: 1.93,
+        sigma: 0.44,
+    })
+    .with_solver(dp);
+    let results = client
+        .plan_batch(vec![a.clone(), b, a])
+        .expect("batch call");
+
+    // The second A is answered by the first one's solve, not a new one.
+    let after = counter_value(
+        &client.metrics().expect("metrics"),
+        "rsj_serve_solver_invocations_total",
+    );
+    assert_eq!(after, before + 2, "[A, B, A] must invoke the solver twice");
+    let (first, second) = (slot(&results[0]), slot(&results[2]));
+    assert_eq!(first.0, second.0, "identical items share one digest");
+    assert_eq!(
+        [first.1, second.1].iter().filter(|cached| **cached).count(),
+        1,
+        "one A is computed, the other served from the plan cache: {results:?}"
+    );
+
+    handle.signal();
+    drop(client);
+    join.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn plans_and_batch_items_coalesce_onto_one_solve() {
+    let _guard = registry_lock();
+    const PER_OP: usize = 3;
+    let (addr, handle, join) = spawn_server(ServerConfig {
+        workers: 2 * PER_OP,
+        ..ServerConfig::default()
+    });
+
+    let mut probe = Client::connect(addr).expect("connect");
+    let before = probe.metrics().expect("metrics");
+    let solves_before = counter_value(&before, "rsj_serve_solver_invocations_total");
+    let coalesced_before = counter_value(&before, "rsj_serve_singleflight_coalesced_total");
+    let hits_before = counter_value(&before, "rsj_serve_cache_hits_total");
+
+    // One slow key, asked three times as a `plan` and three times as a
+    // single-item `plan_batch`, all released together.
+    let start = Arc::new(Barrier::new(2 * PER_OP));
+    let burst: Vec<_> = (0..2 * PER_OP)
+        .map(|i| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                start.wait();
+                if i < PER_OP {
+                    match client.call(&slow_plan()) {
+                        Ok(Response::Plan {
+                            plan, provenance, ..
+                        }) => (plan.digest, provenance.cached, provenance.coalesced),
+                        other => panic!("client {i}: expected plan, got {other:?}"),
+                    }
+                } else {
+                    let results = client
+                        .plan_batch(vec![slow_item(11)])
+                        .unwrap_or_else(|e| panic!("client {i}: {e}"));
+                    slot(&results[0])
+                }
+            })
+        })
+        .collect();
+    let results: Vec<_> = burst.into_iter().map(|h| h.join().unwrap()).collect();
+
+    let digest = &results[0].0;
+    assert!(results.iter().all(|(d, _, _)| d == digest));
+    let after = probe.metrics().expect("metrics");
+    assert_eq!(
+        counter_value(&after, "rsj_serve_solver_invocations_total"),
+        solves_before + 1,
+        "plans and batch items for one key must share one solver invocation"
+    );
+    let coalesced =
+        counter_value(&after, "rsj_serve_singleflight_coalesced_total") - coalesced_before;
+    let hits = counter_value(&after, "rsj_serve_cache_hits_total") - hits_before;
+    assert_eq!(
+        coalesced + hits,
+        (2 * PER_OP - 1) as u64,
+        "every non-leader must be coalesced or cache-served:\n{after}"
+    );
+    assert_eq!(
+        results
+            .iter()
+            .filter(|(_, cached, coalesced)| !cached && !coalesced)
+            .count(),
+        1,
+        "exactly one reply is the computed leader: {results:?}"
     );
 
     handle.signal();

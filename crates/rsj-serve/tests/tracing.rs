@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use reservation_strategies::Planner;
+use reservation_strategies::{PlanRequest, Planner};
 use rsj_core::SolverSpec;
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::{
@@ -208,7 +208,9 @@ fn overload_sheds_echo_the_client_trace_id() {
     // Fill the one queue slot with a real request (admission is
     // per-request now), then give the reactor time to park it.
     let mut filler = std::net::TcpStream::connect(addr).expect("filler conn");
-    filler.write_all(line.as_bytes()).expect("write filler ping");
+    filler
+        .write_all(line.as_bytes())
+        .expect("write filler ping");
     filler.flush().expect("flush filler ping");
     std::thread::sleep(Duration::from_millis(200));
 
@@ -294,6 +296,70 @@ fn traced_plans_carry_a_timeline_that_explains_the_request() {
         .plan()
         .expect("offline plan");
     assert_eq!(plan.digest, offline.digest);
+
+    stop_server(handle, addr, join);
+}
+
+#[test]
+fn traced_batches_record_one_annotated_stage_per_item() {
+    let _guard = registry_lock();
+    let (addr, handle, join) = spawn_server(traced_config(8));
+    let mut client = Client::connect(addr).expect("connect");
+
+    // 8 laws x 16 cost rates, so the frame spans many groups.
+    const ITEMS: usize = 128;
+    let items: Vec<PlanRequest> = (0..ITEMS)
+        .map(|i| {
+            PlanRequest::new(DistSpec::Exponential {
+                lambda: 0.5 + (i % 8) as f64,
+            })
+            .with_cost(rsj_core::CostModel::new(1.0, 0.01 * (i / 8) as f64, 0.0).unwrap())
+            .with_solver(fast_dp())
+        })
+        .collect();
+    let response = client
+        .call(&Request::plan_batch(items).with_trace())
+        .expect("plan_batch");
+    let Response::PlanBatch {
+        results, timeline, ..
+    } = response
+    else {
+        panic!("expected a plan_batch response");
+    };
+    assert_eq!(results.len(), ITEMS);
+    let timeline = timeline.expect("trace: true returns the server-side timeline");
+    assert_eq!(timeline.op, "plan_batch");
+
+    // One `item` stage per item, each naming its slot and its outcome,
+    // and no per-item inner stages.
+    let stages: Vec<_> = timeline
+        .stages
+        .iter()
+        .filter(|s| s.name == "item")
+        .collect();
+    assert_eq!(stages.len(), ITEMS, "{timeline:?}");
+    let mut slots: Vec<usize> = stages
+        .iter()
+        .map(|stage| {
+            let arg = |key: &str| {
+                stage
+                    .args
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map(|(_, v)| v.clone())
+                    .unwrap_or_else(|| panic!("item stage without `{key}`: {stage:?}"))
+            };
+            let slot: usize = arg("item").parse().expect("item index");
+            match &results[slot] {
+                rsj_serve::BatchItem::Plan { plan, .. } => assert_eq!(arg("digest"), plan.digest),
+                other => panic!("slot {slot}: {other:?}"),
+            }
+            slot
+        })
+        .collect();
+    slots.sort_unstable();
+    assert_eq!(slots, (0..ITEMS).collect::<Vec<_>>());
+    assert!(timeline.stage_us("solve").is_none(), "{timeline:?}");
 
     stop_server(handle, addr, join);
 }

@@ -313,11 +313,12 @@ impl Planner {
         ))
     }
 
-    /// The `distribution + cost` prefix of [`cache_key`](Self::cache_key):
-    /// two planners with the same group key discretize the same law, so
-    /// solving them back-to-back reuses one warm eval table regardless of
-    /// which solver each dispatches to. `None` when the distribution has
-    /// no faithful cache key (such planners never share).
+    /// The `distribution + cost` prefix of [`cache_key`](Self::cache_key),
+    /// by which [`batch_order`](Self::batch_order) groups a batch: two
+    /// planners share it when they plan one law under one cost model.
+    /// It does not name an eval table — the discretization memo keys on
+    /// the law, the scheme, `n` and `ε`, whatever the cost. `None` when
+    /// the distribution has no faithful cache key.
     pub fn group_key(&self) -> Option<String> {
         let key = self.cache_key()?;
         Some(match key.rsplit_once('|') {
@@ -326,106 +327,99 @@ impl Planner {
         })
     }
 
-    /// Plans a whole batch, sharing one warm eval table per
-    /// [`group_key`](Self::group_key) group.
+    /// Builds every request's planner and lists them in the order a batch
+    /// is visited, each with its input index: grouped by
+    /// [`group_key`](Self::group_key), input order within a group, and
+    /// the keyless and invalid items last, in input order.
+    ///
+    /// The discretization memo no longer needs a batch grouped; the order
+    /// is kept for CPU-cache locality, one law's items back to back, which
+    /// measured slightly faster than input order on frames shaped like the
+    /// repository benchmark's `serve_batch`. [`plan_many`](Self::plan_many)
+    /// and `rsj serve`'s `plan_batch` both visit batches in this order.
+    pub fn batch_order(requests: &[PlanRequest]) -> Vec<(usize, Result<Planner>)> {
+        let mut built: Vec<(Option<String>, usize, Result<Planner>)> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, request)| {
+                let planner = request.planner();
+                let key = planner.as_ref().ok().and_then(Planner::group_key);
+                (key, i, planner)
+            })
+            .collect();
+        built.sort_by(|a, b| (a.0.is_none(), &a.0, a.1).cmp(&(b.0.is_none(), &b.0, b.1)));
+        built
+            .into_iter()
+            .map(|(_, i, planner)| (i, planner))
+            .collect()
+    }
+
+    /// Plans a whole batch, visiting it in
+    /// [`batch_order`](Self::batch_order).
     ///
     /// Each item is planned independently — one invalid distribution or a
     /// mid-batch failure never poisons its neighbours — and results come
-    /// back in input order. Internally the batch is solved in group order
-    /// (items sharing a `distribution + cost` prefix run consecutively) so
-    /// the discretized eval-table memo stays warm across a group, which is
-    /// where the batched server op gets its cache-miss throughput.
-    ///
-    /// Every item is bit-for-bit identical to what a standalone
-    /// [`plan`](Self::plan) of the same request returns.
+    /// back in input order. Every item is bit-for-bit identical to what a
+    /// standalone [`plan`](Self::plan) of the same request returns.
     pub fn plan_many(requests: &[PlanRequest]) -> Vec<Result<Plan>> {
-        Self::plan_many_with_cancel(requests, &CancelToken::none())
+        Self::plan_many_traced(
+            requests,
+            &CancelToken::none(),
+            &mut rsj_obs::Timeline::disabled(),
+        )
     }
 
-    /// [`plan_many`](Self::plan_many) with cooperative cancellation. A
-    /// fired token fails the *remaining* items with
+    /// [`plan_many`](Self::plan_many) with cooperative cancellation and
+    /// tracing. A fired token fails the *remaining* items with
     /// `CoreError::Cancelled`; already-solved items keep their results.
-    pub fn plan_many_with_cancel(
-        requests: &[PlanRequest],
-        cancel: &CancelToken,
-    ) -> Vec<Result<Plan>> {
-        Self::plan_many_traced(requests, cancel, &mut rsj_obs::Timeline::disabled())
-    }
-
-    /// [`plan_many_with_cancel`](Self::plan_many_with_cancel) that records
-    /// one `item` stage per solved request into `timeline`, annotated with
-    /// the item's batch index, eval-table attribution (`warm`/`cold`) and
-    /// outcome.
+    /// Each solved item records one `item` stage into `timeline`,
+    /// annotated with its batch index, eval-table attribution
+    /// (`warm`/`cold`) and outcome.
     pub fn plan_many_traced(
         requests: &[PlanRequest],
         cancel: &CancelToken,
         timeline: &mut rsj_obs::Timeline,
     ) -> Vec<Result<Plan>> {
-        let mut planners: Vec<Option<Result<Planner>>> =
-            requests.iter().map(|r| Some(r.planner())).collect();
-        // Solve in group order: stable sort keeps input order inside a
-        // group and leaves keyless planners at the tail in input order.
-        let keys: Vec<Option<String>> = planners
-            .iter()
-            .map(|p| match p {
-                Some(Ok(planner)) => planner.group_key(),
-                _ => None,
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&a, &b| match (&keys[a], &keys[b]) {
-            (Some(ka), Some(kb)) => ka.cmp(kb).then(a.cmp(&b)),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => a.cmp(&b),
-        });
-        let mut results: Vec<Option<Result<Plan>>> = (0..requests.len()).map(|_| None).collect();
-        for &i in &order {
-            let outcome = match planners[i].take().expect("each item visited once") {
-                Err(e) => Err(e),
-                Ok(planner) => {
-                    rsj_dist::clear_last_eval_source();
-                    let out = timeline.time("item", || planner.plan_with_cancel(cancel));
-                    timeline.annotate_last("item", i.to_string());
-                    if let Some(source) = rsj_dist::last_eval_source() {
-                        timeline.annotate_last("eval_table", source.as_str());
-                    }
-                    match &out {
-                        Ok(plan) => timeline.annotate_last("digest", plan.digest.as_str()),
-                        Err(e) => timeline.annotate_last("error", e.to_string()),
+        let mut results: Vec<(usize, Result<Plan>)> = Self::batch_order(requests)
+            .into_iter()
+            .map(|(i, built)| {
+                let out = built.and_then(|planner| {
+                    let out = timeline.time("item", || {
+                        planner.plan_traced(cancel, &mut rsj_obs::Timeline::disabled())
+                    });
+                    if timeline.is_enabled() {
+                        timeline.annotate_last("item", i.to_string());
+                        if let Some(source) = rsj_dist::last_eval_source() {
+                            timeline.annotate_last("eval_table", source.as_str());
+                        }
+                        match &out {
+                            Ok(plan) => timeline.annotate_last("digest", plan.digest.as_str()),
+                            Err(e) => timeline.annotate_last("error", e.to_string()),
+                        }
                     }
                     out
-                }
-            };
-            results[i] = Some(outcome);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("each item solved once"))
-            .collect()
+                });
+                (i, out)
+            })
+            .collect();
+        results.sort_by_key(|(i, _)| *i);
+        results.into_iter().map(|(_, out)| out).collect()
     }
 
     /// Computes the reservation sequence and scores it.
     pub fn plan(&self) -> Result<Plan> {
-        self.plan_with_cancel(&CancelToken::none())
+        self.plan_traced(&CancelToken::none(), &mut rsj_obs::Timeline::disabled())
     }
 
-    /// [`plan`](Self::plan) with cooperative cancellation: the token is
-    /// threaded into the solver (polled per DP state / brute-force
-    /// candidate) and checked between the solve, the scoring pass and the
-    /// optional simulation replay. Once it fires the call returns
-    /// `RsjError::Core(CoreError::Cancelled)`; an uncancelled call is
-    /// bit-for-bit identical to [`plan`](Self::plan).
-    pub fn plan_with_cancel(&self, cancel: &CancelToken) -> Result<Plan> {
-        self.plan_traced(cancel, &mut rsj_obs::Timeline::disabled())
-    }
-
-    /// [`plan_with_cancel`](Self::plan_with_cancel) that also records the
-    /// solver's internal phases — `solve`, `score`, `simulate` — into
-    /// `timeline` for per-request tracing. A disabled timeline makes every
-    /// recording call a branch on `None` (no clocks, no allocation), so
-    /// [`plan_with_cancel`](Self::plan_with_cancel) delegates here and the output — including the
-    /// plan digest — is bit-for-bit identical either way.
+    /// [`plan`](Self::plan) with cooperative cancellation and tracing.
+    /// The token is threaded into the solver (polled per DP state /
+    /// brute-force candidate) and checked between the solve, the scoring
+    /// pass and the optional simulation replay; once it fires the call
+    /// returns `RsjError::Core(CoreError::Cancelled)`. The solver's
+    /// phases — `solve`, `score`, `simulate` — are recorded into
+    /// `timeline`; a disabled timeline makes every recording call a branch
+    /// on `None` (no clocks, no allocation). An uncancelled call is
+    /// bit-for-bit identical to [`plan`](Self::plan), digest included.
     pub fn plan_traced(
         &self,
         cancel: &CancelToken,
@@ -641,20 +635,23 @@ mod tests {
                 .solver(solver)
                 .build()
                 .unwrap();
+            let plan_with = |cancel: &CancelToken| {
+                planner.plan_traced(cancel, &mut rsj_obs::Timeline::disabled())
+            };
             let token = CancelToken::new();
             token.cancel();
             assert_eq!(
-                planner.plan_with_cancel(&token).unwrap_err(),
+                plan_with(&token).unwrap_err(),
                 RsjError::Core(rsj_core::CoreError::Cancelled),
             );
             // An expired deadline behaves the same without an explicit cancel.
             let expired = CancelToken::with_deadline(
                 std::time::Instant::now() - std::time::Duration::from_millis(1),
             );
-            assert!(planner.plan_with_cancel(&expired).is_err());
+            assert!(plan_with(&expired).is_err());
             // A live token changes nothing: bit-identical to plan().
             let live = CancelToken::with_timeout(std::time::Duration::from_secs(3600));
-            let a = planner.plan_with_cancel(&live).unwrap();
+            let a = plan_with(&live).unwrap();
             let b = planner.plan().unwrap();
             assert_eq!(a.digest, b.digest);
             assert_eq!(a.sequence, b.sequence);
@@ -672,13 +669,28 @@ mod tests {
         // Interleave two groups plus a closed-form item so the grouped
         // solve order differs from input order.
         let requests = vec![
-            PlanRequest::new(DistSpec::LogNormal { mu: 3.0, sigma: 0.5 }).with_solver(dp.clone()),
-            PlanRequest::new(DistSpec::LogNormal { mu: 1.0, sigma: 0.25 }).with_solver(dp.clone()),
+            PlanRequest::new(DistSpec::LogNormal {
+                mu: 3.0,
+                sigma: 0.5,
+            })
+            .with_solver(dp.clone()),
+            PlanRequest::new(DistSpec::LogNormal {
+                mu: 1.0,
+                sigma: 0.25,
+            })
+            .with_solver(dp.clone()),
             PlanRequest::new(DistSpec::Exponential { lambda: 1.0 }),
-            PlanRequest::new(DistSpec::LogNormal { mu: 3.0, sigma: 0.5 })
-                .with_solver(dp.clone())
-                .with_cost(CostModel::new(1.0, 0.5, 0.1).unwrap()),
-            PlanRequest::new(DistSpec::LogNormal { mu: 1.0, sigma: 0.25 }).with_solver(dp),
+            PlanRequest::new(DistSpec::LogNormal {
+                mu: 3.0,
+                sigma: 0.5,
+            })
+            .with_solver(dp.clone())
+            .with_cost(CostModel::new(1.0, 0.5, 0.1).unwrap()),
+            PlanRequest::new(DistSpec::LogNormal {
+                mu: 1.0,
+                sigma: 0.25,
+            })
+            .with_solver(dp),
         ];
         let batch = Planner::plan_many(&requests);
         assert_eq!(batch.len(), requests.len());
@@ -732,11 +744,40 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let requests = vec![PlanRequest::new(DistSpec::Exponential { lambda: 1.0 })];
-        let batch = Planner::plan_many_with_cancel(&requests, &token);
+        let batch =
+            Planner::plan_many_traced(&requests, &token, &mut rsj_obs::Timeline::disabled());
         assert_eq!(
             batch[0].as_ref().unwrap_err(),
             &RsjError::Core(rsj_core::CoreError::Cancelled)
         );
+    }
+
+    #[test]
+    fn batch_order_runs_each_group_together_and_keyless_items_last() {
+        let exp = |lambda| PlanRequest::new(DistSpec::Exponential { lambda });
+        let requests = vec![
+            exp(2.0),
+            exp(-1.0),
+            exp(1.0),
+            exp(2.0).with_solver(SolverSpec::MeanDoubling),
+            exp(1.0).with_cost(CostModel::new(1.0, 0.5, 0.1).unwrap()),
+            exp(1.0),
+        ];
+        let order: Vec<(usize, Option<String>)> = Planner::batch_order(&requests)
+            .into_iter()
+            .map(|(i, built)| (i, built.ok().and_then(|p| p.group_key())))
+            .collect();
+        let mut runs: Vec<&Option<String>> = order.iter().map(|(_, key)| key).collect();
+        runs.dedup();
+        // Three groups (a new cost is a new group) plus the invalid item.
+        assert_eq!(runs.len(), 4, "each group is visited in one run: {order:?}");
+        assert!(
+            order
+                .windows(2)
+                .all(|w| w[0].1 != w[1].1 || w[0].0 < w[1].0),
+            "input order within a group: {order:?}"
+        );
+        assert_eq!(order.last(), Some(&(1, None)), "the invalid item runs last");
     }
 
     #[test]
