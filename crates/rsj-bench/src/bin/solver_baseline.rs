@@ -36,8 +36,7 @@ struct SolverTiming {
     threads: usize,
     wall_seconds: f64,
     /// `wall(threads = 1) / wall(threads = t)` for the same
-    /// (solver, distribution); absent on the serial row itself.
-    #[serde(skip_serializing_if = "Option::is_none")]
+    /// (solver, distribution); `null` on the serial row itself.
     speedup_vs_serial: Option<f64>,
     /// FNV-1a over the result's f64 bit patterns; equal across thread
     /// counts by the determinism contract.
@@ -61,7 +60,7 @@ struct SolverBaseline {
     /// the n = 10000 lognormal grid (the `dp_core_*_n10000` rows): the
     /// headline win of the `O(n log n)` fast path. The perf gate fails a
     /// PR that lets this fall below 5.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     monotone_speedup_n10000: Option<f64>,
     timings: Vec<SolverTiming>,
     /// Global registry after the run: solver wall-time histograms with

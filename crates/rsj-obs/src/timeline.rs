@@ -111,10 +111,9 @@ pub struct StageRecord {
     pub end_us: u64,
     /// Key/value annotations attached after the stage ran (e.g. the
     /// `solve` stage carries `dp_path` and `eval_table` so traces can
-    /// attribute fast-path speedups). Empty for most stages; omitted
-    /// from the wire when empty, so pre-annotation traces round-trip
-    /// unchanged.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// attribute fast-path speedups). Empty for most stages, written as
+    /// `[]`; a missing `args` (a pre-annotation trace) reads as empty.
+    #[serde(default)]
     pub args: Vec<(String, String)>,
 }
 

@@ -54,12 +54,13 @@ pub const MAX_RECORD_BYTES: usize = 64 << 20;
 pub const JOURNAL_FILE: &str = "journal.log";
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the zlib/PNG
-/// checksum. Table-driven, built once per process.
+/// checksum. Slicing-by-8: eight bytes per step through eight tables
+/// built once per process, the same values as the bytewise table loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -70,11 +71,31 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             }
             *slot = c;
         }
-        table
+        // t[k][i]: the CRC of byte i followed by k zero bytes.
+        for k in 1..8 {
+            let (done, rest) = t.split_at_mut(k);
+            for (slot, &prev) in rest[0].iter_mut().zip(&done[k - 1]) {
+                *slot = (prev >> 8) ^ done[0][(prev & 0xFF) as usize];
+            }
+        }
+        t
     });
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -205,22 +226,26 @@ impl fmt::Display for RecordFault {
     }
 }
 
-/// Encodes one record as a complete frame (header + payload).
+/// Initial capacity of a frame: one allocation holds a typical record.
+const FRAME_CAPACITY: usize = RECORD_HEADER_BYTES + 1024;
+
+/// Encodes one record as a complete frame (header + payload): the
+/// payload streams into the frame buffer behind a placeholder header,
+/// whose length and CRC are then filled in.
 pub fn encode_record(record: &JournalRecord) -> Result<Vec<u8>, JournalError> {
-    let payload = serde_json::to_string(record)
-        .map_err(|e| JournalError::Encode(e.to_string()))?
-        .into_bytes();
+    let mut frame = Vec::with_capacity(FRAME_CAPACITY);
+    frame.extend_from_slice(&RECORD_MAGIC);
+    frame.resize(RECORD_HEADER_BYTES, 0);
+    serde_json::to_writer(&mut frame, record).map_err(|e| JournalError::Encode(e.to_string()))?;
+    let (header, payload) = frame.split_at_mut(RECORD_HEADER_BYTES);
     if payload.len() > MAX_RECORD_BYTES {
         return Err(JournalError::Encode(format!(
             "record payload {} bytes exceeds MAX_RECORD_BYTES",
             payload.len()
         )));
     }
-    let mut frame = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-    frame.extend_from_slice(&RECORD_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(frame)
 }
 
@@ -501,11 +526,57 @@ mod tests {
         buf
     }
 
+    /// The bytewise table loop slicing-by-8 replaced: the reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *slot = c;
+        }
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The canonical CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        // Every length from 0 to 1,999 over random bytes, each from one of
+        // 61 start offsets, so every remainder length and every alignment
+        // of the 8-byte steps is covered.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let buf: Vec<u8> = (0..2_100)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for len in 0..2_000 {
+            let start = (len * 7) % 61;
+            let bytes = &buf[start..start + len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bytewise(bytes),
+                "len {len} start {start}"
+            );
+        }
     }
 
     #[test]

@@ -66,17 +66,17 @@ pub enum Request {
         /// The job-runtime distribution (required).
         distribution: DistSpec,
         /// Cost model rates; defaults to RESERVATIONONLY (`α=1, β=γ=0`).
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         cost: Option<CostModel>,
         /// Which solver to dispatch to (default `mean_by_mean`).
         #[serde(default = "default_solver")]
         solver: SolverSpec,
         /// Re-seeds the solver where a seed applies (Brute-Force Monte
         /// Carlo); overrides the seed inside `solver`.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         seed: Option<u64>,
         /// Also replay the plan against a seeded batch of sampled jobs.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         simulate: Option<SimulateOptions>,
         /// Per-request deadline in milliseconds, measured from the moment
         /// the server takes the request off the wire (for a freshly
@@ -84,12 +84,12 @@ pub enum Request {
         /// requests are shed with [`ErrorKind::DeadlineExceeded`] without
         /// invoking the solver; a deadline that fires mid-solve cancels
         /// the solver cooperatively.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         deadline_ms: Option<u64>,
         /// Client-supplied trace id. The server adopts it (instead of
         /// generating one) and echoes it in the response — including
         /// error and shed responses — so client and server logs join.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         trace_id: Option<String>,
         /// Ask the server to record a stage timeline for this request and
         /// embed it in the response, even when the server-wide trace ring
@@ -112,11 +112,11 @@ pub enum Request {
         /// Batch-level deadline in milliseconds, measured like a `plan`
         /// deadline; when it expires, remaining unsolved items fail with
         /// [`ErrorKind::DeadlineExceeded`].
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         deadline_ms: Option<u64>,
         /// Client-supplied trace id for the whole batch (one id; items are
         /// distinguished by per-item `item` stage annotations).
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         trace_id: Option<String>,
         /// Embed the server-side stage timeline in the response.
         #[serde(default)]
@@ -130,14 +130,14 @@ pub enum Request {
         v: u32,
         /// At most this many timelines, newest first (server-capped at
         /// the ring capacity; defaults to 32).
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         last: Option<usize>,
         /// Only timelines at least this long, in milliseconds.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         min_duration_ms: Option<f64>,
         /// Only the timeline(s) with exactly this trace id (a filter, not
         /// an identity for the trace request itself).
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         trace_id: Option<String>,
     },
     /// Fetch the server's metrics in Prometheus text exposition format.
@@ -490,9 +490,9 @@ pub struct HealthInfo {
     pub queue_depth: usize,
     /// Plans currently held by the cache.
     pub cache_entries: usize,
-    /// What recovery found, once it has run (absent before that, and on
+    /// What recovery found, once it has run (`null` before that, and on
     /// servers without durability configured).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub recovery: Option<RecoveryStats>,
 }
 
@@ -567,12 +567,12 @@ pub enum Response {
         /// Wall-clock breakdown.
         timings: Timings,
         /// The request's trace id (echoed when the client sent one,
-        /// server-generated when tracing is on, absent otherwise).
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        /// server-generated when tracing is on, `null` otherwise).
+        #[serde(default)]
         trace_id: Option<String>,
         /// The server-side stage timeline, when the request asked for it
         /// with `trace: true`.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         timeline: Option<rsj_obs::TimelineRecord>,
     },
     /// Per-item results of a `plan_batch` request, in input order
@@ -583,11 +583,11 @@ pub enum Response {
         /// One tagged result per requested item.
         results: Vec<BatchItem>,
         /// The batch's trace id (one id for the whole batch).
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         trace_id: Option<String>,
         /// The server-side stage timeline (one `item` stage per item),
         /// when the request asked with `trace: true`.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         timeline: Option<rsj_obs::TimelineRecord>,
     },
     /// Recent request timelines from the server's trace ring, newest
@@ -639,7 +639,7 @@ pub enum Response {
         message: String,
         /// The request's trace id, echoed even on failures and sheds so
         /// client-side errors join to server-side timelines.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(default)]
         trace_id: Option<String>,
     },
 }

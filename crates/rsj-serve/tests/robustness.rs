@@ -564,6 +564,37 @@ fn shutdown_is_idempotent_and_safe_under_concurrency() {
 }
 
 #[test]
+fn deeply_nested_lines_get_typed_errors_and_the_server_lives_on() {
+    // 200,000 unclosed brackets: far under the line cap, far over the
+    // reader's nesting bound. Once in a field the decoder reads, once in
+    // an unknown field it skips. Each must come back as a typed error,
+    // not overflow the reactor thread's stack.
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+    let deep = "[".repeat(200_000);
+    for line in [
+        format!(r#"{{"op":"plan","distribution":{deep}"#),
+        format!(r#"{{"op":"ping","x":{deep}"#),
+    ] {
+        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+        raw.write_all(line.as_bytes()).expect("write");
+        raw.write_all(b"\n").expect("write");
+        let mut reply = String::new();
+        BufReader::new(raw).read_line(&mut reply).expect("read");
+        let response: Response = serde_json::from_str(reply.trim()).expect("parse");
+        assert_eq!(
+            error_kind(&response),
+            Some(ErrorKind::MalformedRequest),
+            "{response:?}"
+        );
+    }
+    let mut client = Client::connect(addr).expect("a new connection");
+    let pong = client.call(&Request::ping()).expect("ping");
+    assert!(matches!(pong, Response::Pong { .. }), "{pong:?}");
+    handle.signal();
+    join.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
 fn client_reports_torn_and_oversized_responses_as_typed_errors() {
     // A scripted "server" that misbehaves per connection: close without a
     // byte, tear a response line, then send an endless unterminated one.

@@ -78,7 +78,7 @@ pub struct Plan {
     /// mean bit-identical plans.
     pub digest: String,
     /// Batch-simulation statistics when simulate-on-plan was requested.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
+    #[serde(default)]
     pub simulation: Option<BatchStats>,
 }
 
@@ -95,16 +95,16 @@ pub struct PlanRequest {
     /// The job-runtime law to plan for (required).
     pub distribution: DistSpec,
     /// Platform cost model; `None` means RESERVATIONONLY (`α=1`, `β=γ=0`).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub cost: Option<CostModel>,
     /// Solver to dispatch to (default Mean-by-Mean).
     #[serde(default = "default_solver_spec")]
     pub solver: SolverSpec,
     /// Optional re-seed where the solver uses randomness (Brute-Force).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub seed: Option<u64>,
     /// Optional simulate-on-plan replay.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub simulate: Option<SimulateOptions>,
 }
 
