@@ -4,16 +4,15 @@
 //! metrics disabled; these benches measure exactly that configuration.
 //!
 //! `instrumented_loop` runs the same arithmetic as `baseline_loop` but
-//! passes through a span, a trace event, a scoped timer, and no-op
-//! recorder calls on every iteration — the worst case of guard density,
-//! far denser than any real solver loop. `dp_optimal_discrete` times the
+//! passes through a span with its wall-time histogram, a trace event and
+//! guarded registry calls on every iteration — the worst case of guard
+//! density, far denser than any real solver loop. `dp_optimal_discrete` times the
 //! real instrumented DP entry point end to end.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rsj_core::heuristics::optimal_discrete;
 use rsj_core::CostModel;
 use rsj_dist::{discretize, DiscretizationScheme, LogNormal};
-use rsj_obs::{NoopRecorder, Recorder, ScopedTimer};
 
 const ITERS: u64 = 1024;
 
@@ -26,16 +25,15 @@ fn baseline_loop() -> f64 {
 }
 
 fn instrumented_loop() -> f64 {
-    let recorder = NoopRecorder;
     let mut acc = 0.0f64;
     for i in 0..ITERS {
-        let _span = rsj_obs::span!("bench.iteration");
-        let _timer = ScopedTimer::global("bench_noop_seconds");
+        let _span = rsj_obs::span!("bench.iteration", "bench_noop_seconds");
         rsj_obs::trace!("iteration {i}");
-        recorder.add("bench_noop_total", 1);
         acc += black_box(i as f64).sqrt();
         if rsj_obs::metrics_enabled() {
-            recorder.observe("bench_noop_hist", acc);
+            let registry = rsj_obs::global_registry();
+            registry.counter("bench_noop_total").inc();
+            registry.histogram("bench_noop_hist").observe(acc);
         }
     }
     acc

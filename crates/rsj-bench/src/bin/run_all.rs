@@ -13,8 +13,8 @@
 use rsj_bench::perf::PerfManifest;
 use rsj_bench::scenarios::Fidelity;
 use rsj_bench::{experiments, DEFAULT_SEED};
-use rsj_obs::Stopwatch;
 use rsj_par::Parallelism;
+use std::time::Instant;
 
 struct Args {
     metrics_out: Option<String>,
@@ -67,13 +67,20 @@ fn main() -> std::io::Result<()> {
     let fidelity = Fidelity::from_env();
     rsj_obs::info!("running the full experiment suite at {fidelity:?} fidelity");
 
-    let total = Stopwatch::start();
+    let total = Instant::now();
     let mut manifest = PerfManifest::new(format!("{fidelity:?}"), DEFAULT_SEED);
     let mut run = |name: &str, step: &mut dyn FnMut() -> std::io::Result<()>| {
-        rsj_obs::info!("── {name} ({:.1}s elapsed) ──", total.elapsed_secs());
-        let sw = Stopwatch::start();
+        rsj_obs::info!(
+            "── {name} ({:.1}s elapsed) ──",
+            total.elapsed().as_secs_f64()
+        );
+        let sw = Instant::now();
         step()?;
-        manifest.push_step(name, sw.elapsed_secs(), Parallelism::current().threads());
+        manifest.push_step(
+            name,
+            sw.elapsed().as_secs_f64(),
+            Parallelism::current().threads(),
+        );
         Ok::<(), std::io::Error>(())
     };
 
@@ -117,7 +124,7 @@ fn main() -> std::io::Result<()> {
         experiments::ablation_adaptive::emit(fidelity, DEFAULT_SEED).map(drop)
     })?;
 
-    manifest.total_wall_seconds = total.elapsed_secs();
+    manifest.total_wall_seconds = total.elapsed().as_secs_f64();
     manifest.metrics = rsj_obs::global_registry().snapshot();
     let manifest_path = manifest.write()?;
 
@@ -128,7 +135,7 @@ fn main() -> std::io::Result<()> {
 
     rsj_obs::info!(
         "all experiments done in {:.1}s; outputs in {}, perf manifest at {}",
-        total.elapsed_secs(),
+        total.elapsed().as_secs_f64(),
         rsj_bench::report::results_dir().display(),
         manifest_path.display()
     );

@@ -21,11 +21,12 @@ use rsj_bench::{report, DEFAULT_SEED};
 use rsj_core::heuristics::{optimal_discrete, optimal_discrete_exact, optimal_discrete_monotone};
 use rsj_core::{BruteForce, CancelToken, CostModel, DiscretizedDp, EvalMethod, Strategy};
 use rsj_dist::{discretize, DiscretizationScheme};
-use rsj_obs::{MetricsSnapshot, Stopwatch};
+use rsj_obs::MetricsSnapshot;
 use rsj_par::Parallelism;
 use rsj_sim::run_batch_seeded;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// One timed solve: which solver, on which distribution, with how many
 /// worker threads, how long, and a digest of what it produced.
@@ -128,9 +129,9 @@ fn main() -> std::io::Result<()> {
                 if cold {
                     rsj_dist::clear_eval_cache();
                 }
-                let sw = Stopwatch::start();
+                let sw = Instant::now();
                 let result = f();
-                let wall_seconds = sw.elapsed_secs();
+                let wall_seconds = sw.elapsed().as_secs_f64();
                 rsj_obs::info!("{solver} on {distribution} ({threads}t): {wall_seconds:.4}s");
                 timings.push(SolverTiming {
                     solver: solver.into(),

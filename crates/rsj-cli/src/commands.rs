@@ -5,9 +5,11 @@ use crate::config::{AdaptiveSpec, EvaluateConfig, PlanConfig, SimulateConfig};
 use rand::SeedableRng;
 use reservation_strategies::Planner;
 use rsj_core::{
-    coverage_gap, expected_cost_analytic, expected_cost_monte_carlo, CostModel, ReservationSequence,
+    coverage_gap, expected_cost_analytic, expected_cost_monte_carlo, CancelToken, CostModel,
+    ReservationSequence,
 };
 use rsj_dist::ContinuousDistribution;
+use rsj_obs::{Timeline, TraceContext};
 use rsj_sim::{
     analyze_wait_times, cost_model_from_queue, generate_workload, run_adaptive,
     simulate_with_faults, summarize, AdaptiveReport, ClusterConfig, FaultConfig, SchedulerPolicy,
@@ -17,6 +19,7 @@ use rsj_traces::fit_archive;
 use rsj_traces::TraceArchive;
 use serde::Serialize;
 use serde_json::json;
+use std::time::Instant;
 
 /// Renders `value` as pretty JSON (used by `--json`).
 fn to_json<T: Serialize>(value: &T) -> String {
@@ -30,34 +33,38 @@ fn to_json<T: Serialize>(value: &T) -> String {
 /// With `explain_solver` the report also attributes the solve: which DP
 /// path fired (the `O(n log n)` monotone envelope vs the exact `O(n²)`
 /// pass, and why) and whether the discretized law came warm from the
-/// process-wide memo. The same labels ride on the trace timeline's
-/// `solve` stage args in serve mode, so offline and traced runs can be
-/// cross-checked. In `--json` mode the explanation wraps the plan as
+/// process-wide memo. It reads both from the `solve` stage of the plan's
+/// own trace record, the same record a served trace carries. In `--json`
+/// mode the explanation wraps the plan as
 /// `{"plan": ..., "solver_explanation": ...}` — opt-in, so plain plan
 /// output stays byte-comparable.
 ///
 /// [`Plan`]: reservation_strategies::Plan
 pub fn run_plan(cfg: &PlanConfig, json: bool, explain_solver: bool) -> Result<String, String> {
+    let mut timeline = if explain_solver {
+        Timeline::begin(TraceContext::generate(), Instant::now())
+    } else {
+        Timeline::disabled()
+    };
     let plan = Planner::builder()
         .distribution(cfg.distribution.clone())
         .cost_rates(cfg.cost.alpha, cfg.cost.beta, cfg.cost.gamma)
         .solver(cfg.heuristic.clone())
         .build()
         .map_err(|e| e.to_string())?
-        .plan()
+        .plan_traced(&CancelToken::none(), &mut timeline)
         .map_err(|e| e.to_string())?;
-    // Read the per-thread attribution immediately: the planner cleared it
-    // right before this solve, so it cannot be stale.
-    let dp_path = explain_solver.then(rsj_core::last_dp_path).flatten();
-    let eval_source = explain_solver.then(rsj_dist::last_eval_source).flatten();
+    let record = timeline.finish("plan");
+    let solve_arg = |key| record.as_ref().and_then(|r| r.stage_arg("solve", key));
+    let (dp_path, eval_source) = (solve_arg("dp_path"), solve_arg("eval_table"));
 
     if json {
         if explain_solver {
             return Ok(to_json(&json!({
                 "plan": plan,
                 "solver_explanation": json!({
-                    "dp_path": dp_path.map(rsj_core::DpPath::as_str),
-                    "eval_table": eval_source.map(rsj_dist::EvalTableSource::as_str),
+                    "dp_path": dp_path,
+                    "eval_table": eval_source,
                 }),
             })));
         }
@@ -101,19 +108,15 @@ pub fn run_plan(cfg: &PlanConfig, json: bool, explain_solver: bool) -> Result<St
     }
     if explain_solver {
         let path = match dp_path {
-            Some(rsj_core::DpPath::Monotone) => "monotone O(n log n) envelope (runtime gate fired)",
-            Some(rsj_core::DpPath::ExactDeclined) => {
-                "exact O(n²) pass (monotone gate declined at runtime)"
-            }
-            Some(rsj_core::DpPath::ExactForced) => "exact O(n²) pass (monotone fast path disabled)",
-            None => "no discretized DP (closed-form or sampling heuristic)",
+            Some("monotone") => "monotone O(n log n) envelope (runtime gate fired)",
+            Some("exact_gate_declined") => "exact O(n²) pass (monotone gate declined at runtime)",
+            Some("exact_forced") => "exact O(n²) pass (monotone fast path disabled)",
+            _ => "no discretized DP (closed-form or sampling heuristic)",
         };
         let table = match eval_source {
-            Some(rsj_dist::EvalTableSource::CacheHit) => "warm (process-wide memo hit)",
-            Some(rsj_dist::EvalTableSource::Built) => {
-                "cold (discretized and last-point tail values computed fresh)"
-            }
-            None => "none (solver did not discretize)",
+            Some("warm") => "warm (process-wide memo hit)",
+            Some("cold") => "cold (discretized and last-point tail values computed fresh)",
+            _ => "none (solver did not discretize)",
         };
         out.push_str(&format!("solver path:      {path}\n"));
         out.push_str(&format!("eval table:       {table}\n"));
@@ -491,6 +494,35 @@ mod tests {
         let plain = run_plan(&cfg, true, false).unwrap();
         let p: serde_json::Value = serde_json::from_str(&plain).unwrap();
         assert_eq!(p["digest"], v["plan"]["digest"]);
+    }
+
+    #[test]
+    fn plan_explain_solver_reports_a_declined_monotone_gate() {
+        // Beta(1.7, 1.8), equal-time, n = 5000 under RESERVATIONONLY: a
+        // near-tie aborts the monotone pass and the exact pass runs.
+        let cfg = PlanConfig {
+            distribution: DistSpec::Beta {
+                alpha: 1.7,
+                beta: 1.8,
+            },
+            ..plan_config(HeuristicSpec::Dp {
+                scheme: rsj_dist::DiscretizationScheme::EqualTime,
+                n: 5000,
+                epsilon: 1e-7,
+                monotone: true,
+            })
+        };
+        let out = run_plan(&cfg, false, true).unwrap();
+        assert!(
+            out.contains("exact O(n²) pass (monotone gate declined at runtime)"),
+            "{out}"
+        );
+        let out = run_plan(&cfg, true, true).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+        assert_eq!(
+            v["solver_explanation"]["dp_path"].as_str(),
+            Some("exact_gate_declined")
+        );
     }
 
     #[test]

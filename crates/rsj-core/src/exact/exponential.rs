@@ -64,8 +64,7 @@ fn e1_with_restart(s1: f64, s1_ref: f64, e1_ref: f64) -> f64 {
 fn optimal_pair() -> (f64, f64) {
     static PAIR: OnceLock<(f64, f64)> = OnceLock::new();
     *PAIR.get_or_init(|| {
-        let _wall = rsj_obs::ScopedTimer::global("rsj_core_exact_exp_wall_seconds");
-        let _span = rsj_obs::span!("exact.exp_optimal_pair");
+        let _span = rsj_obs::span!("exact.exp_optimal_pair", "rsj_core_exact_exp_wall_seconds");
         let (mut s1, mut e1) = (0.75, 2.37); // coarse §3.5 guesses
         let mut evals: u64 = 0;
         for _ in 0..6 {

@@ -7,7 +7,7 @@
 //! Candidates whose recurrence breaks down (non-increasing step before the
 //! evaluation horizon) are discarded — these are the gaps of Figure 3.
 
-use super::Strategy;
+use super::{Solve, Strategy};
 use crate::bounds::upper_bound_t1;
 use crate::cancel::CancelToken;
 use crate::cost::CostModel;
@@ -290,8 +290,7 @@ impl BruteForce {
         cost: &CostModel,
         cancel: &CancelToken,
     ) -> Result<BruteForceResult> {
-        let _wall = rsj_obs::ScopedTimer::global("rsj_core_brute_force_wall_seconds");
-        let _span = rsj_obs::span!("brute_force.best");
+        let _span = rsj_obs::span!("brute_force.best", "rsj_core_brute_force_wall_seconds");
         let sweep = self.sweep_cancellable(dist, cost, cancel)?;
         let valid_candidates = sweep.iter().filter(|p| p.normalized_cost.is_some()).count();
         if rsj_obs::metrics_enabled() {
@@ -361,13 +360,17 @@ impl Strategy for BruteForce {
         Ok(self.best(dist, cost)?.sequence)
     }
 
-    fn sequence_cancellable(
+    fn solve(
         &self,
         dist: &dyn ContinuousDistribution,
         cost: &CostModel,
         cancel: &CancelToken,
-    ) -> Result<ReservationSequence> {
-        Ok(self.best_cancellable(dist, cost, cancel)?.sequence)
+    ) -> Result<Solve> {
+        Ok(Solve {
+            sequence: self.best_cancellable(dist, cost, cancel)?.sequence,
+            dp_path: None,
+            eval_table: None,
+        })
     }
 }
 

@@ -23,7 +23,7 @@
 //! forces the `O(n²)` pass for A/B runs and verification.
 
 use super::dp_monotone;
-use super::{Strategy, TailPolicy};
+use super::{Solve, Strategy, TailPolicy};
 use crate::cancel::CancelToken;
 use crate::cost::CostModel;
 use crate::error::{CoreError, Result};
@@ -42,14 +42,9 @@ const DP_PAR_MIN_SPAN: usize = 4096;
 /// the monotone fast path so both react on the same cadence).
 pub(super) const DP_CANCEL_STRIDE: usize = 64;
 
-/// Which pass produced the most recent DP solution on this thread.
-///
-/// Solvers record this as a side channel so callers that only hold a
-/// `Box<dyn Strategy>` (the CLI's `--explain-solver`, the planner's
-/// trace-timeline annotation) can attribute a solve to the fast path or
-/// the exact fallback without threading a new return type through every
-/// entry point. Thread-local, so concurrent server requests cannot read
-/// each other's attribution.
+/// Which pass produced a DP solution: carried on [`DpSolution::path`]
+/// and, through [`Strategy::solve`], on the planner's `solve` trace stage
+/// and in `rsj plan --explain-solver`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DpPath {
     /// The `O(n log n)` monotone envelope pass completed (gate fired).
@@ -74,31 +69,6 @@ impl DpPath {
     }
 }
 
-thread_local! {
-    static LAST_DP_PATH: std::cell::Cell<Option<DpPath>> =
-        const { std::cell::Cell::new(None) };
-}
-
-fn record_dp_path(path: DpPath) {
-    LAST_DP_PATH.with(|c| c.set(Some(path)));
-}
-
-/// Discards any previously recorded path so a following
-/// [`last_dp_path`] cannot read attribution left over from an earlier,
-/// unrelated solve on this thread. Call before dispatching a solver.
-pub fn clear_last_dp_path() {
-    LAST_DP_PATH.with(|c| c.set(None));
-}
-
-/// The path recorded by the most recent `optimal_discrete*` call on this
-/// thread, without clearing it (several observers — the trace timeline,
-/// the CLI explanation — may read the same solve). `None` when no
-/// discretized DP has run since [`clear_last_dp_path`] — e.g. a
-/// closed-form heuristic solved the plan.
-pub fn last_dp_path() -> Option<DpPath> {
-    LAST_DP_PATH.with(|c| c.get())
-}
-
 /// Optimal solution of STOCHASTIC for a discrete distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpSolution {
@@ -108,6 +78,8 @@ pub struct DpSolution {
     pub values: Vec<f64>,
     /// Indices of the chosen values within the support.
     pub indices: Vec<usize>,
+    /// The pass that produced this solution.
+    pub path: DpPath,
 }
 
 /// Solves STOCHASTIC exactly for a discrete distribution (Theorem 5),
@@ -139,8 +111,7 @@ pub fn optimal_discrete_cancellable(
     par: &Parallelism,
     cancel: &CancelToken,
 ) -> Result<DpSolution> {
-    let _wall = rsj_obs::ScopedTimer::global("rsj_core_dp_wall_seconds");
-    let _span = rsj_obs::span!("dp.optimal_discrete");
+    let _span = rsj_obs::span!("dp.optimal_discrete", "rsj_core_dp_wall_seconds");
     let v = dist.values();
     let f = dist.probs();
     let s = dist.suffix_masses();
@@ -158,8 +129,7 @@ pub fn optimal_discrete_cancellable(
             v.len(),
             m.evals
         );
-        record_dp_path(DpPath::Monotone);
-        return solution_from(&m.w, &m.choice, v, &s);
+        return solution_from(&m.w, &m.choice, v, &s, DpPath::Monotone);
     }
     if rsj_obs::metrics_enabled() {
         rsj_obs::global_registry()
@@ -170,8 +140,7 @@ pub fn optimal_discrete_cancellable(
         "dp monotone gate declined on {} states; running exact O(n²) pass",
         v.len()
     );
-    record_dp_path(DpPath::ExactDeclined);
-    exact_pass(v, &s, &a, cost, par, cancel)
+    exact_pass(v, &s, &a, cost, par, cancel, DpPath::ExactDeclined)
 }
 
 /// The exact `O(n²)` Theorem 5 pass, bypassing the monotone gate. This is
@@ -205,14 +174,12 @@ pub fn optimal_discrete_exact_cancellable(
     par: &Parallelism,
     cancel: &CancelToken,
 ) -> Result<DpSolution> {
-    let _wall = rsj_obs::ScopedTimer::global("rsj_core_dp_wall_seconds");
-    let _span = rsj_obs::span!("dp.optimal_discrete_exact");
+    let _span = rsj_obs::span!("dp.optimal_discrete_exact", "rsj_core_dp_wall_seconds");
     let v = dist.values();
     let f = dist.probs();
     let s = dist.suffix_masses();
     let a = prefix_weighted_values(v, f);
-    record_dp_path(DpPath::ExactForced);
-    exact_pass(v, &s, &a, cost, par, cancel)
+    exact_pass(v, &s, &a, cost, par, cancel, DpPath::ExactForced)
 }
 
 /// Attempts the monotone fast path *without* the exact fallback:
@@ -225,8 +192,7 @@ pub fn optimal_discrete_monotone(
     cost: &CostModel,
     cancel: &CancelToken,
 ) -> Result<Option<DpSolution>> {
-    let _wall = rsj_obs::ScopedTimer::global("rsj_core_dp_wall_seconds");
-    let _span = rsj_obs::span!("dp.optimal_discrete_monotone");
+    let _span = rsj_obs::span!("dp.optimal_discrete_monotone", "rsj_core_dp_wall_seconds");
     let v = dist.values();
     let f = dist.probs();
     let s = dist.suffix_masses();
@@ -240,8 +206,7 @@ pub fn optimal_discrete_monotone(
                 reg.counter("rsj_core_dp_monotone_solves_total").inc();
                 reg.counter("rsj_core_dp_monotone_evals_total").add(m.evals);
             }
-            record_dp_path(DpPath::Monotone);
-            solution_from(&m.w, &m.choice, v, &s).map(Some)
+            solution_from(&m.w, &m.choice, v, &s, DpPath::Monotone).map(Some)
         }
         None => {
             if rsj_obs::metrics_enabled() {
@@ -268,7 +233,8 @@ fn prefix_weighted_values(v: &[f64], f: &[f64]) -> Vec<f64> {
     a
 }
 
-/// The exact `O(n²)` backward pass over precomputed arrays.
+/// The exact `O(n²)` backward pass over precomputed arrays; `path` says
+/// why it ran.
 fn exact_pass(
     v: &[f64],
     s: &[f64],
@@ -276,6 +242,7 @@ fn exact_pass(
     cost: &CostModel,
     par: &Parallelism,
     cancel: &CancelToken,
+    path: DpPath,
 ) -> Result<DpSolution> {
     let n = v.len();
     // w[i] = Wᵢ = E*ᵢ·Sᵢ; choice[i] = minimizing j.
@@ -347,13 +314,19 @@ fn exact_pass(
         n,
         if s[0] > 0.0 { w[0] / s[0] } else { f64::NAN }
     );
-    solution_from(&w, &choice, v, s)
+    solution_from(&w, &choice, v, s, path)
 }
 
 /// Backtracks the chosen reservations and packages the solution — shared
 /// verbatim by both passes so the output shape (and the `w[0] / s[0]`
 /// normalization) is computed identically.
-fn solution_from(w: &[f64], choice: &[usize], v: &[f64], s: &[f64]) -> Result<DpSolution> {
+fn solution_from(
+    w: &[f64],
+    choice: &[usize],
+    v: &[f64],
+    s: &[f64],
+    path: DpPath,
+) -> Result<DpSolution> {
     let n = v.len();
     let mut indices = Vec::new();
     let mut i = 0;
@@ -370,6 +343,7 @@ fn solution_from(w: &[f64], choice: &[usize], v: &[f64], s: &[f64]) -> Result<Dp
         expected_cost: w[0] / s[0],
         values,
         indices,
+        path,
     })
 }
 
@@ -491,19 +465,19 @@ impl Strategy for DiscretizedDp {
         dist: &dyn ContinuousDistribution,
         cost: &CostModel,
     ) -> Result<ReservationSequence> {
-        self.sequence_cancellable(dist, cost, &CancelToken::none())
+        Ok(self.solve(dist, cost, &CancelToken::none())?.sequence)
     }
 
-    fn sequence_cancellable(
+    fn solve(
         &self,
         dist: &dyn ContinuousDistribution,
         cost: &CostModel,
         cancel: &CancelToken,
-    ) -> Result<ReservationSequence> {
+    ) -> Result<Solve> {
         cancel.check()?;
         // Memoized discretization: repeated solves over the same
         // (dist, scheme, n, ε) skip every quantile/cdf call.
-        let eval = discretize_eval(dist, self.scheme, self.n, self.epsilon)?;
+        let (eval, source) = discretize_eval(dist, self.scheme, self.n, self.epsilon)?;
         let solution = if self.monotone {
             optimal_discrete_cancellable(&eval.discrete, cost, &Parallelism::current(), cancel)?
         } else {
@@ -514,10 +488,15 @@ impl Strategy for DiscretizedDp {
                 cancel,
             )?
         };
+        let solved = |sequence| Solve {
+            sequence,
+            dp_path: Some(solution.path),
+            eval_table: Some(source),
+        };
         let mut times = solution.values;
         let bounded = dist.support().is_bounded();
         if bounded {
-            return ReservationSequence::new(times, true);
+            return ReservationSequence::new(times, true).map(solved);
         }
         // Unbounded: extend past v_n = Q(1-ε) with conditional-mean steps.
         // The DP always ends at v_n, whose survival and conditional mean
@@ -542,7 +521,7 @@ impl Strategy for DiscretizedDp {
             times.push(next);
             t = next;
         }
-        ReservationSequence::new(times, false)
+        ReservationSequence::new(times, false).map(solved)
     }
 }
 

@@ -18,10 +18,9 @@ mod spec;
 
 pub use brute_force::{BruteForce, EvalMethod, SweepPoint};
 pub use dp::{
-    clear_last_dp_path, discrete_sequence_cost, last_dp_path, optimal_discrete,
-    optimal_discrete_cancellable, optimal_discrete_exact, optimal_discrete_exact_cancellable,
-    optimal_discrete_exact_par, optimal_discrete_monotone, optimal_discrete_par, DiscretizedDp,
-    DpPath, DpSolution,
+    discrete_sequence_cost, optimal_discrete, optimal_discrete_cancellable, optimal_discrete_exact,
+    optimal_discrete_exact_cancellable, optimal_discrete_exact_par, optimal_discrete_monotone,
+    optimal_discrete_par, DiscretizedDp, DpPath, DpSolution,
 };
 pub use dp_monotone::monotone_gate;
 pub use simple::{MeanByMean, MeanDoubling, MeanStdev, MedianByMedian};
@@ -31,7 +30,7 @@ use crate::cancel::CancelToken;
 use crate::cost::CostModel;
 use crate::error::Result;
 use crate::sequence::ReservationSequence;
-use rsj_dist::ContinuousDistribution;
+use rsj_dist::{ContinuousDistribution, EvalTableSource};
 
 /// A reservation strategy: computes an increasing sequence of reservation
 /// lengths for a given job-time distribution and cost model.
@@ -46,21 +45,40 @@ pub trait Strategy: Send + Sync {
         cost: &CostModel,
     ) -> Result<ReservationSequence>;
 
-    /// [`sequence`](Self::sequence) with cooperative cancellation: returns
+    /// [`sequence`](Self::sequence) with cooperative cancellation and the
+    /// solve's own attribution: returns
     /// [`CoreError::Cancelled`](crate::CoreError::Cancelled) once `cancel`
-    /// fires. The default checks once up front and then runs to
-    /// completion — right for the O(1)-ish §4.3 rules; the expensive
-    /// solvers ([`BruteForce`], [`DiscretizedDp`]) override it to poll at
-    /// loop granularity so a deadline can interrupt a solve mid-flight.
-    fn sequence_cancellable(
+    /// fires. The default checks once up front, runs to completion and
+    /// attributes nothing — right for the O(1)-ish §4.3 rules. The
+    /// expensive solvers override it to poll at loop granularity so a
+    /// deadline can interrupt a solve mid-flight; [`DiscretizedDp`] also
+    /// reports its DP pass and eval-table source.
+    fn solve(
         &self,
         dist: &dyn ContinuousDistribution,
         cost: &CostModel,
         cancel: &CancelToken,
-    ) -> Result<ReservationSequence> {
+    ) -> Result<Solve> {
         cancel.check()?;
-        self.sequence(dist, cost)
+        Ok(Solve {
+            sequence: self.sequence(dist, cost)?,
+            dp_path: None,
+            eval_table: None,
+        })
     }
+}
+
+/// What [`Strategy::solve`] returns: the sequence, and how a discretized
+/// DP obtained it. Both attributions are `None` for a solver that does
+/// not discretize.
+#[derive(Debug, Clone)]
+pub struct Solve {
+    /// The reservation sequence.
+    pub sequence: ReservationSequence,
+    /// Which DP pass ran: the monotone fast path or the exact fallback.
+    pub dp_path: Option<DpPath>,
+    /// Whether the discretized law came warm from the memo or was built.
+    pub eval_table: Option<EvalTableSource>,
 }
 
 /// Parameters shared by the sequence generators of the simple heuristics:

@@ -64,10 +64,10 @@ pub use eval::{
     run_job_convex, RunOutcome,
 };
 pub use heuristics::{
-    clear_last_dp_path, last_dp_path, monotone_gate, optimal_discrete, optimal_discrete_exact,
-    optimal_discrete_exact_par, optimal_discrete_monotone, optimal_discrete_par, paper_suite,
-    BruteForce, DiscretizedDp, DpPath, DpSolution, EvalMethod, MeanByMean, MeanDoubling, MeanStdev,
-    MedianByMedian, SolverSpec, Strategy, SuiteBuilder, SweepPoint, TailPolicy,
+    monotone_gate, optimal_discrete, optimal_discrete_exact, optimal_discrete_exact_par,
+    optimal_discrete_monotone, optimal_discrete_par, paper_suite, BruteForce, DiscretizedDp,
+    DpPath, DpSolution, EvalMethod, MeanByMean, MeanDoubling, MeanStdev, MedianByMedian, Solve,
+    SolverSpec, Strategy, SuiteBuilder, SweepPoint, TailPolicy,
 };
 pub use recurrence::{sequence_from_t1, sequence_from_t1_convex, RecurrenceConfig};
 pub use risk::{budget_at_quantile, risk_profile, CostBracket, RiskProfile};

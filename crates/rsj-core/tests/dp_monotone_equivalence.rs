@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rsj_core::{
     monotone_gate, optimal_discrete, optimal_discrete_exact, optimal_discrete_monotone,
-    CancelToken, CostModel, DpSolution,
+    CancelToken, CostModel, DpPath, DpSolution,
 };
 use rsj_dist::{discretize, DiscreteDistribution, DiscretizationScheme, DistSpec};
 
@@ -53,17 +53,28 @@ fn assert_bit_identical(fast: &DpSolution, exact: &DpSolution, context: &str) {
 }
 
 /// Runs both passes on `d`; the fast path must fire (`fire` = true) or at
-/// least match when it does.
+/// least match when it does. Each solution must name the pass that built
+/// it.
 fn check_equivalence(d: &DiscreteDistribution, cost: &CostModel, fire: bool, context: &str) {
     let exact = optimal_discrete_exact(d, cost).expect("exact pass solves");
-    match optimal_discrete_monotone(d, cost, &CancelToken::none()).expect("no cancellation") {
-        Some(fast) => assert_bit_identical(&fast, &exact, context),
+    assert_eq!(exact.path, DpPath::ExactForced, "{context}");
+    let fast = optimal_discrete_monotone(d, cost, &CancelToken::none()).expect("no cancellation");
+    match &fast {
+        Some(fast) => {
+            assert_bit_identical(fast, &exact, context);
+            assert_eq!(fast.path, DpPath::Monotone, "{context}");
+        }
         None => assert!(!fire, "{context}: fast path unexpectedly declined"),
     }
     // The public auto-dispatch entry point must agree with the exact pass
-    // regardless of which branch it took.
+    // regardless of which branch it took, and say which one that was.
     let auto = optimal_discrete(d, cost).expect("auto entry point solves");
     assert_bit_identical(&auto, &exact, context);
+    let branch = match fast {
+        Some(_) => DpPath::Monotone,
+        None => DpPath::ExactDeclined,
+    };
+    assert_eq!(auto.path, branch, "{context}");
 }
 
 #[test]
@@ -144,6 +155,7 @@ fn near_tie_aborts_and_falls_back_to_exact() {
     let exact = optimal_discrete_exact(&d, &cost).unwrap();
     let auto = optimal_discrete(&d, &cost).unwrap();
     assert_bit_identical(&auto, &exact, "near-tie fallback");
+    assert_eq!(auto.path, DpPath::ExactDeclined);
 }
 
 #[test]

@@ -308,11 +308,10 @@ type Memo = GreedyDualSize<CacheKey, Arc<DiscretizedEval>>;
 
 static CACHE: OnceLock<Mutex<Memo>> = OnceLock::new();
 
-/// How the most recent [`discretize_eval`] call on this thread obtained
-/// its entry: the discretized law and its last-point tail values. A
-/// per-thread side channel (like `rsj-core`'s DP-path attribution) so
-/// solve explanations can say "warm" or "cold" without racing other
-/// threads' cache traffic the way global hit/miss deltas would.
+/// How a [`discretize_eval`] call obtained its entry: the discretized
+/// law and its last-point tail values. Returned with the entry, so a
+/// solve can say "warm" or "cold" about its own table without reading
+/// the memo's global hit/miss counters, which other threads move too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalTableSource {
     /// Served from the process-wide memo (warm).
@@ -333,30 +332,6 @@ impl EvalTableSource {
     }
 }
 
-thread_local! {
-    static LAST_EVAL_SOURCE: std::cell::Cell<Option<EvalTableSource>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// Discards any previously recorded source so a following
-/// [`last_eval_source`] cannot read attribution left over from an
-/// earlier, unrelated solve on this thread.
-pub fn clear_last_eval_source() {
-    LAST_EVAL_SOURCE.with(|c| c.set(None));
-}
-
-/// The source recorded by the most recent [`discretize_eval`] call on
-/// this thread, without clearing it; `None` when none has run since
-/// [`clear_last_eval_source`] (e.g. a closed-form heuristic that never
-/// discretizes).
-pub fn last_eval_source() -> Option<EvalTableSource> {
-    LAST_EVAL_SOURCE.with(|c| c.get())
-}
-
-fn record_eval_source(source: EvalTableSource) {
-    LAST_EVAL_SOURCE.with(|c| c.set(Some(source)));
-}
-
 fn cache() -> MutexGuard<'static, Memo> {
     CACHE
         .get_or_init(|| Mutex::new(Memo::new(CACHE_MAX_ENTRIES, CACHE_MAX_BYTES)))
@@ -367,6 +342,7 @@ fn cache() -> MutexGuard<'static, Memo> {
 /// Discretizes `dist` (same semantics as [`discretize`]) and evaluates
 /// `survival` and `conditional_mean_above` at the last support point,
 /// memoized process-wide by `(dist.cache_key(), scheme, n, epsilon)`.
+/// Returns the entry with where it came from.
 ///
 /// The memo holds at most 128 entries and 2,048,000 bytes (16 per support
 /// point). When full, it evicts the entry with the least build time per
@@ -382,7 +358,7 @@ pub fn discretize_eval(
     scheme: DiscretizationScheme,
     n: usize,
     epsilon: f64,
-) -> Result<Arc<DiscretizedEval>> {
+) -> Result<(Arc<DiscretizedEval>, EvalTableSource)> {
     let key = dist.cache_key().map(|dist| CacheKey {
         dist,
         scheme,
@@ -391,11 +367,9 @@ pub fn discretize_eval(
     });
     if let Some(key) = &key {
         if let Some(hit) = cache().get(key) {
-            record_eval_source(EvalTableSource::CacheHit);
-            return Ok(hit);
+            return Ok((hit, EvalTableSource::CacheHit));
         }
     }
-    record_eval_source(EvalTableSource::Built);
 
     let start = Instant::now();
     let discrete = discretize(dist, scheme, n, epsilon)?;
@@ -418,7 +392,7 @@ pub fn discretize_eval(
         let bytes = BYTES_PER_POINT * entry.discrete.len();
         cache().insert(key, Arc::clone(&entry), bytes, cost);
     }
-    Ok(entry)
+    Ok((entry, EvalTableSource::Built))
 }
 
 /// The process-wide discretization memo's counters since start (or the
@@ -504,17 +478,24 @@ mod tests {
         let _guard = global_memo_lock();
         clear_eval_cache();
         let d = LogNormal::new(1.25, 0.4).unwrap();
-        let a = discretize_eval(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
-        let b = discretize_eval(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
+        let (a, a_source) =
+            discretize_eval(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
+        let (b, b_source) =
+            discretize_eval(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
+        assert_eq!(
+            (a_source, b_source),
+            (EvalTableSource::Built, EvalTableSource::CacheHit)
+        );
         let stats = eval_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!((stats.entries, stats.bytes), (1, 16 * a.discrete.len()));
         assert!(stats.build_seconds > 0.0);
 
         // Different scheme / n / epsilon are distinct entries.
-        let c = discretize_eval(&d, DiscretizationScheme::EqualTime, 64, 1e-7).unwrap();
+        let (c, c_source) = discretize_eval(&d, DiscretizationScheme::EqualTime, 64, 1e-7).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(c_source, EvalTableSource::Built);
         let reference = discretize(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
         assert_eq!(a.discrete, reference, "cached law must equal discretize()");
         // The tail values are the table's last entries, bit for bit.
@@ -533,9 +514,11 @@ mod tests {
         let samples: Vec<f64> = (1..=200).map(|i| i as f64 * 0.1).collect();
         let d = crate::interpolated::InterpolatedEmpirical::from_samples(&samples).unwrap();
         assert!(d.cache_key().is_none());
-        let a = discretize_eval(&d, DiscretizationScheme::EqualProbability, 32, 1e-7).unwrap();
-        let b = discretize_eval(&d, DiscretizationScheme::EqualProbability, 32, 1e-7).unwrap();
+        let (a, _) = discretize_eval(&d, DiscretizationScheme::EqualProbability, 32, 1e-7).unwrap();
+        let (b, b_source) =
+            discretize_eval(&d, DiscretizationScheme::EqualProbability, 32, 1e-7).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "no faithful key → no sharing");
+        assert_eq!(b_source, EvalTableSource::Built);
         assert_eq!(a.discrete, b.discrete);
         let t = EvalTable::build(&d, a.discrete.values().to_vec()).unwrap();
         let last = t.len() - 1;
@@ -559,8 +542,8 @@ mod tests {
         let stats = eval_cache_stats();
         assert_eq!(stats.misses, 201);
         assert!(stats.evictions >= 201 - CACHE_MAX_ENTRIES as u64);
-        discretize_eval(&beta, scheme, 1000, 1e-7).unwrap();
-        assert_eq!(last_eval_source(), Some(EvalTableSource::CacheHit));
+        let (_, source) = discretize_eval(&beta, scheme, 1000, 1e-7).unwrap();
+        assert_eq!(source, EvalTableSource::CacheHit);
         clear_eval_cache();
     }
 

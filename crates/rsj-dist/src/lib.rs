@@ -65,8 +65,8 @@ pub use discrete::{discretize, DiscreteDistribution, DiscretizationScheme};
 pub use empirical::Empirical;
 pub use error::{DistError, Result};
 pub use eval_table::{
-    clear_eval_cache, clear_last_eval_source, discretize_eval, eval_cache_stats, last_eval_source,
-    DiscretizedEval, EvalCacheStats, EvalTable, EvalTableSource,
+    clear_eval_cache, discretize_eval, eval_cache_stats, DiscretizedEval, EvalCacheStats,
+    EvalTable, EvalTableSource,
 };
 pub use fit::{fit_affine, fit_lognormal, AffineFit, LogNormalFit};
 pub use interpolated::InterpolatedEmpirical;

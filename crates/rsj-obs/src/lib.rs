@@ -1,16 +1,18 @@
 //! Observability for the reservation-strategies workspace: structured
 //! span/event tracing, a metrics registry with mergeable log-linear
 //! histograms (with per-bucket exemplars), exporters (Prometheus text
-//! exposition and round-trip-exact JSON), wall-clock profiling hooks,
-//! and per-request distributed tracing — [`TraceContext`] identities,
-//! [`Timeline`] stage recorders, a [`TraceRing`] of completed request
-//! timelines, and a Chrome-trace/Perfetto exporter
-//! ([`chrome_trace_json`]).
+//! exposition and round-trip-exact JSON), and per-request distributed
+//! tracing — [`TraceContext`] identities, [`Timeline`] stage recorders,
+//! a [`TraceRing`] of completed request timelines, and a
+//! Chrome-trace/Perfetto exporter ([`chrome_trace_json`]).
+//!
+//! One timer serves both sinks: a [`span!`] times its scope once and
+//! reports to the subscriber when span tracing is on and to its
+//! wall-time histogram when metrics are on.
 //!
 //! The crate is built so that *disabled* observability is effectively
-//! free: every tracing macro and metrics guard reduces to one relaxed
-//! atomic load on its fast path, and the [`timer::NoopRecorder`] lets
-//! generic instrumentation compile out entirely.
+//! free: every tracing macro and metrics guard reduces to a relaxed
+//! atomic load on its fast path, and nothing allocates.
 //!
 //! ## Quick start
 //!
@@ -46,7 +48,6 @@ pub mod metrics;
 pub mod ring;
 pub mod subscribers;
 pub mod timeline;
-pub mod timer;
 pub mod trace;
 
 pub use chrome::chrome_trace_json;
@@ -58,12 +59,11 @@ pub use histogram::{Exemplar, Histogram, SUBBUCKETS};
 pub use level::{parse_filter, Level, ParseLevelError};
 pub use metrics::{Counter, Gauge, HistogramHandle, Registry};
 pub use ring::TraceRing;
-pub use subscribers::{JsonLinesSink, MemorySink, StderrLogger};
+pub use subscribers::{MemorySink, StderrLogger};
 pub use timeline::{
     request_tracing_enabled, set_request_tracing, set_trace_seed, StageRecord, Timeline,
     TimelineRecord, TraceContext,
 };
-pub use timer::{NoopRecorder, Recorder, ScopedTimer, Stopwatch};
 pub use trace::{clear_subscriber, set_subscriber, Span, Subscriber};
 
 use std::sync::Arc;

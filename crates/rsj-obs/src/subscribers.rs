@@ -1,12 +1,8 @@
 //! Ready-made [`Subscriber`] implementations: the leveled stderr logger
-//! behind `RSJ_LOG`, a JSON-lines sink for machine-readable traces, and an
-//! in-memory capture for tests.
+//! behind `RSJ_LOG` and an in-memory capture for tests.
 
 use crate::level::Level;
 use crate::trace::{Event, SpanRecord, Subscriber};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -50,78 +46,6 @@ impl Subscriber for StderrLogger {
             span.spans.join(">"),
             elapsed
         );
-    }
-}
-
-/// Writes one JSON object per line (events and span exits) to any writer —
-/// the machine-readable twin of [`StderrLogger`].
-///
-/// Lines have the shape
-/// `{"type":"event","level":"info","target":"…","spans":[…],"message":"…"}`
-/// and
-/// `{"type":"span","name":"…","spans":[…],"elapsed_secs":0.0012}`.
-pub struct JsonLinesSink {
-    level: Level,
-    writer: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonLinesSink {
-    /// A sink writing to `writer` at `level`.
-    pub fn new(level: Level, writer: Box<dyn Write + Send>) -> Self {
-        Self {
-            level,
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// A sink appending to the file at `path` (created if absent).
-    pub fn to_file(level: Level, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::new(level, Box::new(BufWriter::new(file))))
-    }
-
-    fn write_line(&self, value: impl serde::Serialize) {
-        let Ok(line) = serde_json::to_string(&value) else {
-            return;
-        };
-        let mut writer = self.writer.lock().expect("sink lock poisoned");
-        // A full disk or closed pipe must not take the traced program
-        // down; the line is dropped.
-        let _ = writeln!(writer, "{line}");
-        let _ = writer.flush();
-    }
-}
-
-impl std::fmt::Debug for JsonLinesSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonLinesSink")
-            .field("level", &self.level)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Subscriber for JsonLinesSink {
-    fn max_level(&self) -> Level {
-        self.level
-    }
-
-    fn on_event(&self, event: &Event<'_>) {
-        self.write_line(serde_json::json!({
-            "type": "event",
-            "level": event.level.as_str(),
-            "target": event.target,
-            "spans": event.spans,
-            "message": event.message,
-        }));
-    }
-
-    fn on_span_exit(&self, span: &SpanRecord<'_>, elapsed: Duration) {
-        self.write_line(serde_json::json!({
-            "type": "span",
-            "name": span.name,
-            "spans": span.spans,
-            "elapsed_secs": elapsed.as_secs_f64(),
-        }));
     }
 }
 

@@ -122,6 +122,14 @@ impl StageRecord {
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
+
+    /// The value of the argument `key`, if recorded.
+    pub fn arg(&self, key: &str) -> Option<&str> {
+        self.args
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
 }
 
 /// A frozen, serializable request timeline.
@@ -145,6 +153,12 @@ impl TimelineRecord {
             .iter()
             .find(|s| s.name == name)
             .map(StageRecord::duration_us)
+    }
+
+    /// The value of the argument `key` on the first stage named `stage`,
+    /// if both exist.
+    pub fn stage_arg(&self, stage: &str, key: &str) -> Option<&str> {
+        self.stages.iter().find(|s| s.name == stage)?.arg(key)
     }
 
     /// The sum of all recorded stage durations — comparable to
@@ -266,22 +280,36 @@ impl Timeline {
     /// Runs `f`, recording it as stage `name`. When disabled this calls
     /// `f` directly without reading the clock.
     pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        match &mut self.inner {
-            None => f(),
-            Some(inner) => {
-                let start = Instant::now();
-                let out = f();
-                let start_us = micros_since(inner.epoch, start);
-                let end_us = micros_since(inner.epoch, Instant::now()).max(start_us);
-                inner.stages.push(LiveStage {
-                    name,
-                    start_us,
-                    end_us,
-                    args: Vec::new(),
-                });
-                out
-            }
-        }
+        self.time_folded(name, |_| f())
+    }
+
+    /// Runs `f` on this timeline and folds the stages it recorded into
+    /// one stage `name` that spans them all: it keeps their args, in
+    /// recording order, and drops their intervals. The stage ends after
+    /// the fold, so the bookkeeping counts inside it. A batch records
+    /// one stage per item this way, each carrying its own solve's
+    /// attribution. When disabled this calls `f` without reading the
+    /// clock.
+    pub fn time_folded<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
+        let Some(inner) = &self.inner else {
+            return f(self);
+        };
+        let first = inner.stages.len();
+        let start = Instant::now();
+        let out = f(self);
+        let Some(inner) = &mut self.inner else {
+            return out;
+        };
+        let args = inner.stages.drain(first..).flat_map(|s| s.args).collect();
+        let start_us = micros_since(inner.epoch, start);
+        let end_us = micros_since(inner.epoch, Instant::now()).max(start_us);
+        inner.stages.push(LiveStage {
+            name,
+            start_us,
+            end_us,
+            args,
+        });
+        out
     }
 
     /// Freezes the current state into a [`TimelineRecord`] without
@@ -384,6 +412,32 @@ mod tests {
         t.record_span("ignored", Instant::now(), Instant::now());
         assert_eq!(t.time("ignored", || 7), 7);
         assert!(t.finish("ignored").is_none());
+    }
+
+    #[test]
+    fn folded_stages_keep_their_args_in_one_stage() {
+        let mut t = Timeline::begin(TraceContext::generate(), Instant::now());
+        t.time("before", || ());
+        let out = t.time_folded("item", |t| {
+            t.time("solve", || ());
+            t.annotate_last("eval_table", "cold");
+            t.time("score", || ());
+            7
+        });
+        assert_eq!(out, 7);
+        t.annotate_last("item", "0");
+        let record = t.finish("batch").unwrap();
+        let names: Vec<&str> = record.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["before", "item"]);
+        assert_eq!(record.stage_arg("item", "eval_table"), Some("cold"));
+        assert_eq!(record.stage_arg("item", "item"), Some("0"));
+        assert_eq!(record.stage_arg("item", "dp_path"), None);
+        assert_eq!(record.stage_arg("solve", "eval_table"), None);
+        assert!(record.stages[1].start_us >= record.stages[0].end_us);
+
+        let mut off = Timeline::disabled();
+        assert_eq!(off.time_folded("item", |t| t.time("solve", || 3)), 3);
+        assert!(off.finish("batch").is_none());
     }
 
     #[test]

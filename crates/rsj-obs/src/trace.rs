@@ -8,9 +8,11 @@
 //! `AtomicU8` (`0` = no subscriber). Every macro expansion first checks
 //! that atomic with a relaxed load; when the level is filtered out the
 //! expansion performs **no formatting, no allocation, no clock read and no
-//! lock** — an inactive [`Span`] is a `None` and its `Drop` is a branch.
+//! lock**. A [`Span`] also checks the metrics switch: with neither on it
+//! is inert and its `Drop` is a branch.
 
 use crate::level::Level;
+use crate::metrics;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, RwLock};
@@ -120,59 +122,45 @@ pub fn dispatch_event(level: Level, target: &str, args: std::fmt::Arguments<'_>)
     });
 }
 
-/// An RAII span: created by the [`span!`](crate::span) macro, pushes its
-/// name onto the thread-local span stack and reports its wall time to the
-/// subscriber on drop.
+/// An RAII span: created by the [`span!`](crate::span) macro, it times
+/// its scope once and reports that wall time on drop to the two sinks
+/// that were on when it was entered:
 ///
-/// Spans are active only when the installed subscriber's level reaches
-/// [`Level::Trace`]; otherwise construction returns an inert value whose
-/// drop is a branch on `None`.
+/// - the subscriber, when one at [`Level::Trace`] was installed — the
+///   span's name is pushed onto the thread-local span stack for the
+///   span's lifetime;
+/// - the global registry's histogram `histogram` (in seconds), when
+///   metrics were enabled.
+///
+/// With neither on, construction reads no clock and the drop is a branch
+/// on `None`.
 #[derive(Debug)]
 #[must_use = "a span is exited when dropped; binding it to `_` drops it immediately"]
 pub struct Span {
     name: &'static str,
+    /// The histogram to record into; `None` when metrics were off.
+    histogram: Option<&'static str>,
+    /// Whether the subscriber saw this span's entry.
+    traced: bool,
     start: Option<Instant>,
 }
 
 impl Span {
-    /// Enters a span named `name` (no-op unless span tracing is enabled).
+    /// Enters a span named `name` that records its wall time into the
+    /// histogram `histogram` (each a no-op unless its sink is on).
     #[inline]
-    pub fn enter(name: &'static str) -> Self {
-        if !enabled(Level::Trace) {
-            return Self { name, start: None };
+    pub fn enter(name: &'static str, histogram: &'static str) -> Self {
+        let traced = enabled(Level::Trace);
+        let histogram = metrics::enabled().then_some(histogram);
+        if traced {
+            enter_span(name);
         }
-        Self::enter_active(name)
-    }
-
-    #[cold]
-    fn enter_active(name: &'static str) -> Self {
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            stack.push(name);
-            let guard = SUBSCRIBER.read().expect("subscriber lock poisoned");
-            if let Some(subscriber) = guard.as_ref() {
-                subscriber.on_span_enter(&SpanRecord {
-                    name,
-                    depth: stack.len(),
-                    spans: &stack,
-                });
-            }
-        });
         Self {
             name,
-            start: Some(Instant::now()),
+            histogram,
+            traced,
+            start: (traced || histogram.is_some()).then(Instant::now),
         }
-    }
-
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Whether the span is actually recording (a subscriber at `Trace`
-    /// level was installed when it was entered).
-    pub fn is_active(&self) -> bool {
-        self.start.is_some()
     }
 }
 
@@ -180,9 +168,33 @@ impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            exit_span(self.name, start.elapsed());
+            let elapsed = start.elapsed();
+            if self.traced {
+                exit_span(self.name, elapsed);
+            }
+            if let Some(histogram) = self.histogram {
+                metrics::global()
+                    .histogram(histogram)
+                    .observe(elapsed.as_secs_f64());
+            }
         }
     }
+}
+
+#[cold]
+fn enter_span(name: &'static str) {
+    SPAN_STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        stack.push(name);
+        let guard = SUBSCRIBER.read().expect("subscriber lock poisoned");
+        if let Some(subscriber) = guard.as_ref() {
+            subscriber.on_span_enter(&SpanRecord {
+                name,
+                depth: stack.len(),
+                spans: &stack,
+            });
+        }
+    });
 }
 
 #[cold]
@@ -208,22 +220,19 @@ fn exit_span(name: &'static str, elapsed: Duration) {
     });
 }
 
-/// Runs `f` with the current thread's span stack (outermost first).
-pub fn with_current_spans<T>(f: impl FnOnce(&[&'static str]) -> T) -> T {
-    SPAN_STACK.with(|stack| f(&stack.borrow()))
-}
-
-/// Enters a span named `$name` (a `&'static str`), returning a guard that
-/// reports wall time to the subscriber when dropped.
+/// Enters a span named `$name` that records its wall time into the
+/// global histogram `$histogram` (both `&'static str`), returning a guard
+/// that reports when dropped — to the subscriber when span tracing is on,
+/// to the histogram when metrics are on.
 ///
 /// ```
-/// let _guard = rsj_obs::span!("solver.brute_force");
+/// let _guard = rsj_obs::span!("solver.brute_force", "solver_wall_seconds");
 /// // ... traced work ...
 /// ```
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::trace::Span::enter($name)
+    ($name:expr, $histogram:expr) => {
+        $crate::trace::Span::enter($name, $histogram)
     };
 }
 

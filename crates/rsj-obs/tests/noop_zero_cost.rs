@@ -2,7 +2,7 @@
 //! metrics disabled, instrumented code paths allocate nothing, print
 //! nothing, and record nothing.
 
-use rsj_obs::{Level, MemorySink, NoopRecorder, Recorder, ScopedTimer};
+use rsj_obs::{Level, MemorySink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -49,12 +49,12 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A stand-in for an instrumented hot path: spans, leveled events with
-/// formatting arguments, a scoped timer, recorder calls, and a
-/// per-request timeline (disabled unless request tracing is on).
-fn instrumented_work(recorder: &impl Recorder, iterations: u64) -> f64 {
-    let _timer = ScopedTimer::global("noop_test_wall_seconds");
-    let _span = rsj_obs::span!("noop_test");
+/// A stand-in for an instrumented hot path: a span with its wall-time
+/// histogram, leveled events with formatting arguments, guarded registry
+/// calls, and a per-request timeline (disabled unless request tracing is
+/// on).
+fn instrumented_work(iterations: u64) -> f64 {
+    let _span = rsj_obs::span!("noop_test", "noop_test_wall_seconds");
     let epoch = std::time::Instant::now();
     let mut timeline = rsj_obs::Timeline::begin_if_enabled(epoch);
     let mut acc = 0.0;
@@ -63,10 +63,18 @@ fn instrumented_work(recorder: &impl Recorder, iterations: u64) -> f64 {
         rsj_obs::debug!("iteration {} acc {}", i, acc);
         rsj_obs::trace!("fine-grained {}", i);
         acc += timeline.time("noop_stage", || (i as f64).sqrt());
-        recorder.observe("noop_test_values", acc);
+        if rsj_obs::metrics_enabled() {
+            rsj_obs::global_registry()
+                .histogram("noop_test_values")
+                .observe(acc);
+        }
     }
     timeline.record_span("noop_span", epoch, epoch);
-    recorder.add("noop_test_iterations", iterations);
+    if rsj_obs::metrics_enabled() {
+        rsj_obs::global_registry()
+            .counter("noop_test_iterations")
+            .add(iterations);
+    }
     // A disabled timeline yields no record (and allocated nothing on the
     // way here).
     assert!(timeline.finish("noop").is_some() == rsj_obs::request_tracing_enabled());
@@ -84,10 +92,10 @@ fn disabled_observability_does_not_allocate_or_record() {
 
     // Warm up once so lazily initialized runtime structures (thread-local
     // registration, etc.) don't count against the measured region.
-    std::hint::black_box(instrumented_work(&NoopRecorder, 10));
+    std::hint::black_box(instrumented_work(10));
 
     let before = allocations();
-    let result = std::hint::black_box(instrumented_work(&NoopRecorder, 10_000));
+    let result = std::hint::black_box(instrumented_work(10_000));
     let after = allocations();
 
     assert!(result > 0.0);
@@ -111,7 +119,7 @@ fn disabled_tracing_emits_nothing_to_a_sink_installed_later() {
     // Events emitted while disabled are gone: installing a sink afterwards
     // must observe an empty world, proving nothing was buffered.
     rsj_obs::init(None);
-    std::hint::black_box(instrumented_work(&NoopRecorder, 100));
+    std::hint::black_box(instrumented_work(100));
 
     let sink = Arc::new(MemorySink::new(Level::Trace));
     rsj_obs::set_subscriber(sink.clone());
@@ -119,7 +127,7 @@ fn disabled_tracing_emits_nothing_to_a_sink_installed_later() {
     assert!(sink.span_exits().is_empty());
 
     // And with the sink live, the same code does report.
-    std::hint::black_box(instrumented_work(&NoopRecorder, 3));
+    std::hint::black_box(instrumented_work(3));
     assert!(!sink.events().is_empty(), "live sink must receive events");
     assert!(
         !sink.span_exits().is_empty(),
@@ -144,4 +152,36 @@ fn request_tracing_toggle_gates_timeline_capture() {
     assert_eq!(record.op, "noop");
     assert!(record.stage_us("stage_a").is_some());
     rsj_obs::set_request_tracing(false);
+}
+
+/// One `span!` scope feeding the histogram `histogram`.
+fn one_span(histogram: &'static str) {
+    let _span = rsj_obs::span!("one_span", histogram);
+    std::hint::black_box((0..100u64).sum::<u64>());
+}
+
+#[test]
+fn span_with_metrics_on_records_one_sample() {
+    let _guard = global_state();
+    rsj_obs::init(None);
+    rsj_obs::set_metrics_enabled(true);
+    one_span("one_span_metered_wall_seconds");
+    rsj_obs::set_metrics_enabled(false);
+    let histogram = rsj_obs::global_registry().histogram("one_span_metered_wall_seconds");
+    assert_eq!(histogram.snapshot().count(), 1);
+}
+
+#[test]
+fn span_with_a_trace_subscriber_reports_one_exit_and_no_metric() {
+    let _guard = global_state();
+    rsj_obs::set_metrics_enabled(false);
+    let sink = Arc::new(MemorySink::new(Level::Trace));
+    rsj_obs::set_subscriber(sink.clone());
+    one_span("one_span_traced_wall_seconds");
+    rsj_obs::clear_subscriber();
+    let exits = sink.span_exits();
+    assert_eq!(exits.len(), 1, "{exits:?}");
+    assert_eq!(exits[0].0, "one_span");
+    let names = rsj_obs::global_registry().names();
+    assert!(!names.iter().any(|n| n == "one_span_traced_wall_seconds"));
 }

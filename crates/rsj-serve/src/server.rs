@@ -1779,27 +1779,15 @@ fn handle_plan_batch(
     let mut results: Vec<(usize, BatchItem)> = Vec::with_capacity(items.len());
     for (i, built) in order {
         let item = &items[i];
-        // A cache hit or a coalesced item runs no solve here, so it must
-        // not inherit the previous item's eval-table attribution.
-        rsj_dist::clear_last_eval_source();
-        // Items record no inner stages, so a frame's timeline stays one
-        // stage per item however large the frame is.
-        let served = timeline.time("item", || {
-            let mut untraced = rsj_obs::Timeline::disabled();
-            serve_plan(
-                shared,
-                built,
-                item.simulate,
-                deadline,
-                &mut tally,
-                &mut untraced,
-            )
+        // Each item's stages fold into one, so a frame's timeline stays
+        // one stage per item however large the frame is, and an item
+        // carries the attribution of its own solve: none for a cache hit
+        // or a coalesced follower.
+        let served = timeline.time_folded("item", |timeline| {
+            serve_plan(shared, built, item.simulate, deadline, &mut tally, timeline)
         });
         if timeline.is_enabled() {
             timeline.annotate_last("item", i.to_string());
-            if let Some(source) = rsj_dist::last_eval_source() {
-                timeline.annotate_last("eval_table", source.as_str());
-            }
             match &served {
                 Ok(served) => timeline.annotate_last("digest", served.plan.digest.as_str()),
                 Err((_, message)) => timeline.annotate_last("error", message.as_str()),

@@ -189,9 +189,18 @@ fn byte_drip_peer_is_evicted_at_the_idle_deadline() {
         }
     });
     let mut buf = [0u8; 16];
-    let n = stream.read(&mut buf).expect("read until server close");
+    let read = stream.read(&mut buf);
     let elapsed = started.elapsed();
-    assert_eq!(n, 0, "eviction closes without a reply");
+    // EOF and a reset both mean "closed without a reply": the server may
+    // evict while a drip byte sits unread in its socket, and Linux
+    // answers a close with unread input by sending RST. A reply byte, a
+    // read timeout (no eviction) or any other error fails.
+    match read {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Ok(n) => panic!("eviction closes without a reply, got {n} bytes"),
+        Err(e) => panic!("read until server close: {e}"),
+    }
     assert!(
         elapsed >= Duration::from_millis(300) && elapsed < Duration::from_secs(5),
         "evicted at the idle deadline, not sooner or much later: {elapsed:?}"

@@ -365,6 +365,51 @@ fn traced_batches_record_one_annotated_stage_per_item() {
 }
 
 #[test]
+fn batch_items_carry_their_own_solves_attribution() {
+    let _guard = registry_lock();
+    let (addr, handle, join) = spawn_server(traced_config(8));
+    let mut client = Client::connect(addr).expect("connect");
+
+    // [A, A, B]: A is a DP item on a law no other test plans, so its one
+    // solve builds a cold table and its twin is a plan-cache hit; B is a
+    // closed-form item.
+    let a = PlanRequest::new(DistSpec::Weibull {
+        lambda: 2.71,
+        kappa: 1.61,
+    })
+    .with_solver(fast_dp());
+    let b =
+        PlanRequest::new(DistSpec::Exponential { lambda: 1.0 }).with_solver(SolverSpec::MeanByMean);
+    let response = client
+        .call(&Request::plan_batch(vec![a.clone(), a, b]).with_trace())
+        .expect("plan_batch");
+    let Response::PlanBatch {
+        results, timeline, ..
+    } = response
+    else {
+        panic!("expected a plan_batch response");
+    };
+    match &results[1] {
+        rsj_serve::BatchItem::Plan { provenance, .. } => assert!(provenance.cached),
+        other => panic!("slot 1: {other:?}"),
+    }
+    let timeline = timeline.expect("trace: true returns the server-side timeline");
+    let eval_table = |slot: &str| {
+        timeline
+            .stages
+            .iter()
+            .find(|s| s.name == "item" && s.arg("item") == Some(slot))
+            .unwrap_or_else(|| panic!("no item stage for slot {slot}: {timeline:?}"))
+            .arg("eval_table")
+    };
+    assert_eq!(eval_table("0"), Some("cold"), "{timeline:?}");
+    assert_eq!(eval_table("1"), None, "{timeline:?}");
+    assert_eq!(eval_table("2"), None, "{timeline:?}");
+
+    stop_server(handle, addr, join);
+}
+
+#[test]
 fn the_trace_op_serves_ring_timelines_with_filters() {
     let _guard = registry_lock();
     let (addr, handle, join) = spawn_server(traced_config(16));

@@ -348,8 +348,7 @@ pub fn run_adaptive(
         return Err(SimError::EmptyBatch);
     }
     config.validate()?;
-    let _wall = rsj_obs::ScopedTimer::global("rsj_sim_adaptive_wall_seconds");
-    let _span = rsj_obs::span!("sim.run_adaptive");
+    let _span = rsj_obs::span!("sim.run_adaptive", "rsj_sim_adaptive_wall_seconds");
     let par = Parallelism::current();
     let mut plan = strategy
         .sequence(prior, cost)

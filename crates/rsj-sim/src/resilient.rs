@@ -273,8 +273,7 @@ pub fn run_batch_resilient(
         return Err(SimError::EmptyBatch);
     }
     config.validate()?;
-    let _wall = rsj_obs::ScopedTimer::global("rsj_sim_batch_wall_seconds");
-    let _span = rsj_obs::span!("sim.run_batch_resilient");
+    let _span = rsj_obs::span!("sim.run_batch_resilient", "rsj_sim_batch_wall_seconds");
     let durations: Vec<f64> = (0..n).map(|_| dist.sample(rng)).collect();
     let results: Vec<ResilientOutcome> =
         Parallelism::current().try_par_map(&durations, |i, &t| {
@@ -303,8 +302,10 @@ pub fn run_batch_resilient_seeded(
         return Err(SimError::EmptyBatch);
     }
     config.validate()?;
-    let _wall = rsj_obs::ScopedTimer::global("rsj_sim_batch_wall_seconds");
-    let _span = rsj_obs::span!("sim.run_batch_resilient_seeded");
+    let _span = rsj_obs::span!(
+        "sim.run_batch_resilient_seeded",
+        "rsj_sim_batch_wall_seconds"
+    );
     let results: Vec<Result<ResilientOutcome, SimError>> = par.try_par_run(n, |i| {
         let mut rng = StdRng::seed_from_u64(substream_seed(seed, i as u64));
         let t = dist.sample(&mut rng);

@@ -68,8 +68,7 @@ pub fn run_batch(
     if n == 0 {
         return Err(SimError::EmptyBatch);
     }
-    let _wall = rsj_obs::ScopedTimer::global("rsj_sim_batch_wall_seconds");
-    let _span = rsj_obs::span!("sim.run_batch");
+    let _span = rsj_obs::span!("sim.run_batch", "rsj_sim_batch_wall_seconds");
     let durations: Vec<f64> = (0..n).map(|_| dist.sample(rng)).collect();
     let outcomes: Vec<RunOutcome> =
         Parallelism::current().try_par_map(&durations, |_, &t| run_job(seq, cost, t))?;
@@ -96,8 +95,7 @@ pub fn run_batch_seeded(
     if n == 0 {
         return Err(SimError::EmptyBatch);
     }
-    let _wall = rsj_obs::ScopedTimer::global("rsj_sim_batch_wall_seconds");
-    let _span = rsj_obs::span!("sim.run_batch_seeded");
+    let _span = rsj_obs::span!("sim.run_batch_seeded", "rsj_sim_batch_wall_seconds");
     let results: Vec<Result<RunOutcome, SimError>> = par.try_par_run(n, |i| {
         let mut rng = StdRng::seed_from_u64(substream_seed(seed, i as u64));
         let t = dist.sample(&mut rng);

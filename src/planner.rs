@@ -372,9 +372,10 @@ impl Planner {
     /// [`plan_many`](Self::plan_many) with cooperative cancellation and
     /// tracing. A fired token fails the *remaining* items with
     /// `CoreError::Cancelled`; already-solved items keep their results.
-    /// Each solved item records one `item` stage into `timeline`,
-    /// annotated with its batch index, eval-table attribution
-    /// (`warm`/`cold`) and outcome.
+    /// Each built item records one `item` stage into `timeline`: its
+    /// [`plan_traced`](Self::plan_traced) stages folded into one, so it
+    /// carries that solve's `dp_path` and `eval_table` (`warm`/`cold`)
+    /// when it has them, then its batch index and outcome.
     pub fn plan_many_traced(
         requests: &[PlanRequest],
         cancel: &CancelToken,
@@ -384,14 +385,10 @@ impl Planner {
             .into_iter()
             .map(|(i, built)| {
                 let out = built.and_then(|planner| {
-                    let out = timeline.time("item", || {
-                        planner.plan_traced(cancel, &mut rsj_obs::Timeline::disabled())
-                    });
+                    let out = timeline
+                        .time_folded("item", |timeline| planner.plan_traced(cancel, timeline));
                     if timeline.is_enabled() {
                         timeline.annotate_last("item", i.to_string());
-                        if let Some(source) = rsj_dist::last_eval_source() {
-                            timeline.annotate_last("eval_table", source.as_str());
-                        }
                         match &out {
                             Ok(plan) => timeline.annotate_last("digest", plan.digest.as_str()),
                             Err(e) => timeline.annotate_last("error", e.to_string()),
@@ -418,29 +415,29 @@ impl Planner {
     /// returns `RsjError::Core(CoreError::Cancelled)`. The solver's
     /// phases — `solve`, `score`, `simulate` — are recorded into
     /// `timeline`; a disabled timeline makes every recording call a branch
-    /// on `None` (no clocks, no allocation). An uncancelled call is
-    /// bit-for-bit identical to [`plan`](Self::plan), digest included.
+    /// on `None` (no clocks, no allocation). A successful `solve` stage
+    /// carries the attribution [`Strategy::solve`] returned: `dp_path`
+    /// and `eval_table` for a discretized DP, neither otherwise; a failed
+    /// one carries none. `rsj plan --explain-solver` and a served trace
+    /// both read it there. An uncancelled call is bit-for-bit identical
+    /// to [`plan`](Self::plan), digest included.
+    ///
+    /// [`Strategy::solve`]: rsj_core::Strategy::solve
     pub fn plan_traced(
         &self,
         cancel: &CancelToken,
         timeline: &mut rsj_obs::Timeline,
     ) -> Result<Plan> {
-        // Attribution side channels are per-thread and overwritten by
-        // every solve; clear them first so closed-form heuristics (which
-        // never touch them) cannot inherit a previous solve's labels.
-        rsj_core::clear_last_dp_path();
-        rsj_dist::clear_last_eval_source();
         let solved = timeline.time("solve", || {
-            self.solver
-                .sequence_cancellable(self.dist.as_ref(), &self.cost, cancel)
-        });
-        if let Some(path) = rsj_core::last_dp_path() {
+            self.solver.solve(self.dist.as_ref(), &self.cost, cancel)
+        })?;
+        if let Some(path) = solved.dp_path {
             timeline.annotate_last("dp_path", path.as_str());
         }
-        if let Some(source) = rsj_dist::last_eval_source() {
+        if let Some(source) = solved.eval_table {
             timeline.annotate_last("eval_table", source.as_str());
         }
-        let seq = solved?;
+        let seq = solved.sequence;
         cancel.check()?;
         let (expected_cost, omniscient_cost) = timeline.time("score", || {
             (
@@ -574,6 +571,36 @@ mod tests {
         let record = timeline.finish("plan").unwrap();
         let solve = record.stages.iter().find(|s| s.name == "solve").unwrap();
         assert!(solve.args.is_empty(), "{:?}", solve.args);
+    }
+
+    #[test]
+    fn a_declined_monotone_gate_is_attributed_on_the_solve_stage() {
+        // Beta(1.7, 1.8), equal-time, n = 5000 under RESERVATIONONLY: a
+        // near-tie aborts the monotone pass and the exact pass runs.
+        let planner = Planner::builder()
+            .distribution(DistSpec::Beta {
+                alpha: 1.7,
+                beta: 1.8,
+            })
+            .solver(SolverSpec::Dp {
+                scheme: rsj_dist::DiscretizationScheme::EqualTime,
+                n: 5000,
+                epsilon: 1e-7,
+                monotone: true,
+            })
+            .build()
+            .unwrap();
+        let mut timeline =
+            rsj_obs::Timeline::begin(rsj_obs::TraceContext::generate(), std::time::Instant::now());
+        planner
+            .plan_traced(&CancelToken::none(), &mut timeline)
+            .unwrap();
+        let record = timeline.finish("plan").unwrap();
+        assert_eq!(
+            record.stage_arg("solve", "dp_path"),
+            Some("exact_gate_declined"),
+            "{record:?}"
+        );
     }
 
     #[test]
@@ -737,6 +764,43 @@ mod tests {
             .collect();
         indices.sort();
         assert_eq!(indices, vec!["0".to_string(), "1".to_string()]);
+    }
+
+    #[test]
+    fn plan_many_traced_items_carry_their_own_solves_attribution() {
+        // [A, A, B]: A is a DP item on a law no other test plans, so its
+        // first table is cold; B is a closed-form item.
+        let a = PlanRequest::new(DistSpec::Weibull {
+            lambda: 2.71,
+            kappa: 1.61,
+        })
+        .with_solver(SolverSpec::Dp {
+            scheme: rsj_dist::DiscretizationScheme::EqualProbability,
+            n: 171,
+            epsilon: 1e-7,
+            monotone: true,
+        });
+        let b = PlanRequest::new(DistSpec::Exponential { lambda: 1.0 })
+            .with_solver(SolverSpec::MeanByMean);
+        let requests = vec![a.clone(), a, b];
+        let mut timeline =
+            rsj_obs::Timeline::begin(rsj_obs::TraceContext::generate(), std::time::Instant::now());
+        let batch = Planner::plan_many_traced(&requests, &CancelToken::none(), &mut timeline);
+        assert!(batch.iter().all(|r| r.is_ok()));
+        let record = timeline.finish("plan_batch").unwrap();
+        let by_slot = |slot: &str| {
+            let stage = record
+                .stages
+                .iter()
+                .find(|s| s.name == "item" && s.arg("item") == Some(slot))
+                .unwrap_or_else(|| panic!("no item stage for slot {slot}: {record:?}"));
+            (stage.arg("eval_table"), stage.arg("dp_path"))
+        };
+        assert_eq!(by_slot("0"), (Some("cold"), Some("monotone")));
+        assert_eq!(by_slot("1"), (Some("warm"), Some("monotone")));
+        assert_eq!(by_slot("2"), (None, None));
+        // The items' own stages are folded away.
+        assert_eq!(record.stages.len(), 3, "{record:?}");
     }
 
     #[test]
