@@ -224,7 +224,7 @@ pub fn optimal_discrete_monotone(
 /// inner loop — each candidate is pure arithmetic on the precomputed
 /// arrays (no `cdf`/survival calls per `(i, j)` pair). Shared by both
 /// passes so their candidate values are computed from identical inputs.
-fn prefix_weighted_values(v: &[f64], f: &[f64]) -> Vec<f64> {
+pub(super) fn prefix_weighted_values(v: &[f64], f: &[f64]) -> Vec<f64> {
     let n = v.len();
     let mut a = vec![0.0; n + 1];
     for i in 0..n {

@@ -7,6 +7,8 @@
 //! and still return the exact answer.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rsj_core::{
     monotone_gate, optimal_discrete, optimal_discrete_exact, optimal_discrete_monotone,
     CancelToken, CostModel, DpPath, DpSolution,
@@ -77,29 +79,173 @@ fn check_equivalence(d: &DiscreteDistribution, cost: &CostModel, fire: bool, con
     assert_eq!(auto.path, branch, "{context}");
 }
 
-#[test]
-fn table1_sweep_is_bit_identical_across_both_schemes() {
-    // All nine Table 1 distributions × both discretization schemes × three
-    // cost models. The gate must *fire* on every one of these — this is
-    // the fleet-wide configuration space, and a silent decline would
-    // silently forfeit the speedup.
+/// Each law × both discretization schemes × three cost models at `n`
+/// states. The gate must *fire* on every one of these — this is the
+/// fleet-wide configuration space, and a silent decline would silently
+/// forfeit the speedup.
+fn sweep_is_bit_identical(laws: impl IntoIterator<Item = DistSpec>, n: usize) {
     let costs = [
         CostModel::reservation_only(),
         CostModel::new(0.95, 1.0, 1.05).unwrap(),
         CostModel::new(2.0, 0.0, 10.0).unwrap(),
     ];
-    for (name, spec) in DistSpec::paper_table1() {
+    for spec in laws {
         let dist = spec.build().unwrap();
         for scheme in [
             DiscretizationScheme::EqualTime,
             DiscretizationScheme::EqualProbability,
         ] {
-            let d = discretize(dist.as_ref(), scheme, 300, 1e-7)
-                .unwrap_or_else(|e| panic!("{name}/{scheme:?}: {e}"));
+            let d = discretize(dist.as_ref(), scheme, n, 1e-7)
+                .unwrap_or_else(|e| panic!("{spec:?}/{scheme:?}: {e}"));
             for (ci, cost) in costs.iter().enumerate() {
-                check_equivalence(&d, cost, true, &format!("{name}/{scheme:?}/cost{ci}"));
+                check_equivalence(&d, cost, true, &format!("{spec:?}/{scheme:?}/cost{ci}"));
             }
         }
+    }
+}
+
+#[test]
+fn table1_sweep_is_bit_identical_across_both_schemes() {
+    sweep_is_bit_identical(
+        DistSpec::paper_table1().into_iter().map(|(_, spec)| spec),
+        300,
+    );
+}
+
+/// The nine Table 1 families with their parameters spread by two unit
+/// draws `a` and `b` — the same spread as the benchmark's law pool.
+fn spread_law(family: usize, a: f64, b: f64) -> DistSpec {
+    match family {
+        0 => DistSpec::Exponential {
+            lambda: 0.5 + 1.5 * a,
+        },
+        1 => DistSpec::Weibull {
+            lambda: 0.5 + 1.5 * a,
+            kappa: 0.4 + 0.4 * b,
+        },
+        2 => DistSpec::Gamma {
+            alpha: 1.5 + 2.0 * a,
+            beta: 1.0 + 2.0 * b,
+        },
+        3 => DistSpec::LogNormal {
+            mu: 2.0 + 2.0 * a,
+            sigma: 0.3 + 0.5 * b,
+        },
+        4 => DistSpec::TruncatedNormal {
+            mu: 6.0 + 4.0 * a,
+            sigma: 1.0 + b,
+            a: 0.0,
+        },
+        5 => DistSpec::Pareto {
+            nu: 1.0 + a,
+            alpha: 2.5 + b,
+        },
+        6 => DistSpec::Uniform {
+            a: 5.0 + 10.0 * a,
+            b: 15.0 + 10.0 * a + 10.0 * b,
+        },
+        7 => DistSpec::Beta {
+            alpha: 1.5 + 1.5 * a,
+            beta: 1.5 + 1.5 * b,
+        },
+        _ => DistSpec::BoundedPareto {
+            l: 0.5 + a,
+            h: 15.0 + 10.0 * b,
+            alpha: 1.8 + 0.6 * a,
+        },
+    }
+}
+
+#[test]
+fn jittered_table1_sweep_is_bit_identical_at_paper_scale() {
+    // Seeded parameters for each Table 1 family at the paper's n = 1000.
+    // Away from the fixed Table 1 parameters the envelope's segments end
+    // in other places, so this reaches insertions the fixed sweep does
+    // not.
+    let mut rng = StdRng::seed_from_u64(20_190_520);
+    let laws = (0..9).map(|family| spread_law(family, rng.gen(), rng.gen()));
+    sweep_is_bit_identical(laws, 1000);
+}
+
+#[test]
+fn todays_near_tie_fallbacks_stay_exact() {
+    // Instances from a seeded sweep at n = 5000 on which a comparison
+    // lands inside `MONOTONE_MARGIN`: the fast path aborts, and the
+    // public entry point must return the exact pass's bits and say it
+    // fell back. They pin the fallback set a change to the margin has to
+    // account for.
+    let cases = [
+        (
+            DistSpec::Beta {
+                alpha: 1.5837675221012322,
+                beta: 2.8651581347315425,
+            },
+            DiscretizationScheme::EqualTime,
+            CostModel::new(2.0, 0.0, 10.0).unwrap(),
+        ),
+        (
+            DistSpec::LogNormal {
+                mu: 2.073220080378995,
+                sigma: 0.6368358144712085,
+            },
+            DiscretizationScheme::EqualProbability,
+            CostModel::new(0.95, 1.0, 1.05).unwrap(),
+        ),
+        (
+            DistSpec::Weibull {
+                lambda: 1.863582690801186,
+                kappa: 0.41459549517196986,
+            },
+            DiscretizationScheme::EqualProbability,
+            CostModel::reservation_only(),
+        ),
+        (
+            DistSpec::Weibull {
+                lambda: 1.5265797078617243,
+                kappa: 0.6338323082026163,
+            },
+            DiscretizationScheme::EqualProbability,
+            CostModel::reservation_only(),
+        ),
+        (
+            DistSpec::Weibull {
+                lambda: 1.6874896323246626,
+                kappa: 0.44154551965519295,
+            },
+            DiscretizationScheme::EqualProbability,
+            CostModel::reservation_only(),
+        ),
+        (
+            DistSpec::BoundedPareto {
+                l: 1.0215314253334118,
+                h: 23.660403279930563,
+                alpha: 2.1129188552000473,
+            },
+            DiscretizationScheme::EqualTime,
+            CostModel::reservation_only(),
+        ),
+        (
+            DistSpec::Pareto {
+                nu: 1.6543362734003677,
+                alpha: 3.333239430661084,
+            },
+            DiscretizationScheme::EqualTime,
+            CostModel::new(2.0, 0.0, 10.0).unwrap(),
+        ),
+    ];
+    for (spec, scheme, cost) in cases {
+        let context = format!("{spec:?}/{scheme:?}");
+        let d = discretize(spec.build().unwrap().as_ref(), scheme, 5000, 1e-7).unwrap();
+        assert!(
+            optimal_discrete_monotone(&d, &cost, &CancelToken::none())
+                .unwrap()
+                .is_none(),
+            "{context}: the fast path must abort"
+        );
+        let exact = optimal_discrete_exact(&d, &cost).unwrap();
+        let auto = optimal_discrete(&d, &cost).unwrap();
+        assert_bit_identical(&auto, &exact, &context);
+        assert_eq!(auto.path, DpPath::ExactDeclined, "{context}");
     }
 }
 
