@@ -7,7 +7,8 @@
 //! algorithmic regression, not scheduler noise.
 //!
 //! Fixed workload: every Table 1 distribution × both discretization
-//! schemes at `n = 400`, RESERVATIONONLY cost. For each case the gate
+//! schemes at `n = 400`, RESERVATIONONLY cost, plus one deep case: the
+//! LogNormal equal-time grid at `n = 10⁴`. For each case the gate
 //! records
 //!
 //! * the FNV-1a digest of the auto-dispatch solution (and checks it
@@ -15,20 +16,24 @@
 //! * whether the monotone gate fired;
 //! * the monotone candidate-evaluation count.
 //!
+//! The deep case also records the exact pass's `n(n+1)/2` transitions,
+//! so the log shows the fast path's work ratio on live data every run.
+//!
 //! Modes:
 //!
 //! * no arguments — run the workload and (re)write
 //!   `results/perf_gate.json`;
 //! * `--check` — run the workload and compare against the committed
-//!   baseline: any digest mismatch, any case whose gate stops firing, or a
-//!   total evaluation count more than 10% above baseline fails with exit
-//!   code 1.
+//!   baseline: any digest mismatch, any case whose gate stops firing, a
+//!   total evaluation count over the 18 cases more than 10% above
+//!   baseline, or a deep case whose gate does not fire or whose count is
+//!   more than 10% above its own baseline fails with exit code 1.
 
 use rsj_bench::perf::{digest_f64s, PERF_SCHEMA_VERSION};
 use rsj_bench::report;
 use rsj_core::heuristics::{optimal_discrete, optimal_discrete_exact};
 use rsj_core::CostModel;
-use rsj_dist::{discretize, DiscretizationScheme, DistSpec};
+use rsj_dist::{discretize, DiscreteDistribution, DiscretizationScheme, DistSpec};
 use serde::{Deserialize, Serialize};
 
 /// Discretization size of the gate workload — fixed (not fidelity-scaled)
@@ -36,9 +41,11 @@ use serde::{Deserialize, Serialize};
 const GATE_N: usize = 400;
 /// Truncation quantile, matching the solver suite's default.
 const GATE_EPSILON: f64 = 1e-7;
-/// Allowed relative growth of the total evaluation count before the gate
-/// fails.
+/// Allowed relative growth of an evaluation count before the gate fails.
 const TOLERANCE: f64 = 0.10;
+/// Discretization size of the deep case, where the exact pass makes
+/// `n(n+1)/2 ≈ 5·10⁷` transitions.
+const DEEP_N: usize = 10_000;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct GateCase {
@@ -52,6 +59,16 @@ struct GateCase {
     monotone_evals: u64,
 }
 
+/// The deep case, gated on its own: at `n = 10⁴` a fast path that stops
+/// firing, or whose count grows, costs far more than at `n = 400`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct DeepCase {
+    n: usize,
+    /// Transitions the exact pass makes on the same grid, `n(n+1)/2`.
+    exact_transitions: u64,
+    case: GateCase,
+}
+
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct GateBaseline {
     schema_version: u32,
@@ -60,12 +77,39 @@ struct GateBaseline {
     /// Sum of `monotone_evals` over all cases — the gated quantity.
     total_monotone_evals: u64,
     cases: Vec<GateCase>,
+    deep: DeepCase,
+}
+
+/// Solves `d` through the auto-dispatch entry point and records it.
+fn solve_case(name: &str, tag: &str, d: &DiscreteDistribution, cost: &CostModel) -> GateCase {
+    let reg = rsj_obs::global_registry();
+    let evals_before = reg.counter("rsj_core_dp_monotone_evals_total").get();
+    let solves_before = reg.counter("rsj_core_dp_monotone_solves_total").get();
+    let sol = optimal_discrete(d, cost).expect("auto solver succeeds");
+    let monotone_evals = reg.counter("rsj_core_dp_monotone_evals_total").get() - evals_before;
+    let monotone_fired = reg.counter("rsj_core_dp_monotone_solves_total").get() > solves_before;
+    // Digest diff against the forced exact pass: the fast path is only
+    // admissible while it is bit-identical.
+    let exact = optimal_discrete_exact(d, cost).expect("exact solver succeeds");
+    let digest = digest_f64s(std::iter::once(sol.expected_cost).chain(sol.values));
+    let exact_digest = digest_f64s(std::iter::once(exact.expected_cost).chain(exact.values));
+    assert_eq!(
+        digest, exact_digest,
+        "{name}/{tag}: monotone solution diverged from the exact pass"
+    );
+    GateCase {
+        distribution: name.to_string(),
+        scheme: tag.to_string(),
+        digest,
+        monotone_fired,
+        monotone_evals,
+    }
 }
 
 fn run_workload() -> GateBaseline {
     let cost = CostModel::reservation_only();
-    let reg = rsj_obs::global_registry();
     let mut cases = Vec::new();
+    let mut deep = None;
     for (name, spec) in DistSpec::paper_table1() {
         let dist = spec.build().expect("Table 1 specs build");
         for (tag, scheme) in [
@@ -74,29 +118,22 @@ fn run_workload() -> GateBaseline {
         ] {
             let d = discretize(dist.as_ref(), scheme, GATE_N, GATE_EPSILON)
                 .expect("Table 1 discretizations succeed");
-            let evals_before = reg.counter("rsj_core_dp_monotone_evals_total").get();
-            let solves_before = reg.counter("rsj_core_dp_monotone_solves_total").get();
-            let sol = optimal_discrete(&d, &cost).expect("auto solver succeeds");
-            let monotone_evals =
-                reg.counter("rsj_core_dp_monotone_evals_total").get() - evals_before;
-            let monotone_fired =
-                reg.counter("rsj_core_dp_monotone_solves_total").get() > solves_before;
-            // Digest diff against the forced exact pass: the fast path is
-            // only admissible while it is bit-identical.
-            let exact = optimal_discrete_exact(&d, &cost).expect("exact solver succeeds");
-            let digest = digest_f64s(std::iter::once(sol.expected_cost).chain(sol.values));
-            let exact_digest =
-                digest_f64s(std::iter::once(exact.expected_cost).chain(exact.values));
-            assert_eq!(
-                digest, exact_digest,
-                "{name}/{tag}: monotone solution diverged from the exact pass"
-            );
-            cases.push(GateCase {
-                distribution: name.to_string(),
-                scheme: tag.to_string(),
-                digest,
-                monotone_fired,
-                monotone_evals,
+            cases.push(solve_case(name, tag, &d, &cost));
+        }
+        // At n = 10⁴ four Table 1 grids abort the fast path on a near-tie;
+        // the LogNormal equal-time grid does not.
+        if name == "Lognormal" {
+            let d = discretize(
+                dist.as_ref(),
+                DiscretizationScheme::EqualTime,
+                DEEP_N,
+                GATE_EPSILON,
+            )
+            .expect("the deep discretization succeeds");
+            deep = Some(DeepCase {
+                n: DEEP_N,
+                exact_transitions: (DEEP_N * (DEEP_N + 1) / 2) as u64,
+                case: solve_case(name, "equal_time", &d, &cost),
             });
         }
     }
@@ -106,7 +143,13 @@ fn run_workload() -> GateBaseline {
         epsilon: GATE_EPSILON,
         total_monotone_evals: cases.iter().map(|c| c.monotone_evals).sum(),
         cases,
+        deep: deep.expect("Table 1 has the LogNormal row"),
     }
+}
+
+/// Evaluation counts above `baseline` by more than [`TOLERANCE`] fail.
+fn eval_limit(baseline: u64) -> u64 {
+    (baseline as f64 * (1.0 + TOLERANCE)) as u64
 }
 
 fn check(current: &GateBaseline) -> Result<(), String> {
@@ -115,10 +158,12 @@ fn check(current: &GateBaseline) -> Result<(), String> {
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
     let baseline: GateBaseline =
         serde_json::from_str(&body).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    if baseline.n != current.n || baseline.epsilon != current.epsilon {
+    let shape = |g: &GateBaseline| (g.n, g.deep.n, g.epsilon);
+    if shape(&baseline) != shape(current) {
         return Err(format!(
-            "workload shape changed (baseline n={} ε={}, current n={} ε={}); regenerate the baseline",
-            baseline.n, baseline.epsilon, current.n, current.epsilon
+            "workload shape changed (baseline n, deep n, ε = {:?}, current {:?}); regenerate the baseline",
+            shape(&baseline),
+            shape(current)
         ));
     }
     let mut failures = Vec::new();
@@ -147,7 +192,7 @@ fn check(current: &GateBaseline) -> Result<(), String> {
             ));
         }
     }
-    let limit = (baseline.total_monotone_evals as f64 * (1.0 + TOLERANCE)) as u64;
+    let limit = eval_limit(baseline.total_monotone_evals);
     if current.total_monotone_evals > limit {
         failures.push(format!(
             "total monotone evaluations regressed >{:.0}%: {} -> {} (limit {})",
@@ -157,6 +202,32 @@ fn check(current: &GateBaseline) -> Result<(), String> {
             limit
         ));
     }
+    let (base, cur) = (&baseline.deep.case, &current.deep.case);
+    let deep_name = format!(
+        "deep {}/{} n={}",
+        cur.distribution, cur.scheme, current.deep.n
+    );
+    let deep_limit = eval_limit(base.monotone_evals);
+    if cur.digest != base.digest {
+        failures.push(format!(
+            "{deep_name}: digest changed {} -> {}",
+            base.digest, cur.digest
+        ));
+    }
+    if !cur.monotone_fired {
+        failures.push(format!(
+            "{deep_name}: monotone gate did not fire (fell back to O(n²))"
+        ));
+    }
+    if cur.monotone_evals > deep_limit {
+        failures.push(format!(
+            "{deep_name}: monotone evaluations regressed >{:.0}%: {} -> {} (limit {})",
+            TOLERANCE * 100.0,
+            base.monotone_evals,
+            cur.monotone_evals,
+            deep_limit
+        ));
+    }
     if failures.is_empty() {
         println!(
             "perf gate OK: {} cases, {} evaluations (baseline {}, limit {})",
@@ -164,6 +235,16 @@ fn check(current: &GateBaseline) -> Result<(), String> {
             current.total_monotone_evals,
             baseline.total_monotone_evals,
             limit
+        );
+        println!(
+            "perf gate OK: {deep_name}: {} evaluations (baseline {}, limit {}), \
+             {:.0}x fewer than the exact pass's {} transitions, digest {} equal to it",
+            cur.monotone_evals,
+            base.monotone_evals,
+            deep_limit,
+            current.deep.exact_transitions as f64 / cur.monotone_evals as f64,
+            current.deep.exact_transitions,
+            cur.digest
         );
         Ok(())
     } else {

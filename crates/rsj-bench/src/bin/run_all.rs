@@ -5,8 +5,8 @@
 //! solver internals).
 //!
 //! Metrics are always collected: each run writes
-//! `results/perf_manifest.json` with per-step wall times and the full
-//! solver/simulator metrics snapshot. `--metrics-out <path>` additionally
+//! `results/perf_manifest.json` (not committed) with per-step wall times
+//! and the full solver/simulator metrics snapshot. `--metrics-out <path>` additionally
 //! exports the raw registry (Prometheus text, or JSON when the path ends
 //! in `.json`).
 

@@ -14,8 +14,8 @@
 //! | §3.5 | `exp_s1` | optimal exponential `s₁ ≈ 0.74219` |
 //!
 //! All binaries honour `RSJ_FIDELITY=quick|paper` (default `paper`) and
-//! `RSJ_RESULTS_DIR` (default `./results`). Criterion micro-benchmarks live
-//! in `benches/`.
+//! `RSJ_RESULTS_DIR` (default `./results`). `perf_gate` is the solver's
+//! counter-based CI gate against the committed `results/perf_gate.json`.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,8 @@
 //! The performance manifest: wall-time per experiment plus the full
 //! metrics snapshot (solver counters, per-batch histograms), written by
-//! `run_all` to `results/perf_manifest.json` so solver performance is a
-//! tracked artifact rather than folklore.
+//! `run_all` to `results/perf_manifest.json`. It is not committed: every
+//! run rewrites its wall times. [`digest_f64s`] and [`HostInfo`] also
+//! serve `perf_gate` and the serving benches.
 
 use rsj_obs::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
@@ -9,14 +10,12 @@ use std::path::PathBuf;
 
 /// Bumped when the manifest layout changes incompatibly.
 ///
-/// v2: per-step `threads` in the manifest; solver-baseline rows carry
-/// `threads`, `speedup_vs_serial` and a determinism `digest`.
+/// v2: per-step `threads` in the manifest.
 ///
 /// v3: a `host` section recording `available_parallelism` and the global
-/// pool width — without it, speedup columns were uninterpretable (a
-/// `speedup_vs_serial ≈ 1` row is expected on a 1-CPU container and a
-/// regression on a 16-CPU box, and the old format could not tell them
-/// apart).
+/// pool width — without it, a wall time at a given thread count cannot be
+/// read (the same step is expected to take as long at 4 threads as at 1
+/// on a 1-CPU container, and not on a 16-CPU box).
 pub const PERF_SCHEMA_VERSION: u32 = 3;
 
 fn default_schema_version() -> u32 {

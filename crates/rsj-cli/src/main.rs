@@ -24,12 +24,101 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The flags a command accepts: those that take a value, and switches.
+struct Flags {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+/// Accepted by every command.
+const COMMON_FLAGS: Flags = Flags {
+    values: &["--log-level", "--metrics-out", "--threads"],
+    switches: &["--json"],
+};
+
+/// The flags of `command` (`trace` means `trace export`), or `None` when
+/// there is no such command.
+fn command_flags(command: &str) -> Option<Flags> {
+    let (values, switches): (&'static [&'static str], &'static [&'static str]) = match command {
+        "plan" => (&["--config"], &["--explain-solver"]),
+        "risk" | "evaluate" | "simulate" => (&["--config"], &[]),
+        "fit" => (&["--csv"], &[]),
+        "serve" => (
+            &[
+                "--addr",
+                "--workers",
+                "--cache",
+                "--queue",
+                "--queue-high",
+                "--queue-low",
+                "--journal-dir",
+                "--snapshot-every",
+                "--trace-buffer",
+                "--slow-ms",
+            ],
+            &[],
+        ),
+        "request" => (
+            &["--addr", "--config", "--deadline-ms", "--retries"],
+            &[
+                "--ping",
+                "--metrics",
+                "--health",
+                "--ready",
+                "--shutdown",
+                "--trace",
+            ],
+        ),
+        "trace" => (&["--addr", "--out", "--last", "--min-ms"], &[]),
+        _ => return None,
+    };
+    Some(Flags { values, switches })
+}
+
+/// Checks every argument after the command against `flags` and
+/// [`COMMON_FLAGS`]: an unknown argument, or a value flag with no value
+/// after it, is an error.
+fn check_flags(args: &[String], flags: &Flags) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let arg = arg.as_str();
+        if flags.values.contains(&arg) || COMMON_FLAGS.values.contains(&arg) {
+            match rest.next() {
+                Some(value) if !value.starts_with("--") => {}
+                _ => return Err(format!("missing value for {arg}")),
+            }
+        } else if !flags.switches.contains(&arg) && !COMMON_FLAGS.switches.contains(&arg) {
+            return Err(format!("unknown argument: {arg}"));
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     };
+    if command == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(flags) = command_flags(command) else {
+        return fail(&format!("unknown command: {command}"));
+    };
+    // `trace` has one subcommand; its flags follow it.
+    let flagged = if command == "trace" {
+        if args.get(1).map(String::as_str) != Some("export") {
+            return fail("trace supports one subcommand: export");
+        }
+        &args[2..]
+    } else {
+        &args[1..]
+    };
+    if let Err(msg) = check_flags(flagged, &flags) {
+        return fail(&msg);
+    }
     let json = args.iter().any(|a| a == "--json");
 
     // Observability flags, accepted by every command. `--log-level`
@@ -194,9 +283,6 @@ fn main() -> ExitCode {
             rsj_cli::run_request(&addr, &action, json, opts)
         }
         "trace" => {
-            if args.get(1).map(String::as_str) != Some("export") {
-                return fail("trace supports one subcommand: export");
-            }
             let Some(addr) = flag_value(&args, "--addr") else {
                 return fail("missing --addr <host:port>");
             };
@@ -218,10 +304,6 @@ fn main() -> ExitCode {
                 None => {}
             }
             rsj_cli::run_trace_export(&addr, &opts)
-        }
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
         }
         other => return fail(&format!("unknown command: {other}")),
     };

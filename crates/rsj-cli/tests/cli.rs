@@ -122,3 +122,62 @@ fn evaluate_from_file() {
     assert!(analytic > 1.0 && (analytic - mc).abs() / analytic < 0.2);
     std::fs::remove_file(cfg).ok();
 }
+
+/// Runs `rsj` with `args` and waits at most 10 s for it to exit, so a
+/// server that starts by mistake fails the test instead of hanging it.
+fn run_bounded(args: &[&str]) -> std::process::Output {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = rsj()
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            let out = child.wait_with_output().unwrap();
+            panic!(
+                "rsj {args:?} was still running after 10 s; stdout: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn serve_rejects_a_misspelt_flag_before_binding() {
+    let out = run_bounded(&["serve", "--addr", "127.0.0.1:0", "--wrokers", "3"]);
+    assert!(!out.status.success());
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("rsj-serve listening on"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument: --wrokers"), "{stderr}");
+    assert!(stderr.contains("USAGE"), "{stderr}");
+}
+
+#[test]
+fn serve_help_prints_usage_without_serving() {
+    let out = run_bounded(&["serve", "--help"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("USAGE"), "{stdout}");
+    assert!(!stdout.contains("rsj-serve listening on"), "{stdout}");
+}
+
+#[test]
+fn plan_rejects_unknown_flags_and_missing_values() {
+    let out = rsj()
+        .args(["plan", "--config", "f", "--jsn"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument: --jsn"));
+    let out = rsj().args(["plan", "--config"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --config"));
+}

@@ -730,12 +730,19 @@ mod tests {
         .unwrap();
         let c = CostModel::new(0.95, 1.0, 1.05).unwrap();
         let serial = optimal_discrete_exact_par(&d, &c, &rsj_par::Parallelism::serial()).unwrap();
-        let par4 =
-            optimal_discrete_exact_par(&d, &c, &rsj_par::Parallelism::new(4).unwrap()).unwrap();
-        assert_eq!(serial.indices, par4.indices);
-        assert_eq!(serial.expected_cost.to_bits(), par4.expected_cost.to_bits());
-        for (a, b) in serial.values.iter().zip(&par4.values) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for threads in [2, 4] {
+            let par =
+                optimal_discrete_exact_par(&d, &c, &rsj_par::Parallelism::new(threads).unwrap())
+                    .unwrap();
+            assert_eq!(serial.indices, par.indices, "{threads} threads");
+            assert_eq!(
+                serial.expected_cost.to_bits(),
+                par.expected_cost.to_bits(),
+                "{threads} threads"
+            );
+            for (a, b) in serial.values.iter().zip(&par.values) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
+            }
         }
         // The auto-dispatch path (which takes the monotone branch here)
         // produces the very same bits.

@@ -16,8 +16,8 @@ use rsj_core::{
 use rsj_dist::{discretize, DiscreteDistribution, DiscretizationScheme, DistSpec};
 
 /// FNV-1a over IEEE-754 bit patterns — the same digest convention as
-/// `rsj-bench`'s solver baselines and `Planner::plan`, so a mismatch here
-/// is exactly a mismatch CI's digest diff would flag.
+/// `rsj-bench`'s `perf_gate` and `Planner::plan`, so a mismatch here is
+/// exactly a mismatch CI's digest diff would flag.
 fn digest(values: &[f64]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in values {
@@ -246,6 +246,37 @@ fn todays_near_tie_fallbacks_stay_exact() {
         let auto = optimal_discrete(&d, &cost).unwrap();
         assert_bit_identical(&auto, &exact, &context);
         assert_eq!(auto.path, DpPath::ExactDeclined, "{context}");
+    }
+}
+
+#[test]
+fn table1_near_tie_aborts_at_n10000() {
+    // Four of Table 1's own grids abort the fast path at n = 10⁴ under
+    // RESERVATIONONLY, and none of the 18 does at n ≤ 5000. Only the
+    // abort is pinned: the fallback's bit-identity is the seven n = 5000
+    // instances' job, and an O(n²) pass at n = 10⁴ is too slow for the
+    // debug profile. Deciding near-ties instead of aborting on them would
+    // flip these to the fast path.
+    let table1: std::collections::HashMap<_, _> = DistSpec::paper_table1().into_iter().collect();
+    let cost = CostModel::reservation_only();
+    for (name, scheme) in [
+        ("Exponential", DiscretizationScheme::EqualProbability),
+        ("Weibull", DiscretizationScheme::EqualProbability),
+        ("TruncatedNormal", DiscretizationScheme::EqualTime),
+        ("Beta", DiscretizationScheme::EqualTime),
+    ] {
+        let dist = table1[name].build().unwrap();
+        let d = discretize(dist.as_ref(), scheme, 10_000, 1e-7).unwrap();
+        assert!(
+            monotone_gate(d.values(), d.probs(), &d.suffix_masses(), &cost),
+            "{name}/{scheme:?}: the gate must accept the grid"
+        );
+        assert!(
+            optimal_discrete_monotone(&d, &cost, &CancelToken::none())
+                .unwrap()
+                .is_none(),
+            "{name}/{scheme:?}: the fast path must abort on a near-tie"
+        );
     }
 }
 

@@ -152,13 +152,6 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Pops an item only if one is immediately available — never blocks.
-    /// Workers use this to drain a batch behind the item `pop` returned,
-    /// without waiting for requests that have not arrived.
-    pub fn try_pop(&self) -> Option<T> {
-        self.state.lock().expect("admission lock").queue.pop_front()
-    }
-
     /// Closes the queue: future admissions shed, consumers drain the
     /// backlog then observe [`Pop::Closed`]. Idempotent.
     pub fn close(&self) {
@@ -230,19 +223,6 @@ mod tests {
         assert_eq!(q.pop(Duration::ZERO), Pop::Item(2));
         assert_eq!(q.pop(Duration::ZERO), Pop::Closed);
         assert_eq!(q.pop(Duration::ZERO), Pop::Closed);
-    }
-
-    #[test]
-    fn try_pop_never_blocks() {
-        let q = AdmissionQueue::new(AdmissionConfig::default());
-        assert_eq!(q.try_pop(), None);
-        q.try_admit(7).unwrap();
-        assert_eq!(q.try_pop(), Some(7));
-        assert_eq!(q.try_pop(), None);
-        // Draining after close still works (batch tail during shutdown).
-        q.try_admit(8).unwrap();
-        q.close();
-        assert_eq!(q.try_pop(), Some(8));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! - Linux: `epoll` (level-triggered), via direct `extern "C"`
 //!   declarations against the libc that `std` already links.
 //! - Other Unix (macOS/BSD): portable `poll(2)` with an interest table.
+//!   Linux has `poll(2)` too, so this backend is built on every Unix
+//!   and the unit tests below run against both backends on Linux.
 //!
 //! Level-triggered semantics everywhere: an event fires as long as the
 //! condition holds, so the reactor never needs to drain-to-`WouldBlock`
@@ -152,7 +154,7 @@ mod sys {
 }
 
 #[cfg(target_os = "linux")]
-mod backend {
+mod epoll {
     use super::{sys, Event, Interest, WAKER_TOKEN};
     use std::io;
     use std::os::raw::c_int;
@@ -306,8 +308,10 @@ mod backend {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod backend {
+// Only the tests use it on Linux, where epoll is the `Poller`.
+#[cfg(unix)]
+#[cfg_attr(target_os = "linux", allow(dead_code))]
+mod portable {
     use super::{sys, Event, Interest, WAKER_TOKEN};
     use std::collections::HashMap;
     use std::io;
@@ -442,6 +446,11 @@ mod backend {
     }
 }
 
+#[cfg(target_os = "linux")]
+use epoll as backend;
+#[cfg(not(target_os = "linux"))]
+use portable as backend;
+
 /// Readiness poller over the platform backend (epoll on Linux,
 /// `poll(2)` elsewhere on Unix).
 ///
@@ -493,101 +502,114 @@ impl Poller {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::AsRawFd;
-    use std::time::Instant;
+    /// The same checks against each backend this target builds: epoll and
+    /// `poll(2)` on Linux, `poll(2)` elsewhere.
+    macro_rules! backend_tests {
+        ($backend:ident) => {
+            mod $backend {
+                use super::super::$backend::Poller;
+                use super::super::Interest;
+                use std::io::{Read, Write};
+                use std::net::{TcpListener, TcpStream};
+                use std::os::unix::io::AsRawFd;
+                use std::time::{Duration, Instant};
 
-    #[test]
-    fn timeout_returns_empty() {
-        let poller = Poller::new().unwrap();
-        let mut events = Vec::new();
-        let started = Instant::now();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(30)))
-            .unwrap();
-        assert!(events.is_empty());
-        assert!(started.elapsed() >= Duration::from_millis(20));
+                #[test]
+                fn timeout_returns_empty() {
+                    let poller = Poller::new().unwrap();
+                    let mut events = Vec::new();
+                    let started = Instant::now();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(30)))
+                        .unwrap();
+                    assert!(events.is_empty());
+                    assert!(started.elapsed() >= Duration::from_millis(20));
+                }
+
+                #[test]
+                fn waker_interrupts_wait() {
+                    let poller = Poller::new().unwrap();
+                    let waker = poller.waker();
+                    let handle = std::thread::spawn(move || {
+                        std::thread::sleep(Duration::from_millis(20));
+                        waker.wake();
+                    });
+                    let mut events = Vec::new();
+                    let started = Instant::now();
+                    poller
+                        .wait(&mut events, Some(Duration::from_secs(5)))
+                        .unwrap();
+                    assert!(events.is_empty());
+                    assert!(started.elapsed() < Duration::from_secs(4));
+                    handle.join().unwrap();
+                }
+
+                #[test]
+                fn readable_socket_reports_its_token() {
+                    let poller = Poller::new().unwrap();
+                    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                    let addr = listener.local_addr().unwrap();
+                    let mut client = TcpStream::connect(addr).unwrap();
+                    let (server, _) = listener.accept().unwrap();
+                    server.set_nonblocking(true).unwrap();
+                    poller
+                        .register(server.as_raw_fd(), 7, Interest::READABLE)
+                        .unwrap();
+
+                    client.write_all(b"hello").unwrap();
+                    let mut events = Vec::new();
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while events.is_empty() && Instant::now() < deadline {
+                        poller
+                            .wait(&mut events, Some(Duration::from_millis(100)))
+                            .unwrap();
+                    }
+                    assert_eq!(events.len(), 1);
+                    assert_eq!(events[0].token, 7);
+                    assert!(events[0].readable);
+
+                    let mut buf = [0u8; 16];
+                    let n = (&server).read(&mut buf).unwrap();
+                    assert_eq!(&buf[..n], b"hello");
+                    poller.deregister(server.as_raw_fd()).unwrap();
+                }
+
+                #[test]
+                fn interest_none_silences_a_ready_socket() {
+                    let poller = Poller::new().unwrap();
+                    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                    let addr = listener.local_addr().unwrap();
+                    let mut client = TcpStream::connect(addr).unwrap();
+                    let (server, _) = listener.accept().unwrap();
+                    server.set_nonblocking(true).unwrap();
+                    client.write_all(b"x").unwrap();
+
+                    poller
+                        .register(server.as_raw_fd(), 3, Interest::NONE)
+                        .unwrap();
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(50)))
+                        .unwrap();
+                    assert!(events.is_empty(), "paused registration must stay silent");
+
+                    poller
+                        .reregister(server.as_raw_fd(), 3, Interest::READABLE)
+                        .unwrap();
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while events.is_empty() && Instant::now() < deadline {
+                        poller
+                            .wait(&mut events, Some(Duration::from_millis(100)))
+                            .unwrap();
+                    }
+                    assert_eq!(events.len(), 1);
+                    assert!(events[0].readable);
+                }
+            }
+        };
     }
 
-    #[test]
-    fn waker_interrupts_wait() {
-        let poller = Poller::new().unwrap();
-        let waker = poller.waker();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            waker.wake();
-        });
-        let mut events = Vec::new();
-        let started = Instant::now();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.is_empty());
-        assert!(started.elapsed() < Duration::from_secs(4));
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn readable_socket_reports_its_token() {
-        let poller = Poller::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        server.set_nonblocking(true).unwrap();
-        poller
-            .register(server.as_raw_fd(), 7, Interest::READABLE)
-            .unwrap();
-
-        client.write_all(b"hello").unwrap();
-        let mut events = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while events.is_empty() && Instant::now() < deadline {
-            poller
-                .wait(&mut events, Some(Duration::from_millis(100)))
-                .unwrap();
-        }
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-
-        let mut buf = [0u8; 16];
-        let n = (&server).read(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"hello");
-        poller.deregister(server.as_raw_fd()).unwrap();
-    }
-
-    #[test]
-    fn interest_none_silences_a_ready_socket() {
-        let poller = Poller::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        server.set_nonblocking(true).unwrap();
-        client.write_all(b"x").unwrap();
-
-        poller
-            .register(server.as_raw_fd(), 3, Interest::NONE)
-            .unwrap();
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(50)))
-            .unwrap();
-        assert!(events.is_empty(), "paused registration must stay silent");
-
-        poller
-            .reregister(server.as_raw_fd(), 3, Interest::READABLE)
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while events.is_empty() && Instant::now() < deadline {
-            poller
-                .wait(&mut events, Some(Duration::from_millis(100)))
-                .unwrap();
-        }
-        assert_eq!(events.len(), 1);
-        assert!(events[0].readable);
-    }
+    #[cfg(target_os = "linux")]
+    backend_tests!(epoll);
+    backend_tests!(portable);
 }

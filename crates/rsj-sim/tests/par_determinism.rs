@@ -1,14 +1,17 @@
 //! Bit-for-bit determinism of the parallel execution layer: every batch
-//! runner produces *identical* statistics at any thread count, worker
-//! panics surface as typed errors instead of aborting the process, and
-//! invalid pool configurations are rejected up front.
+//! runner and every solver that fans out produces *identical* results at
+//! any thread count, worker panics surface as typed errors instead of
+//! aborting the process, and invalid pool configurations are rejected up
+//! front.
 
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rsj_core::{CostModel, MeanDoubling, ReservationSequence, Strategy};
-use rsj_dist::{ContinuousDistribution, LogNormal, Support};
+use rsj_core::{
+    BruteForce, CostModel, DiscretizedDp, EvalMethod, MeanDoubling, ReservationSequence, Strategy,
+};
+use rsj_dist::{ContinuousDistribution, DiscretizationScheme, DistSpec, LogNormal, Support};
 use rsj_par::{ParError, Parallelism};
 use rsj_sim::{
     run_adaptive, run_batch, run_batch_resilient, run_batch_resilient_seeded, run_batch_seeded,
@@ -55,6 +58,56 @@ fn seeded_runner_identical_across_thread_counts() {
         .collect();
     assert_eq!(runs[0], runs[1]);
     assert_eq!(runs[0], runs[2]);
+}
+
+/// Every Table 1 law, through each solver path the pool can reach, at 1,
+/// 2 and 4 threads: the brute-force sweep and the seeded batch simulator
+/// fan out; the DP at this size runs serially at any width, and its rows
+/// keep the solver set complete. Rows compare `Debug` text, which prints
+/// each `f64` round-trip exact.
+#[test]
+fn table1_solvers_identical_across_thread_counts() {
+    let _guard = GLOBAL_POOL.lock().unwrap_or_else(|p| p.into_inner());
+    let cost = CostModel::reservation_only();
+    let run_at = |threads: usize| {
+        let par = Parallelism::new(threads).unwrap();
+        // The DP solves on the ambient pool.
+        par.install_global();
+        let brute = BruteForce::new(300, 400, EvalMethod::Analytic, 42)
+            .unwrap()
+            .with_parallelism(par);
+        let mut rows = Vec::new();
+        for (name, spec) in DistSpec::paper_table1() {
+            let dist = spec.build().unwrap();
+            let dist = dist.as_ref();
+            let plan = brute.sequence(dist, &cost).unwrap();
+            rows.push((name, "brute_force", format!("{:?}", plan.times())));
+            for (tag, scheme) in [
+                ("dp_equal_time", DiscretizationScheme::EqualTime),
+                (
+                    "dp_equal_probability",
+                    DiscretizationScheme::EqualProbability,
+                ),
+            ] {
+                let dp = DiscretizedDp::new(scheme, 200, 1e-7).unwrap();
+                let plan = dp.sequence(dist, &cost).unwrap();
+                rows.push((name, tag, format!("{:?}", plan.times())));
+            }
+            let seq = MeanDoubling::default().sequence(dist, &cost).unwrap();
+            let stats = run_batch_seeded(&seq, dist, &cost, 400, 42, &par).unwrap();
+            rows.push((name, "batch_seeded", format!("{stats:?}")));
+        }
+        rows
+    };
+    let serial = run_at(1);
+    let wide: Vec<_> = [2, 4].into_iter().map(|t| (t, run_at(t))).collect();
+    Parallelism::clear_global();
+    assert_eq!(serial.len(), 9 * 4);
+    for (threads, rows) in wide {
+        for (one, many) in serial.iter().zip(&rows) {
+            assert_eq!(one, many, "{} / {} at {threads} threads", one.0, one.1);
+        }
+    }
 }
 
 /// Same guarantee under fault injection: per-job fault substreams make

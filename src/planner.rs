@@ -41,8 +41,8 @@ pub struct SimulateOptions {
 }
 
 /// FNV-1a over the IEEE-754 bit patterns of `values`, rendered as 16 hex
-/// digits — the same digest convention as `rsj-bench`'s solver baselines,
-/// so serve-mode and offline artifacts can be diffed directly.
+/// digits — the same digest convention as `rsj-bench`'s `perf_gate`, so
+/// serve-mode and offline artifacts can be diffed directly.
 pub fn plan_digest(values: impl IntoIterator<Item = f64>) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in values {
