@@ -1,8 +1,7 @@
 //! The performance manifest: wall-time per experiment plus the full
 //! metrics snapshot (solver counters, per-batch histograms), written by
 //! `run_all` to `results/perf_manifest.json`. It is not committed: every
-//! run rewrites its wall times. [`digest_f64s`] and [`HostInfo`] also
-//! serve `perf_gate` and the serving benches.
+//! run rewrites its wall times. [`digest_f64s`] also serves `perf_gate`.
 
 use rsj_obs::MetricsSnapshot;
 use serde::{Deserialize, Serialize};

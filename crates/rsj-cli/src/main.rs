@@ -1,6 +1,7 @@
 //! `rsj` binary: thin argv dispatch over the library commands.
 
 use rsj_cli::{run_evaluate, run_fit, run_plan, run_simulate, USAGE};
+use std::io::Write;
 use std::process::ExitCode;
 
 /// Argv-level mistake: the user asked for something the CLI doesn't
@@ -15,6 +16,29 @@ fn fail(msg: &str) -> ExitCode {
 fn fail_runtime(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     ExitCode::FAILURE
+}
+
+/// Writes `text` to stdout in one `write_all`. A closed stdout (its
+/// reader exited, as in `rsj --help | head -1`) is not a failure: the
+/// output had nowhere to go.
+fn emit(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+fn usage() -> ExitCode {
+    match emit(&format!("{USAGE}\n")) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => fail_runtime(&msg),
+    }
 }
 
 /// Extracts `--flag <value>` from the argument list.
@@ -97,12 +121,10 @@ fn check_flags(args: &[String], flags: &Flags) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return usage();
     };
     if command == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return usage();
     }
     let Some(flags) = command_flags(command) else {
         return fail(&format!("unknown command: {command}"));
@@ -310,7 +332,9 @@ fn main() -> ExitCode {
 
     match result {
         Ok(out) => {
-            print!("{out}");
+            if let Err(msg) = emit(&out) {
+                return fail_runtime(&msg);
+            }
             if let Some(path) = &metrics_out {
                 if let Err(e) = rsj_obs::write_metrics_file(rsj_obs::global_registry(), path) {
                     return fail(&format!("cannot write metrics to {path}: {e}"));

@@ -12,6 +12,7 @@ use rsj_serve::{
     BreakerConfig, Client, DurabilityConfig, Request, ResilientClient, Response, RetryPolicy,
     Server, ServerConfig, PROTOCOL_VERSION,
 };
+use std::io::Write;
 
 /// Options for `rsj serve`, all flag-settable.
 #[derive(Debug, Clone)]
@@ -106,9 +107,17 @@ pub fn run_serve(opts: &ServeOptions) -> Result<(), String> {
     }
     config.slow_ms = opts.slow_ms;
     let server = Server::bind(config).map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
-    println!("rsj-serve listening on {}", server.local_addr());
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
+    // One write of a line that scripts parse. A closed stdout loses the
+    // line, not the server.
+    let line = format!("rsj-serve listening on {}\n", server.local_addr());
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(line.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        rsj_obs::warn!("cannot write the listening line to stdout: {e}");
+    }
+    drop(stdout);
     server.run().map_err(|e| format!("server error: {e}"))
 }
 

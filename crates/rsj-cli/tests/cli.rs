@@ -181,3 +181,34 @@ fn plan_rejects_unknown_flags_and_missing_values() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --config"));
 }
+
+#[test]
+fn a_closed_stdout_is_a_quiet_exit_not_a_panic() {
+    let cfg = write_temp(
+        "closed_stdout.json",
+        r#"{
+            "distribution": { "family": "uniform", "a": 10.0, "b": 20.0 },
+            "cost": { "alpha": 1.0 },
+            "heuristic": { "kind": "dp", "scheme": "equal_time", "n": 100 }
+        }"#,
+    );
+    let cfg_arg = cfg.to_str().unwrap();
+    for args in [
+        &["--help"][..],
+        &["serve", "--help"],
+        &["plan", "--config", cfg_arg, "--json"],
+    ] {
+        // The reader is gone before the child starts, so its first write
+        // to stdout fails with a broken pipe, whatever the timing.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = rsj().args(args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "rsj {args:?}: {stderr}");
+        assert!(
+            stderr.is_empty(),
+            "rsj {args:?} must exit quietly: {stderr}"
+        );
+    }
+    std::fs::remove_file(cfg).ok();
+}

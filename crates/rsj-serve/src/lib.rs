@@ -46,8 +46,8 @@
 //!   batch-aware retries that re-submit only the retryable slots of a
 //!   partially failed batch.
 //! * **Chaos** ([`chaos`]) — a seed-reproducible fault-injection policy
-//!   and TCP proxy for hardening tests and the `serve_load` bench, plus a
-//!   seeded journal-[`CorruptionPolicy`] for recovery testing.
+//!   and TCP proxy for the hardening tests, plus a seeded
+//!   journal-[`CorruptionPolicy`] for recovery testing.
 //! * **Durability** ([`journal`] / [`snapshot`] / [`recovery`]) — a
 //!   CRC32-framed append-only plan journal with periodic atomically-renamed
 //!   snapshot compactions, and a startup recovery path that warm-fills the

@@ -98,6 +98,9 @@ impl DurabilityConfig {
     }
 }
 
+/// Lock shards of the plan cache.
+const CACHE_SHARDS: usize = 8;
+
 /// Tunables for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -115,8 +118,6 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Total plans held by the LRU cache (0 disables caching).
     pub cache_capacity: usize,
-    /// Lock shards for the cache.
-    pub cache_shards: usize,
     /// Longest accepted request line, in bytes.
     pub max_line_bytes: usize,
     /// Admission-queue sizing (capacity and shed watermarks).
@@ -143,7 +144,6 @@ impl Default for ServerConfig {
             max_requests_per_conn: 1024,
             read_timeout: Duration::from_secs(30),
             cache_capacity: 256,
-            cache_shards: 8,
             max_line_bytes: 1 << 20,
             admission: AdmissionConfig::default(),
             chaos: None,
@@ -374,7 +374,7 @@ impl Server {
     pub fn bind(config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let cache = PlanCache::new(config.cache_capacity, config.cache_shards);
+        let cache = PlanCache::new(config.cache_capacity, CACHE_SHARDS);
         let admission = AdmissionQueue::new(config.admission);
         let trace = (config.trace_buffer > 0).then(|| rsj_obs::TraceRing::new(config.trace_buffer));
         let shared = Arc::new(Shared {
@@ -1831,6 +1831,7 @@ fn provenance(solver: &str, origin: Origin) -> Provenance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // Subscriber state is process-global; this is the only test in the
     // lib binary that installs one.
@@ -1924,14 +1925,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ingest_splits_lines_and_rejects_byte_drip_overflow() {
+    /// A reactor connection over a real socket; [`ingest_lines`] only
+    /// touches its buffers.
+    fn test_conn() -> Conn {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _client = TcpStream::connect(addr).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         let now = Instant::now();
-        let mut conn = Conn {
+        Conn {
             stream,
             conn_id: 0,
             accepted_at: now,
@@ -1948,7 +1949,12 @@ mod tests {
             close_after_write: false,
             finish: None,
             interest: Interest::READABLE,
-        };
+        }
+    }
+
+    #[test]
+    fn ingest_splits_lines_and_rejects_byte_drip_overflow() {
+        let mut conn = test_conn();
         conn.read_buf
             .extend_from_slice(b"{\"op\":\"ping\"}\n\n{\"op\":");
         assert!(matches!(
@@ -1965,5 +1971,103 @@ mod tests {
             ingest_lines(&mut conn, 64, Duration::from_secs(30)),
             Ingest::TooLarge
         ));
+    }
+
+    /// What a byte stream is made of in the property below: JSON-ish
+    /// text, whitespace, newlines and blank lines, valid multi-byte UTF-8,
+    /// and a run long enough to outgrow the smaller caps.
+    const STREAM_TOKENS: &[&[u8]] = &[
+        b"{\"op\":\"ping\"}",
+        b"{\"op\":\"plan\",\"distribution\":{\"family\":\"exponential\",\"lambda\":1.0}}",
+        b"\"v\":2,",
+        b"[1,2.5e-3,null,true]",
+        b" ",
+        b"\t",
+        b"\r",
+        b"\n",
+        b"\n\n",
+        b"\r\n",
+        b"  \n",
+        b"\xc3\xa9",
+        b"\xf0\x9f\x98\x80",
+        b"xxxxxxxxxxxxxxxx",
+    ];
+
+    /// Bytes that are never valid UTF-8 where they land: a byte no
+    /// encoding uses, a lead byte cut from its continuation, a stray
+    /// continuation byte.
+    const INVALID_UTF8: &[u8] = &[0xff, 0xc3, 0x80];
+
+    /// The lines [`ingest_lines`] must queue for `stream` under a cap of
+    /// `cap` bytes, and the first rejection, from one plain split of the
+    /// whole stream: blank lines dropped, the unterminated tail kept as a
+    /// line at EOF, and a terminated line's newline counted in the cap.
+    fn reference_split(stream: &[u8], cap: usize) -> (Vec<String>, Option<&'static str>) {
+        let mut lines = Vec::new();
+        let mut rest = stream;
+        while !rest.is_empty() {
+            let end = rest
+                .iter()
+                .position(|b| *b == b'\n')
+                .map_or(rest.len(), |at| at + 1);
+            let (raw, tail) = rest.split_at(end);
+            rest = tail;
+            if raw.len() > cap {
+                return (lines, Some("too large"));
+            }
+            let Ok(line) = std::str::from_utf8(raw) else {
+                return (lines, Some("bad utf-8"));
+            };
+            if !line.trim().is_empty() {
+                lines.push(line.to_string());
+            }
+        }
+        (lines, None)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        fn ingest_matches_a_whole_stream_split_under_any_chunking(
+            tokens in proptest::collection::vec(0..STREAM_TOKENS.len(), 0..40),
+            (invalid, invalid_at) in (0..2 * INVALID_UTF8.len(), 0.0f64..1.0),
+            cuts in proptest::collection::vec(0.0f64..1.0, 0..8),
+            cap in 8usize..160,
+        ) {
+            let mut stream: Vec<u8> =
+                tokens.iter().flat_map(|&t| STREAM_TOKENS[t]).copied().collect();
+            // Half the streams carry one invalid byte somewhere.
+            if let Some(&byte) = INVALID_UTF8.get(invalid) {
+                stream.insert((invalid_at * stream.len() as f64) as usize, byte);
+            }
+            // Chunk ends at random offsets; the last chunk carries EOF.
+            let mut ends: Vec<usize> =
+                cuts.iter().map(|c| (c * stream.len() as f64) as usize).collect();
+            ends.push(stream.len());
+            ends.sort_unstable();
+            let mut conn = test_conn();
+            let mut rejected = None;
+            let mut from = 0;
+            for (i, &end) in ends.iter().enumerate() {
+                conn.read_buf.extend_from_slice(&stream[from..end]);
+                from = end;
+                conn.eof = i + 1 == ends.len();
+                match ingest_lines(&mut conn, cap, Duration::from_secs(30)) {
+                    Ingest::Ok => {}
+                    Ingest::TooLarge => {
+                        rejected = Some("too large");
+                        break;
+                    }
+                    Ingest::BadUtf8 => {
+                        rejected = Some("bad utf-8");
+                        break;
+                    }
+                }
+            }
+            let lines: Vec<String> = conn.lines.iter().map(|(line, _)| line.clone()).collect();
+            prop_assert_eq!((lines, rejected), reference_split(&stream, cap));
+            if rejected.is_none() {
+                prop_assert!(conn.read_buf.is_empty(), "EOF leaves nothing buffered");
+            }
+        }
     }
 }

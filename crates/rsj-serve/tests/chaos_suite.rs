@@ -7,15 +7,21 @@
 //! `(seed, stream, index)` and connection ids are assigned in accept
 //! order, the test can compute an exact per-connection oracle: which
 //! connections must fail (panic / drop / truncate) and which must succeed
-//! with a plan bit-identical to the offline solver.
+//! with a plan bit-identical to the offline solver. The same schedule
+//! then runs under a [`ResilientClient`], whose retries must recover
+//! requests the plain client loses, again bit-identically.
 
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use reservation_strategies::plan_digest;
 use rsj_core::{CostModel, DiscretizedDp, SolverSpec, Strategy};
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::chaos::ConnFault;
-use rsj_serve::{ChaosPolicy, ChaosProxy, Client, Request, Response, Server, ServerConfig};
+use rsj_serve::{
+    BreakerConfig, ChaosPolicy, ChaosProxy, Client, ClientError, Request, ResilientClient,
+    Response, RetryPolicy, Server, ServerConfig,
+};
 
 /// Serial connections per suite run; each sends exactly one plan request.
 const CONNS: u64 = 24;
@@ -90,8 +96,9 @@ fn must_fail(policy: &ChaosPolicy, conn: u64) -> bool {
         )
 }
 
-/// Boot a chaotic server + proxy, run the serial workload, tear down.
-fn run_suite() -> Vec<Outcome> {
+/// Boots a chaotic server and a chaos proxy in front of it, runs
+/// `drive(proxy_addr, server_addr)`, then tears both down.
+fn with_chaos<T>(drive: impl FnOnce(SocketAddr, SocketAddr) -> T) -> T {
     let server = Server::bind(ServerConfig {
         workers: 2,
         chaos: Some(policy()),
@@ -107,42 +114,7 @@ fn run_suite() -> Vec<Outcome> {
     let proxy_stop = proxy.stop_handle();
     let proxy_join = std::thread::spawn(move || proxy.run());
 
-    let outcomes: Vec<Outcome> = (0..CONNS)
-        .map(|conn| {
-            let (dist, solver) = request_for(conn);
-            let request = Request::plan_with(dist, solver);
-            let client = match Client::connect(proxy_addr) {
-                Ok(c) => c,
-                Err(_) => return Outcome::Fault,
-            };
-            client
-                .set_timeout(Some(Duration::from_secs(5)))
-                .expect("set timeout");
-            let mut client = client;
-            match client.call(&request) {
-                Ok(Response::Plan { plan, .. }) => Outcome::Plan(plan.digest),
-                Ok(Response::Error { kind, .. }) => Outcome::ServerError(kind.to_string()),
-                Ok(other) => panic!("conn {conn}: unexpected response {other:?}"),
-                Err(_) => Outcome::Fault,
-            }
-        })
-        .collect();
-
-    // The pool must have survived every injected panic: a fresh direct
-    // connection (skipping the proxy) still gets served. The server's
-    // chaos schedule keeps running for these conn ids, so tolerate a
-    // doomed one and retry.
-    let mut revived = false;
-    for _ in 0..3 {
-        if let Ok(mut client) = Client::connect(server_addr) {
-            let _ = client.set_timeout(Some(Duration::from_secs(5)));
-            if client.ping().is_ok() {
-                revived = true;
-                break;
-            }
-        }
-    }
-    assert!(revived, "server must keep serving after injected panics");
+    let result = drive(proxy_addr, server_addr);
 
     shutdown.signal();
     proxy_stop.stop();
@@ -154,7 +126,85 @@ fn run_suite() -> Vec<Outcome> {
         .join()
         .expect("proxy thread")
         .expect("clean proxy exit");
-    outcomes
+    result
+}
+
+/// The serial workload, one connection per request, through the proxy.
+fn run_suite() -> Vec<Outcome> {
+    with_chaos(|proxy_addr, server_addr| {
+        let outcomes = (0..CONNS)
+            .map(|conn| {
+                let (dist, solver) = request_for(conn);
+                let request = Request::plan_with(dist, solver);
+                let client = match Client::connect(proxy_addr) {
+                    Ok(c) => c,
+                    Err(_) => return Outcome::Fault,
+                };
+                client
+                    .set_timeout(Some(Duration::from_secs(5)))
+                    .expect("set timeout");
+                let mut client = client;
+                match client.call(&request) {
+                    Ok(Response::Plan { plan, .. }) => Outcome::Plan(plan.digest),
+                    Ok(Response::Error { kind, .. }) => Outcome::ServerError(kind.to_string()),
+                    Ok(other) => panic!("conn {conn}: unexpected response {other:?}"),
+                    Err(_) => Outcome::Fault,
+                }
+            })
+            .collect();
+
+        // The pool must have survived every injected panic: a fresh direct
+        // connection (skipping the proxy) still gets served. The server's
+        // chaos schedule keeps running for these conn ids, so tolerate a
+        // doomed one and retry.
+        let mut revived = false;
+        for _ in 0..3 {
+            if let Ok(mut client) = Client::connect(server_addr) {
+                let _ = client.set_timeout(Some(Duration::from_secs(5)));
+                if client.ping().is_ok() {
+                    revived = true;
+                    break;
+                }
+            }
+        }
+        assert!(revived, "server must keep serving after injected panics");
+        outcomes
+    })
+}
+
+/// The same schedule and requests, sent by one [`ResilientClient`] that
+/// retries what the chaos breaks. Returns each request's outcome and the
+/// retries spent.
+fn run_resilient() -> (Vec<Outcome>, u32) {
+    let retry = RetryPolicy {
+        max_attempts: 4,
+        base_backoff: Duration::from_millis(5),
+        max_backoff: Duration::from_millis(50),
+        jitter_seed: policy().seed,
+        retry_budget: 2 * CONNS as u32,
+    };
+    // A breaker that never opens: this measures what retries recover
+    // under a known fault rate, not fail-fast behaviour.
+    let breaker = BreakerConfig {
+        failure_threshold: u32::MAX,
+        ..BreakerConfig::default()
+    };
+    with_chaos(|proxy_addr, _| {
+        let mut client = ResilientClient::new(proxy_addr.to_string(), retry, breaker);
+        let outcomes = (0..CONNS)
+            .map(|i| {
+                let (dist, solver) = request_for(i);
+                match client.call(&Request::plan_with(dist, solver)) {
+                    Ok(Response::Plan { plan, .. }) => Outcome::Plan(plan.digest),
+                    Ok(Response::Error { kind, .. }) => Outcome::ServerError(kind.to_string()),
+                    Ok(other) => panic!("request {i}: unexpected response {other:?}"),
+                    Err(ClientError::RetriesExhausted { .. }) => Outcome::Fault,
+                    Err(e) => panic!("request {i}: a failed call must exhaust its retries: {e}"),
+                }
+            })
+            .collect();
+        (outcomes, client.retries_spent())
+    })
 }
 
 #[test]
@@ -230,4 +280,37 @@ fn fixed_seed_chaos_is_survivable_reproducible_and_bit_identical() {
     // outcome sequence.
     let rerun = run_suite();
     assert_eq!(outcomes, rerun, "same seed, same chaos, same outcomes");
+}
+
+#[test]
+fn a_retrying_client_survives_the_same_chaos_with_offline_identical_plans() {
+    let (outcomes, retries) = run_resilient();
+    let mut served = 0;
+    for (i, outcome) in outcomes.iter().enumerate() {
+        let (dist, _) = request_for(i as u64);
+        match outcome {
+            Outcome::Plan(digest) => {
+                assert_eq!(digest, &offline_digest(&dist), "request {i}");
+                served += 1;
+            }
+            Outcome::Fault => {}
+            Outcome::ServerError(kind) => panic!("request {i}: unexpected typed error {kind}"),
+        }
+    }
+    // Stricter than "most": retries recover requests that the plain
+    // client of the suite above loses to the schedule.
+    let doomed = (0..CONNS).filter(|&c| must_fail(&policy(), c)).count();
+    assert!(
+        served > CONNS as usize - doomed,
+        "retries must recover requests a plain client loses: {served}/{CONNS} served, {doomed} doomed"
+    );
+    assert!(
+        served > CONNS as usize / 2,
+        "retries must carry most requests: {served}/{CONNS}"
+    );
+    assert!(retries > 0, "the schedule must force retries");
+
+    // The retry jitter is seeded too: a second run spends the same
+    // retries and sees the same outcomes.
+    assert_eq!(run_resilient(), (outcomes, retries));
 }

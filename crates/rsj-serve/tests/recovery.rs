@@ -200,8 +200,9 @@ fn kill_neg9_mid_load_then_warm_restart() {
     };
 
     // Drive load: solve N distinct plans, then M more in one batch,
-    // remembering what the client was told. Everything answered is
-    // journaled (append-before-response).
+    // remembering what the client was told. The cache starts cold, so
+    // every answer is a fresh solve, and everything answered is journaled
+    // (append-before-response).
     const PLANS: usize = 6;
     const BATCHED: usize = 4;
     let batch = PLANS..PLANS + BATCHED;
@@ -214,7 +215,8 @@ fn kill_neg9_mid_load_then_warm_restart() {
             .expect("timeout");
         for i in 0..PLANS {
             let response = client.call(&dp_request(i)).expect("plan");
-            let (digest, _) = plan_digest_and_cached(&response);
+            let (digest, cached) = plan_digest_and_cached(&response);
+            assert!(!cached, "plan {i} was cached before any solve");
             answered.push((i, digest));
         }
         let results = client
@@ -222,7 +224,12 @@ fn kill_neg9_mid_load_then_warm_restart() {
             .expect("plan_batch");
         batched = results
             .iter()
-            .map(|item| item_digest_and_cached(item).0)
+            .zip(batch.clone())
+            .map(|(item, i)| {
+                let (digest, cached) = item_digest_and_cached(item);
+                assert!(!cached, "batch item {i} was cached before any solve");
+                digest
+            })
             .collect();
     }
     assert_eq!(answered.len(), PLANS);

@@ -1,12 +1,16 @@
-//! Overload-behavior tests: admission shedding, deadlines, single-flight
-//! coalescing, idempotent shutdown, typed client errors, and the
-//! resilient client.
+//! Overload-behavior tests: admission shedding, what a batch frame costs
+//! in the server's own counters, deadlines, single-flight coalescing,
+//! idempotent shutdown, typed client errors, and the resilient client.
 //!
 //! Like `serve_integration.rs`, tests asserting on the process-global
-//! metrics registry serialize on [`registry_lock`].
+//! metrics registry serialize on [`registry_lock`]; so does every test
+//! that runs a server, because any request moves the request counters.
+//! Ordering comes from construction (barriers, one request in flight per
+//! connection, an injected dispatch delay), never from a sleep.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
+use std::ops::Range;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -68,6 +72,35 @@ fn slow_plan() -> Request {
     Request::plan_with(item.distribution, item.solver)
 }
 
+/// A cheap DP plan of its own for each index `i`: every index is a
+/// distinct cache key.
+fn cheap_item(i: usize) -> PlanRequest {
+    PlanRequest::new(DistSpec::Exponential {
+        lambda: 1.0 + 0.01 * i as f64,
+    })
+    .with_solver(SolverSpec::Dp {
+        scheme: DiscretizationScheme::EqualProbability,
+        n: 50,
+        epsilon: 1e-6,
+        monotone: true,
+    })
+}
+
+fn cheap_plan(i: usize) -> Request {
+    let item = cheap_item(i);
+    Request::plan_with(item.distribution, item.solver)
+}
+
+/// [`cheap_item`]'s plan digest from the offline facade.
+fn offline_digest(i: usize) -> String {
+    cheap_item(i)
+        .planner()
+        .expect("planner")
+        .plan()
+        .expect("offline plan")
+        .digest
+}
+
 /// The digest and `(cached, coalesced)` provenance of a batch slot.
 fn slot(item: &BatchItem) -> (String, bool, bool) {
     match item {
@@ -85,82 +118,162 @@ fn error_kind(response: &Response) -> Option<ErrorKind> {
     }
 }
 
+/// Opens one connection per request, then releases every request at once
+/// through a barrier: all connections are open before any request is
+/// sent, so the whole burst is in flight together.
+fn burst(addr: SocketAddr, requests: Vec<Request>) -> Vec<Result<Response, ClientError>> {
+    let start = Arc::new(Barrier::new(requests.len()));
+    let threads: Vec<_> = requests
+        .into_iter()
+        .map(|request| {
+            let mut client = Client::connect(addr).expect("connect");
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                client.call(&request)
+            })
+        })
+        .collect();
+    threads
+        .into_iter()
+        .map(|t| t.join().expect("burst thread"))
+        .collect()
+}
+
 #[test]
-fn overload_sheds_with_typed_errors_and_counters() {
+fn bursts_within_the_high_watermark_are_served_and_past_it_get_typed_sheds() {
     let _guard = registry_lock();
-    // One worker, an admission queue that sheds as soon as one connection
-    // is parked behind the in-flight one, and a chaos schedule that makes
-    // every dispatched request sleep in the worker — a deterministic way
-    // to hold the pool busy that doesn't depend on solver speed or the
-    // build profile.
+    // One worker, a queue whose capacity and high watermark are both H,
+    // and a chaos delay on every dispatch: the worker holds each request
+    // for 150 ms whatever the solver or the build profile.
+    const H: usize = 4;
     let (addr, handle, join) = spawn_server(ServerConfig {
         workers: 1,
         admission: AdmissionConfig {
-            capacity: 1,
-            high_watermark: 1,
+            capacity: H,
+            high_watermark: H,
             low_watermark: 0,
         },
         chaos: Some(ChaosPolicy {
             delay_every: 1,
-            delay_ms: 1200,
+            delay_ms: 150,
             ..ChaosPolicy::quiet(0)
         }),
         ..ServerConfig::default()
     });
+    let mut probe = Client::connect(addr).expect("connect probe");
+    let shed_before = counter_value(&probe.metrics().expect("metrics"), "rsj_serve_shed_total");
 
-    // Occupy the only worker.
-    let busy = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("connect");
-        client.ping().expect("busy ping answered after the delay")
-    });
-    std::thread::sleep(Duration::from_millis(300));
-
-    // This request fills the queue's single slot (admission is
-    // per-request: only a complete decoded line occupies capacity, so
-    // the filler must actually send one)...
-    let parked = std::net::TcpStream::connect(addr).expect("connect parked");
-    (&parked)
-        .write_all(b"{\"op\":\"ping\"}\n")
-        .expect("park request");
-    std::thread::sleep(Duration::from_millis(100));
-
-    // ...so further requests are fast-rejected with a typed line
-    // straight from the reactor (no worker, hence no delay).
-    let mut shed_seen = 0;
-    for i in 0..3 {
-        let mut client = Client::connect(addr).expect("connect shed");
-        match client.call(&Request::ping()) {
-            Ok(response) => {
-                assert_eq!(
-                    error_kind(&response),
-                    Some(ErrorKind::Overloaded),
-                    "burst connection {i}: {response:?}"
-                );
-                shed_seen += 1;
+    // Every reply is typed: a plan bit-identical to the offline solver, or
+    // an `overloaded` line the reactor writes without a worker. Returns
+    // (served, shed).
+    let run = |indices: Range<usize>| -> (usize, usize) {
+        let replies = burst(addr, indices.clone().map(cheap_plan).collect());
+        let mut shed = 0;
+        for (i, reply) in indices.zip(&replies) {
+            match reply {
+                Ok(Response::Plan { plan, .. }) => {
+                    assert_eq!(plan.digest, offline_digest(i), "request {i}")
+                }
+                Ok(response) => {
+                    assert_eq!(
+                        error_kind(response),
+                        Some(ErrorKind::Overloaded),
+                        "request {i}: {response:?}"
+                    );
+                    shed += 1;
+                }
+                Err(e) => {
+                    panic!("request {i}: a shed must be a typed reply, not a transport error: {e}")
+                }
             }
-            Err(e) => panic!("shed must be a typed response, not a transport error: {e}"),
         }
-    }
-    assert!(shed_seen >= 1, "at least one connection must be shed");
+        (replies.len() - shed, shed)
+    };
 
-    // The busy client is answered once its delay elapses, and the parked
-    // request is served once the worker frees.
-    busy.join().expect("busy client");
-    let mut line = String::new();
-    BufReader::new(&parked)
-        .read_line(&mut line)
-        .expect("parked request served after drain");
-    assert!(line.contains("\"pong\""), "parked request answered: {line}");
+    // Admission depth never exceeds the requests in flight: each of H
+    // requests finds at most H − 1 queued ahead of it, below the
+    // watermark, so none is shed.
+    assert_eq!(run(0..H), (H, 0), "a burst of H = {H} must be served whole");
 
-    let mut metrics_client = Client::connect(addr).expect("connect metrics");
-    let metrics = metrics_client.metrics().expect("metrics");
+    // 4H in flight: the first H are admitted for the same reason, and
+    // with the worker holding each for 150 ms the queue reaches H and the
+    // rest are shed.
+    let (served, shed) = run(H..5 * H);
     assert!(
-        counter_value(&metrics, "rsj_serve_shed_total") >= shed_seen,
-        "shed counter must record the fast-rejects:\n{metrics}"
+        served >= H,
+        "the first H of a burst are always admitted: {served}"
+    );
+    assert!(shed >= 1, "a burst of 4H = {} must be shed in part", 4 * H);
+
+    let metrics = probe.metrics().expect("metrics");
+    assert!(
+        counter_value(&metrics, "rsj_serve_shed_total") - shed_before >= shed as u64,
+        "the shed counter must record all {shed} fast-rejects:\n{metrics}"
     );
 
     handle.signal();
-    drop(parked);
+    drop(probe);
+    join.join().expect("server thread").expect("clean exit");
+}
+
+/// `rsj_serve_requests_total`, `rsj_serve_queue_wait_seconds_count` and
+/// `rsj_serve_solver_invocations_total`, read through one `metrics`
+/// request, which counts itself in the first two.
+fn request_counts(client: &mut Client) -> [u64; 3] {
+    let metrics = client.metrics().expect("metrics");
+    [
+        "rsj_serve_requests_total",
+        "rsj_serve_queue_wait_seconds_count",
+        "rsj_serve_solver_invocations_total",
+    ]
+    .map(|name| counter_value(&metrics, name))
+}
+
+#[test]
+fn a_batch_frame_is_one_request_and_one_solve_per_item() {
+    let _guard = registry_lock();
+    const K: usize = 32;
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+
+    // K singleton plans, every one a distinct cache miss.
+    let before = request_counts(&mut client);
+    for i in 0..K {
+        match client.call(&cheap_plan(i)).expect("plan") {
+            Response::Plan {
+                plan, provenance, ..
+            } => {
+                assert!(!provenance.cached && !provenance.coalesced, "plan {i}");
+                assert_eq!(plan.digest, offline_digest(i), "plan {i}");
+            }
+            other => panic!("plan {i}: expected a plan, got {other:?}"),
+        }
+    }
+    let singles = request_counts(&mut client);
+
+    // K more distinct misses in one `plan_batch` frame.
+    let results = client
+        .plan_batch((K..2 * K).map(cheap_item).collect())
+        .expect("batch call");
+    assert_eq!(results.len(), K);
+    for (i, item) in (K..2 * K).zip(&results) {
+        let (digest, cached, coalesced) = slot(item);
+        assert!(!cached && !coalesced, "batch item {i}");
+        assert_eq!(digest, offline_digest(i), "batch item {i}");
+    }
+    let batched = request_counts(&mut client);
+
+    // The server's own counters: a singleton costs a request and a queue
+    // crossing per plan, a frame costs one of each for all K items, and
+    // both solve K times. Each `metrics` probe adds 1 to the first two.
+    let delta = |a: [u64; 3], b: [u64; 3]| [b[0] - a[0], b[1] - a[1], b[2] - a[2]];
+    let k = K as u64;
+    assert_eq!(delta(before, singles), [k + 1, k + 1, k], "K singletons");
+    assert_eq!(delta(singles, batched), [2, 2, k], "one K-item frame");
+
+    handle.signal();
+    drop(client);
     join.join().expect("server thread").expect("clean exit");
 }
 
@@ -565,6 +678,7 @@ fn shutdown_is_idempotent_and_safe_under_concurrency() {
 
 #[test]
 fn deeply_nested_lines_get_typed_errors_and_the_server_lives_on() {
+    let _guard = registry_lock();
     // 200,000 unclosed brackets: far under the line cap, far over the
     // reader's nesting bound. Once in a field the decoder reads, once in
     // an unknown field it skips. Each must come back as a typed error,

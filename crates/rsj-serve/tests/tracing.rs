@@ -233,6 +233,9 @@ fn overload_sheds_echo_the_client_trace_id() {
 fn traced_plans_carry_a_timeline_that_explains_the_request() {
     let _guard = registry_lock();
     let (addr, handle, join) = spawn_server(traced_config(8));
+    // The first request's timeline starts at accept, so the client's
+    // stopwatch starts before it connects.
+    let started = Instant::now();
     let mut client = Client::connect(addr).expect("connect");
 
     let spec = DistSpec::LogNormal {
@@ -242,7 +245,6 @@ fn traced_plans_carry_a_timeline_that_explains_the_request() {
     let request = Request::plan_with(spec.clone(), heavy_dp())
         .with_trace_id(TRACE_ID)
         .with_trace();
-    let started = Instant::now();
     let response = client.call(&request).expect("plan");
     let wall = started.elapsed();
 
