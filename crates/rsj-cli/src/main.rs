@@ -7,14 +7,19 @@ use std::process::ExitCode;
 /// Argv-level mistake: the user asked for something the CLI doesn't
 /// have, so show them what it does have.
 fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\n\n{USAGE}");
-    ExitCode::FAILURE
+    report(&format!("error: {msg}\n\n{USAGE}"))
 }
 
 /// Runtime failure in a correctly-invoked command (solver error, server
 /// rejection, bad config contents): the usage text would only bury it.
 fn fail_runtime(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
+    report(&format!("error: {msg}"))
+}
+
+/// Writes `line` to stderr and fails. A closed stderr (its reader exited)
+/// loses the message, not the exit code.
+fn report(line: &str) -> ExitCode {
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
     ExitCode::FAILURE
 }
 

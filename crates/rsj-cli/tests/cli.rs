@@ -1,8 +1,9 @@
 //! End-to-end tests of the `rsj` binary: spawn the compiled executable and
 //! check exit codes and output.
 
-use std::io::Write;
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 fn rsj() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rsj"))
@@ -126,8 +127,6 @@ fn evaluate_from_file() {
 /// Runs `rsj` with `args` and waits at most 10 s for it to exit, so a
 /// server that starts by mistake fails the test instead of hanging it.
 fn run_bounded(args: &[&str]) -> std::process::Output {
-    use std::process::Stdio;
-    use std::time::{Duration, Instant};
     let mut child = rsj()
         .args(args)
         .stdin(Stdio::null())
@@ -135,19 +134,39 @@ fn run_bounded(args: &[&str]) -> std::process::Output {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
+    let exited = wait_bounded(&mut child).is_some();
+    let out = child.wait_with_output().unwrap();
+    assert!(
+        exited,
+        "rsj {args:?} was still running after 10 s; stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    out
+}
+
+/// Waits up to 10 s for `child` to exit and kills it if it has not;
+/// `None` when it had to be killed.
+fn wait_bounded(child: &mut Child) -> Option<ExitStatus> {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while child.try_wait().unwrap().is_none() {
+    loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            return Some(status);
+        }
         if Instant::now() > deadline {
             child.kill().ok();
-            let out = child.wait_with_output().unwrap();
-            panic!(
-                "rsj {args:?} was still running after 10 s; stdout: {}",
-                String::from_utf8_lossy(&out.stdout)
-            );
+            child.wait().ok();
+            return None;
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    child.wait_with_output().unwrap()
+}
+
+/// A pipe whose reader is gone before the child starts, so the child's
+/// first write to it fails with a broken pipe, whatever the timing.
+fn closed_pipe() -> std::io::PipeWriter {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    writer
 }
 
 #[test]
@@ -198,11 +217,7 @@ fn a_closed_stdout_is_a_quiet_exit_not_a_panic() {
         &["serve", "--help"],
         &["plan", "--config", cfg_arg, "--json"],
     ] {
-        // The reader is gone before the child starts, so its first write
-        // to stdout fails with a broken pipe, whatever the timing.
-        let (reader, writer) = std::io::pipe().unwrap();
-        drop(reader);
-        let out = rsj().args(args).stdout(writer).output().unwrap();
+        let out = rsj().args(args).stdout(closed_pipe()).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "rsj {args:?}: {stderr}");
         assert!(
@@ -211,4 +226,64 @@ fn a_closed_stdout_is_a_quiet_exit_not_a_panic() {
         );
     }
     std::fs::remove_file(cfg).ok();
+}
+
+#[test]
+fn a_closed_stderr_keeps_the_exit_code() {
+    for args in [
+        &["frobnicate"][..],
+        &["plan", "--config", "/nonexistent.json"],
+    ] {
+        let mut child = rsj()
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(closed_pipe())
+            .spawn()
+            .unwrap();
+        let status = wait_bounded(&mut child);
+        assert_eq!(
+            status.and_then(|s| s.code()),
+            Some(1),
+            "rsj {args:?} must fail with exit 1, not a panic"
+        );
+    }
+}
+
+#[test]
+fn a_server_logging_to_a_closed_stderr_serves_and_shuts_down() {
+    let mut child = rsj()
+        .args(["serve", "--addr", "127.0.0.1:0", "--log-level", "info"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(closed_pipe())
+        .spawn()
+        .unwrap();
+    // The listening line, read on a thread so the wait for it is bounded;
+    // the thread then drains stdout until the server exits.
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut line = String::new();
+        stdout.read_line(&mut line).ok();
+        tx.send(line).ok();
+        stdout.read_to_end(&mut Vec::new()).ok();
+    });
+    let Ok(line) = rx.recv_timeout(Duration::from_secs(10)) else {
+        child.kill().ok();
+        child.wait().ok();
+        panic!("no listening line within 10 s");
+    };
+    let Some(addr) = line.trim().strip_prefix("rsj-serve listening on ") else {
+        let status = wait_bounded(&mut child);
+        panic!("unexpected first line {line:?}; server exit {status:?}");
+    };
+    let mut client = rsj_serve::Client::connect(addr).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    client.ping().expect("ping");
+    client.shutdown().expect("shutdown");
+    let status = wait_bounded(&mut child);
+    assert_eq!(status.and_then(|s| s.code()), Some(0));
 }

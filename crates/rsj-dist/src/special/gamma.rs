@@ -253,10 +253,17 @@ impl IncGamma {
         }
 
         // Bracketed Newton: fall back to bisection whenever the Newton step
-        // leaves the bracket or the density underflows.
+        // leaves the bracket or the density underflows. It stops on an
+        // exact hit, once a Newton step moves `x` by at most 1e-15
+        // relative, or when the bracket collapses.
         for _ in 0..200 {
+            #[cfg(test)]
+            super::count_newton_step();
             let ln_x = x.ln();
             let err = self.p_ln(x, ln_x) - p;
+            if err == 0.0 {
+                break;
+            }
             if err > 0.0 {
                 hi = x;
             } else {
@@ -428,6 +435,21 @@ mod tests {
     fn inverse_gamma_p_edges() {
         assert_eq!(inverse_gamma_p(2.0, 0.0), 0.0);
         assert!(inverse_gamma_p(2.0, 1.0).is_infinite());
+    }
+
+    /// About 10% above the measured counts: 4,508 and 6,310 (4.5 and 6.3
+    /// per point). Filing an exact hit as below the root, so that bisection
+    /// walks away from it, takes about 15.5 per point on both grids.
+    #[test]
+    fn equal_probability_grids_take_few_newton_steps() {
+        for (shape, rate, bound) in [(2.0, 2.0, 4_960), (0.6, 1.0, 6_940)] {
+            let dist = crate::GammaDist::new(shape, rate).unwrap();
+            let steps = super::super::grid_newton_steps(&dist);
+            assert!(
+                steps <= bound,
+                "Gamma({shape}, {rate}): {steps} Newton steps over 1000 points, bound {bound}"
+            );
+        }
     }
 
     #[test]

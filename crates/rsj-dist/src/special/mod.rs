@@ -19,3 +19,32 @@ pub use gamma::{
     gamma, gamma_p, gamma_q, inverse_gamma_p, inverse_gamma_q, ln_gamma, upper_incomplete_gamma,
 };
 pub use normal::{norm_cdf, norm_pdf, norm_quantile, norm_sf};
+
+#[cfg(test)]
+thread_local! {
+    /// Iterations of the bracketed Newton loops in [`beta`] and [`gamma`]
+    /// on this thread, so unit tests can count the steps a grid takes.
+    static NEWTON_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one iteration of a bracketed Newton loop (test builds only).
+#[cfg(test)]
+fn count_newton_step() {
+    NEWTON_STEPS.with(|steps| steps.set(steps.get() + 1));
+}
+
+/// Newton iterations over the n = 1000 equal-probability grid of `dist`,
+/// as `discretize` builds it (for an unbounded law, its upper bound
+/// `Q(1 − ε)` included).
+#[cfg(test)]
+fn grid_newton_steps(dist: &dyn crate::ContinuousDistribution) -> u64 {
+    let before = NEWTON_STEPS.with(|steps| steps.get());
+    crate::discretize(
+        dist,
+        crate::DiscretizationScheme::EqualProbability,
+        1000,
+        1e-7,
+    )
+    .expect("a valid grid");
+    NEWTON_STEPS.with(|steps| steps.get()) - before
+}

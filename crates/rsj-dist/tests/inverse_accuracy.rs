@@ -1,0 +1,196 @@
+//! Accuracy of the Beta and Gamma quantiles.
+//!
+//! At integer shapes both CDFs have finite forms, so
+//! `data/inverse_reference.py` (standard-library Python) computes each
+//! quantile correctly rounded; `data/inverse_reference.txt` is its output.
+//! [`quantiles_stay_within_their_ulp_bounds`] measures `inverse_beta_inc`
+//! and `inverse_gamma_p` against that table in ulps and fails if a law's
+//! worst error exceeds its bound.
+//!
+//! Non-integer shapes have no finite form. For them the grid checks run
+//! over equal-probability discretizations of the benchmark pool's shape
+//! ranges at n ∈ {1000, 5000}: the residual `|F(Q(p)) − p|` stays within
+//! [`RESIDUAL_BOUND`] units of `ε·p`, the quantiles increase strictly in
+//! `p`, and the discretized support keeps all n points, strictly
+//! increasing, which the DP's monotone gate needs.
+
+use rsj_dist::special::{inverse_beta_inc, inverse_gamma_p};
+use rsj_dist::{discretize, BetaDist, ContinuousDistribution, DiscretizationScheme, GammaDist};
+
+/// Each law's worst error, in ulps, over the table: the worst error of the
+/// previous stopping rule, which stopped the beta loop on a step below one
+/// ulp (`dx ≤ 1e-16·x`) and filed an exact hit (`err == 0`) as below the
+/// root. The current rule may not exceed it, except on Beta(6, 6), whose
+/// bound is one above the previous rule's 16: at p = 0.475 the current rule
+/// lands 17 ulps above the root, the previous one 15. There the double
+/// `I_x(6, 6)` is 1.5e-15 below p at the true root, first reaches p 11 ulps
+/// above it and falls back below p at 13 and 14 ulps; at both answers it
+/// is within 4e-16 of p, so both are roots of the double function.
+const ULP_BOUNDS: &[(&str, u64)] = &[
+    ("beta 2 2", 10),
+    ("beta 2 3", 18),
+    ("beta 3 5", 21),
+    ("beta 5 2", 12),
+    ("beta 1 4", 22),
+    ("beta 6 6", 17),
+    ("gamma 1", 68),
+    ("gamma 2", 34),
+    ("gamma 3", 39),
+    ("gamma 5", 45),
+    ("gamma 8", 31),
+];
+
+/// Worst residual `|F(Q(p)) − p|` on the grids, in units of `ε·p`. Both
+/// stopping rules measure about 17.
+const RESIDUAL_BOUND: f64 = 32.0;
+
+/// One law of the reference table and its `(p, x)` pairs.
+struct Law {
+    name: String,
+    quantile: Box<dyn Fn(f64) -> f64>,
+    points: Vec<(f64, f64)>,
+}
+
+fn reference() -> Vec<Law> {
+    let hex = |s: &str| f64::from_bits(u64::from_str_radix(s, 16).expect("hex bits"));
+    let mut laws: Vec<Law> = Vec::new();
+    for line in include_str!("data/inverse_reference.txt").lines() {
+        if line.starts_with('#') {
+            continue;
+        }
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        match fields.as_slice() {
+            ["beta", a, b] => {
+                let (a, b): (f64, f64) = (a.parse().unwrap(), b.parse().unwrap());
+                laws.push(Law {
+                    name: line.to_string(),
+                    quantile: Box::new(move |p| inverse_beta_inc(a, b, p)),
+                    points: Vec::new(),
+                });
+            }
+            ["gamma", a] => {
+                let a: f64 = a.parse().unwrap();
+                laws.push(Law {
+                    name: line.to_string(),
+                    quantile: Box::new(move |p| inverse_gamma_p(a, p)),
+                    points: Vec::new(),
+                });
+            }
+            [p, x] => laws
+                .last_mut()
+                .expect("a law header precedes its points")
+                .points
+                .push((hex(p), hex(x))),
+            _ => panic!("unreadable reference line: {line}"),
+        }
+    }
+    laws
+}
+
+/// Distance in ulps between two positive doubles.
+fn ulps(x: f64, y: f64) -> u64 {
+    assert!(x >= 0.0 && y >= 0.0, "positive doubles: {x}, {y}");
+    x.to_bits().abs_diff(y.to_bits())
+}
+
+#[test]
+fn quantiles_stay_within_their_ulp_bounds() {
+    let laws = reference();
+    assert_eq!(laws.len(), 11, "6 Beta and 5 Gamma laws");
+    let mut over = Vec::new();
+    for law in &laws {
+        assert_eq!(law.points.len(), 203, "{}", law.name);
+        let errors: Vec<u64> = law
+            .points
+            .iter()
+            .map(|&(p, x)| ulps((law.quantile)(p), x))
+            .collect();
+        let max = *errors.iter().max().unwrap();
+        let mean = errors.iter().sum::<u64>() as f64 / errors.len() as f64;
+        let exact = errors.iter().filter(|&&e| e == 0).count();
+        println!(
+            "{:<12} max {max:>4} ulp, mean {mean:>6.2} ulp, {exact:>3}/{} correctly rounded",
+            law.name,
+            errors.len()
+        );
+        let &(_, bound) = ULP_BOUNDS
+            .iter()
+            .find(|(name, _)| *name == law.name)
+            .expect("every law has a bound");
+        if max > bound {
+            over.push(format!("{}: max {max} ulp > bound {bound}", law.name));
+        }
+    }
+    assert!(over.is_empty(), "{over:#?}");
+}
+
+/// The benchmark pool's Beta and Gamma laws: shapes spread over
+/// `1.5 + 1.5·[0, 1]` (Beta) and `1.5 + 2·[0, 1]` with rates `1 + 2·[0, 1]`
+/// (Gamma), at the grid's corners and interior points.
+fn pool_laws() -> Vec<Box<dyn ContinuousDistribution>> {
+    let steps = [0.0, 0.3, 0.7, 1.0];
+    let mut laws: Vec<Box<dyn ContinuousDistribution>> = Vec::new();
+    for &u in &steps {
+        for &v in &steps {
+            laws.push(Box::new(
+                BetaDist::new(1.5 + 1.5 * u, 1.5 + 1.5 * v).unwrap(),
+            ));
+            laws.push(Box::new(
+                GammaDist::new(1.5 + 2.0 * u, 1.0 + 2.0 * v).unwrap(),
+            ));
+        }
+    }
+    laws
+}
+
+#[test]
+fn grid_quantiles_have_small_residuals_and_increase_strictly() {
+    let mut worst = 0.0f64;
+    for dist in pool_laws() {
+        for n in [1000, 5000] {
+            let fb = if dist.support().upper().is_some() {
+                1.0
+            } else {
+                1.0 - 1e-7
+            };
+            let step = fb / n as f64;
+            let mut prev = f64::NEG_INFINITY;
+            for i in 1..=n {
+                let p = (i as f64 * step).min(fb);
+                let q = dist.quantile(p);
+                assert!(q > prev, "{} n={n}: Q({p}) = {q} after {prev}", dist.name());
+                prev = q;
+                let residual = (dist.cdf(q) - p).abs() / (f64::EPSILON * p);
+                assert!(
+                    residual <= RESIDUAL_BOUND,
+                    "{} n={n}: |F(Q({p})) − p| = {residual:.1} ε·p",
+                    dist.name()
+                );
+                worst = worst.max(residual);
+            }
+        }
+    }
+    println!("worst residual {worst:.2} ε·p");
+}
+
+#[test]
+fn discretized_pool_supports_keep_every_point_strictly_increasing() {
+    for dist in pool_laws() {
+        for n in [1000, 5000] {
+            let grid = discretize(
+                dist.as_ref(),
+                DiscretizationScheme::EqualProbability,
+                n,
+                1e-7,
+            )
+            .unwrap();
+            let values = grid.values();
+            assert_eq!(values.len(), n, "{} n={n}: points merged", dist.name());
+            assert!(
+                values.windows(2).all(|w| w[0] < w[1]),
+                "{} n={n}: support not strictly increasing",
+                dist.name()
+            );
+        }
+    }
+}

@@ -3,6 +3,7 @@
 
 use crate::level::Level;
 use crate::trace::{Event, SpanRecord, Subscriber};
+use std::io::Write;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -35,12 +36,15 @@ impl Subscriber for StderrLogger {
         self.level
     }
 
+    // `writeln!` on a locked stderr, not `eprintln!`: a closed stderr (its
+    // reader exited) drops the line instead of panicking the logging thread.
     fn on_event(&self, event: &Event<'_>) {
-        eprintln!("{}", Self::format(event));
+        let _ = writeln!(std::io::stderr().lock(), "{}", Self::format(event));
     }
 
     fn on_span_exit(&self, span: &SpanRecord<'_>, elapsed: Duration) {
-        eprintln!(
+        let _ = writeln!(
+            std::io::stderr().lock(),
             "[{} span] {}: {:.3?}",
             Level::Trace.tag(),
             span.spans.join(">"),

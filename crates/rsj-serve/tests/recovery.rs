@@ -1,5 +1,6 @@
 //! Crash-recovery integration tests: a real `kill -9` mid-load, seeded
-//! journal corruption, snapshot compaction, and the not-ready window.
+//! journal corruption, snapshot compaction, the not-ready window, and
+//! journals written under an older solver revision.
 //!
 //! The kill test follows the self-exec pattern: the parent test re-runs
 //! this test binary as a child process (targeting the env-gated, ignored
@@ -17,13 +18,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use reservation_strategies::{PlanRequest, Planner};
+use reservation_strategies::{plan_digest, PlanRequest, Planner, SOLVER_REVISION};
 use rsj_core::SolverSpec;
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::journal::{frame_spans, read_log_bytes, JOURNAL_FILE};
 use rsj_serve::{
-    BatchItem, Client, CorruptionPolicy, DurabilityConfig, ErrorKind, Request, Response, Server,
-    ServerConfig,
+    BatchItem, Client, CorruptionPolicy, DurabilityConfig, ErrorKind, JournalRecord, JournalWriter,
+    Request, Response, Server, ServerConfig,
 };
 
 fn registry_lock() -> MutexGuard<'static, ()> {
@@ -62,17 +63,18 @@ fn dp_solver() -> SolverSpec {
     }
 }
 
-/// The same plan computed offline through the facade: the ground truth a
-/// served (or recovered) plan must match bit for bit.
-fn offline_digest(i: usize) -> String {
+fn planner_for(i: usize) -> Planner {
     Planner::builder()
         .distribution(dist_for(i))
         .solver(dp_solver())
         .build()
         .expect("planner")
-        .plan()
-        .expect("offline plan")
-        .digest
+}
+
+/// The same plan computed offline through the facade: the ground truth a
+/// served (or recovered) plan must match bit for bit.
+fn offline_digest(i: usize) -> String {
+    planner_for(i).plan().expect("offline plan").digest
 }
 
 fn spawn_durable_server(
@@ -462,6 +464,74 @@ fn plan_requests_are_shed_with_not_ready_until_recovery_completes() {
     let response = client.call(&dp_request(0)).expect("plan after recovery");
     let (digest, _) = plan_digest_and_cached(&response);
     assert_eq!(digest, offline_digest(0));
+
+    handle.signal();
+    let _ = Client::connect(addr);
+    join.join().expect("server thread").expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The key the server journals [`dp_request`]`(i)` under at solver revision
+/// `revision`: the planner's key plus the simulate options (none here).
+/// Builds before the revision existed (revision 0) wrote no revision field.
+fn journal_key_at_revision(i: usize, revision: u32) -> String {
+    let key = planner_for(i).cache_key().expect("cacheable law");
+    let unrevised = key
+        .strip_prefix(&format!("rev{SOLVER_REVISION}|"))
+        .expect("the key leads with the solver revision");
+    match revision {
+        0 => format!("{unrevised}|sim=none"),
+        r => format!("rev{r}|{unrevised}|sim=none"),
+    }
+}
+
+/// A plan no solver produced for request `i`, with a digest that matches
+/// its own sequence, so recovery accepts it.
+fn marker_plan(i: usize) -> reservation_strategies::Plan {
+    let mut plan = planner_for(i).plan().expect("offline plan");
+    plan.sequence = vec![1.0, 2.0, 3.0];
+    plan.digest = plan_digest(plan.sequence.iter().copied());
+    assert_ne!(plan.digest, offline_digest(i));
+    plan
+}
+
+/// A journal written by the previous solver revision is recovered but never
+/// served: its plans carry that build's numbers, and recovery only checks
+/// each plan against its own digest. The same record under this
+/// revision's key is served, so the revision in the key is what keeps the
+/// old plan out.
+#[test]
+fn records_of_an_older_solver_revision_are_recovered_but_never_served() {
+    let _guard = registry_lock();
+    let dir = temp_dir("revision");
+    {
+        let mut journal = JournalWriter::open(dir.join(JOURNAL_FILE), false).expect("journal");
+        for (i, revision) in [(0, SOLVER_REVISION - 1), (1, SOLVER_REVISION)] {
+            journal
+                .append(&JournalRecord {
+                    key: journal_key_at_revision(i, revision),
+                    plan: marker_plan(i),
+                })
+                .expect("append");
+        }
+    }
+
+    let (addr, handle, join) = spawn_durable_server(&dir, 0, None);
+    wait_until_ready(addr, Duration::from_secs(30));
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let recovery = client.health().expect("health").recovery.expect("stats");
+    assert_eq!(recovery.recovered_records, 2, "{recovery:?}");
+    assert_eq!(recovery.corrupt_records, 0, "{recovery:?}");
+
+    let (digest, cached) = plan_digest_and_cached(&client.call(&dp_request(0)).expect("plan"));
+    assert!(!cached, "an older revision's plan must not be served");
+    assert_eq!(digest, offline_digest(0));
+    let (digest, cached) = plan_digest_and_cached(&client.call(&dp_request(1)).expect("plan"));
+    assert!(cached, "a record under this revision's key is served");
+    assert_eq!(digest, marker_plan(1).digest);
 
     handle.signal();
     let _ = Client::connect(addr);

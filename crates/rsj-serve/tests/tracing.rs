@@ -6,17 +6,16 @@
 //! The process-global metrics registry is shared by every test in this
 //! binary, so all tests serialize on [`registry_lock`].
 
-use std::io::Write;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use reservation_strategies::{PlanRequest, Planner};
 use rsj_core::SolverSpec;
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::{
-    encode, AdmissionConfig, ChaosPolicy, Client, DurabilityConfig, ErrorKind, Request, Response,
-    Server, ServerConfig,
+    AdmissionConfig, ChaosPolicy, Client, DurabilityConfig, ErrorKind, Request, Response, Server,
+    ServerConfig,
 };
 
 /// A valid 128-bit trace id in the canonical 32-hex form.
@@ -179,9 +178,11 @@ fn not_ready_sheds_echo_the_client_trace_id() {
 #[test]
 fn overload_sheds_echo_the_client_trace_id() {
     let _guard = registry_lock();
-    // One worker held busy by a chaos-delayed request, a one-slot
-    // admission queue filled by a second request: the third request is
-    // shed on the reactor, and the shed reply must still carry its id.
+    // One worker that holds each request 300 ms in a chaos delay and a
+    // one-slot admission queue: of N requests in flight together, one is
+    // in service and one queued, and the reactor sheds the rest. Every
+    // reply, a shed one too, must carry its own request's id.
+    const N: usize = 6;
     let (addr, handle, join) = spawn_server(ServerConfig {
         workers: 1,
         admission: AdmissionConfig {
@@ -191,41 +192,52 @@ fn overload_sheds_echo_the_client_trace_id() {
         },
         chaos: Some(ChaosPolicy {
             delay_every: 1,
-            delay_ms: 2_000,
+            delay_ms: 300,
             ..ChaosPolicy::quiet(11)
         }),
         ..ServerConfig::default()
     });
 
-    // Occupy the single worker: its dispatch sleeps in the chaos delay.
-    let mut busy = std::net::TcpStream::connect(addr).expect("busy conn");
-    let mut line = encode(&Request::ping()).expect("encode");
-    line.push('\n');
-    busy.write_all(line.as_bytes()).expect("write ping");
-    busy.flush().expect("flush ping");
-    std::thread::sleep(Duration::from_millis(400));
+    // Every connection is open before the barrier releases any request.
+    let start = Arc::new(Barrier::new(N));
+    let threads: Vec<_> = (0..N)
+        .map(|i| {
+            let mut client = Client::connect(addr).expect("connect");
+            client
+                .set_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            let start = Arc::clone(&start);
+            let id = format!("{:032x}", 0xc0ffee00_u64 + i as u64);
+            let request =
+                Request::plan(DistSpec::Exponential { lambda: 1.0 }).with_trace_id(id.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                (id, client.call(&request))
+            })
+        })
+        .collect();
 
-    // Fill the one queue slot with a real request (admission is
-    // per-request now), then give the reactor time to park it.
-    let mut filler = std::net::TcpStream::connect(addr).expect("filler conn");
-    filler
-        .write_all(line.as_bytes())
-        .expect("write filler ping");
-    filler.flush().expect("flush filler ping");
-    std::thread::sleep(Duration::from_millis(200));
-
-    let mut client = Client::connect(addr).expect("shed conn");
-    let request = Request::plan(DistSpec::Exponential { lambda: 1.0 }).with_trace_id(TRACE_ID);
-    match client.call(&request).expect("shed response") {
-        Response::Error { kind, trace_id, .. } => {
-            assert_eq!(kind, ErrorKind::Overloaded);
-            assert_eq!(trace_id.as_deref(), Some(TRACE_ID));
+    let mut shed = 0;
+    for thread in threads {
+        let (id, reply) = thread.join().expect("burst thread");
+        match reply {
+            Ok(Response::Plan { trace_id, .. }) => {
+                assert_eq!(trace_id.as_deref(), Some(id.as_str()), "plan reply");
+            }
+            Ok(Response::Error { kind, trace_id, .. }) => {
+                assert_eq!(kind, ErrorKind::Overloaded, "request {id}");
+                assert_eq!(trace_id.as_deref(), Some(id.as_str()), "shed reply");
+                shed += 1;
+            }
+            Ok(other) => panic!("request {id}: expected a plan or overloaded, got {other:?}"),
+            Err(e) => panic!("request {id}: a transport error instead of a reply: {e}"),
         }
-        other => panic!("expected overloaded, got {other:?}"),
     }
+    assert!(
+        shed >= N - 2,
+        "at most one request in service and one queued: {shed} of {N} shed"
+    );
 
-    drop(filler);
-    drop(busy);
     stop_server(handle, addr, join);
 }
 

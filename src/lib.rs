@@ -69,7 +69,9 @@ pub mod error;
 pub mod planner;
 
 pub use error::RsjError;
-pub use planner::{plan_digest, Plan, PlanRequest, Planner, PlannerBuilder, SimulateOptions};
+pub use planner::{
+    plan_digest, Plan, PlanRequest, Planner, PlannerBuilder, SimulateOptions, SOLVER_REVISION,
+};
 pub use rsj_core::CancelToken;
 
 /// One-stop imports for applications.

@@ -40,6 +40,17 @@ pub struct SimulateOptions {
     pub seed: u64,
 }
 
+/// The revision of the solver's numbers, the first field of every
+/// [`Planner::cache_key`]. A change that moves any plan digest bumps it, so
+/// a plan that an older build cached or journaled is never served for the
+/// same request: recovery checks a journaled plan only against its own
+/// digest, and never solves it again. Builds before this constant existed
+/// count as revision 0 and wrote keys without it.
+///
+/// Revision 1: the Beta and Gamma quantiles' Newton loops stop on an exact
+/// hit, and the beta loop once a step is at most 2 ulp.
+pub const SOLVER_REVISION: u32 = 1;
+
 /// FNV-1a over the IEEE-754 bit patterns of `values`, rendered as 16 hex
 /// digits — the same digest convention as `rsj-bench`'s `perf_gate`, so
 /// serve-mode and offline artifacts can be diffed directly.
@@ -298,14 +309,15 @@ impl Planner {
 
     /// A process-stable key identifying `(distribution, cost model,
     /// solver config)` — the triple that fully determines [`plan`]'s
-    /// output. `None` when the distribution has no faithful
-    /// `cache_key` (plan caches must then skip caching).
+    /// output — under this build's [`SOLVER_REVISION`]. `None` when the
+    /// distribution has no faithful `cache_key` (plan caches must then
+    /// skip caching).
     ///
     /// [`plan`]: Planner::plan
     pub fn cache_key(&self) -> Option<String> {
         let dist = self.dist.cache_key()?;
         Some(format!(
-            "{dist}|a={:x},b={:x},g={:x}|{}",
+            "rev{SOLVER_REVISION}|{dist}|a={:x},b={:x},g={:x}|{}",
             self.cost.alpha.to_bits(),
             self.cost.beta.to_bits(),
             self.cost.gamma.to_bits(),
@@ -891,5 +903,6 @@ mod tests {
         assert_ne!(a, other_cost);
         assert_ne!(a, other_solver);
         assert_eq!(a, base().build().unwrap().cache_key().unwrap());
+        assert!(a.starts_with(&format!("rev{SOLVER_REVISION}|")), "{a}");
     }
 }
