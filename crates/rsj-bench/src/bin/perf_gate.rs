@@ -7,16 +7,21 @@
 //! algorithmic regression, not scheduler noise.
 //!
 //! Fixed workload: every Table 1 distribution × both discretization
-//! schemes at `n = 400`, RESERVATIONONLY cost, plus one deep case: the
-//! LogNormal equal-time grid at `n = 10⁴`. For each case the gate
-//! records
+//! schemes at `n = 400`, RESERVATIONONLY cost; two deep cases at
+//! `n = 10⁴` (the LogNormal equal-time and the Exponential
+//! equal-probability grids, the latter with candidates within 1e-12
+//! relative of each other); and seven pinned near-tie instances at
+//! `n = 5000`, each with its own cost model, on which adjacent candidates
+//! land within 1e-12 relative of each other, so the envelope pass decides
+//! them by its rounding bound and, on the Pareto instance, by evaluating
+//! the states the bound leaves open. For each case the gate records
 //!
 //! * the FNV-1a digest of the auto-dispatch solution (and checks it
 //!   against a forced exact solve — the bit-identity contract);
 //! * whether the monotone gate fired;
 //! * the monotone candidate-evaluation count.
 //!
-//! The deep case also records the exact pass's `n(n+1)/2` transitions,
+//! Each deep case also records the exact pass's `n(n+1)/2` transitions,
 //! so the log shows the fast path's work ratio on live data every run.
 //!
 //! Modes:
@@ -25,9 +30,10 @@
 //!   `results/perf_gate.json`;
 //! * `--check` — run the workload and compare against the committed
 //!   baseline: any digest mismatch, any case whose gate stops firing, a
-//!   total evaluation count over the 18 cases more than 10% above
-//!   baseline, or a deep case whose gate does not fire or whose count is
-//!   more than 10% above its own baseline fails with exit code 1.
+//!   total evaluation count over the 18 cases or over the near-tie cases
+//!   more than 10% above baseline, or a deep case whose count is more than
+//!   10% above its own baseline fails with exit code 1. Deep and near-tie
+//!   cases must always take the fast path.
 
 use rsj_bench::perf::{digest_f64s, PERF_SCHEMA_VERSION};
 use rsj_bench::report;
@@ -43,9 +49,11 @@ const GATE_N: usize = 400;
 const GATE_EPSILON: f64 = 1e-7;
 /// Allowed relative growth of an evaluation count before the gate fails.
 const TOLERANCE: f64 = 0.10;
-/// Discretization size of the deep case, where the exact pass makes
+/// Discretization size of the deep cases, where the exact pass makes
 /// `n(n+1)/2 ≈ 5·10⁷` transitions.
 const DEEP_N: usize = 10_000;
+/// Discretization size of the pinned near-tie instances.
+const NEAR_TIE_N: usize = 5000;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct GateCase {
@@ -59,7 +67,7 @@ struct GateCase {
     monotone_evals: u64,
 }
 
-/// The deep case, gated on its own: at `n = 10⁴` a fast path that stops
+/// A deep case, gated on its own: at `n = 10⁴` a fast path that stops
 /// firing, or whose count grows, costs far more than at `n = 400`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct DeepCase {
@@ -69,15 +77,26 @@ struct DeepCase {
     case: GateCase,
 }
 
+/// A pinned near-tie instance with the cost model it is solved under.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct NearTieCase {
+    cost: CostModel,
+    case: GateCase,
+}
+
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct GateBaseline {
     schema_version: u32,
     n: usize,
     epsilon: f64,
-    /// Sum of `monotone_evals` over all cases — the gated quantity.
+    /// Sum of `monotone_evals` over the Table 1 cases — the gated quantity.
     total_monotone_evals: u64,
     cases: Vec<GateCase>,
-    deep: DeepCase,
+    deep: Vec<DeepCase>,
+    near_tie_n: usize,
+    /// Sum of `monotone_evals` over the near-tie cases, gated the same way.
+    near_tie_monotone_evals: u64,
+    near_ties: Vec<NearTieCase>,
 }
 
 /// Solves `d` through the auto-dispatch entry point and records it.
@@ -106,44 +125,134 @@ fn solve_case(name: &str, tag: &str, d: &DiscreteDistribution, cost: &CostModel)
     }
 }
 
+/// The gate's two discretization schemes with their record tags.
+fn scheme_tag(scheme: DiscretizationScheme) -> &'static str {
+    match scheme {
+        DiscretizationScheme::EqualTime => "equal_time",
+        DiscretizationScheme::EqualProbability => "equal_probability",
+    }
+}
+
+/// Instances from a seeded sweep at `n = 5000` whose adjacent candidates
+/// land within 1e-12 relative of each other (the same seven the
+/// `dp_monotone_equivalence` suite pins).
+fn near_tie_instances() -> Vec<(DistSpec, DiscretizationScheme, CostModel)> {
+    let reservation_only = CostModel::reservation_only();
+    let shifted = CostModel::new(0.95, 1.0, 1.05).expect("valid rates");
+    let startup = CostModel::new(2.0, 0.0, 10.0).expect("valid rates");
+    vec![
+        (
+            DistSpec::Beta {
+                alpha: 1.5837675221012322,
+                beta: 2.8651581347315425,
+            },
+            DiscretizationScheme::EqualTime,
+            startup,
+        ),
+        (
+            DistSpec::LogNormal {
+                mu: 2.073220080378995,
+                sigma: 0.6368358144712085,
+            },
+            DiscretizationScheme::EqualProbability,
+            shifted,
+        ),
+        (
+            DistSpec::Weibull {
+                lambda: 1.863582690801186,
+                kappa: 0.41459549517196986,
+            },
+            DiscretizationScheme::EqualProbability,
+            reservation_only,
+        ),
+        (
+            DistSpec::Weibull {
+                lambda: 1.5265797078617243,
+                kappa: 0.6338323082026163,
+            },
+            DiscretizationScheme::EqualProbability,
+            reservation_only,
+        ),
+        (
+            DistSpec::Weibull {
+                lambda: 1.6874896323246626,
+                kappa: 0.44154551965519295,
+            },
+            DiscretizationScheme::EqualProbability,
+            reservation_only,
+        ),
+        (
+            DistSpec::BoundedPareto {
+                l: 1.0215314253334118,
+                h: 23.660403279930563,
+                alpha: 2.1129188552000473,
+            },
+            DiscretizationScheme::EqualTime,
+            reservation_only,
+        ),
+        (
+            DistSpec::Pareto {
+                nu: 1.6543362734003677,
+                alpha: 3.333239430661084,
+            },
+            DiscretizationScheme::EqualTime,
+            startup,
+        ),
+    ]
+}
+
 fn run_workload() -> GateBaseline {
     let cost = CostModel::reservation_only();
     let mut cases = Vec::new();
-    let mut deep = None;
+    let mut deep = Vec::new();
     for (name, spec) in DistSpec::paper_table1() {
         let dist = spec.build().expect("Table 1 specs build");
-        for (tag, scheme) in [
-            ("equal_time", DiscretizationScheme::EqualTime),
-            ("equal_probability", DiscretizationScheme::EqualProbability),
+        for scheme in [
+            DiscretizationScheme::EqualTime,
+            DiscretizationScheme::EqualProbability,
         ] {
             let d = discretize(dist.as_ref(), scheme, GATE_N, GATE_EPSILON)
                 .expect("Table 1 discretizations succeed");
-            cases.push(solve_case(name, tag, &d, &cost));
-        }
-        // At n = 10⁴ four Table 1 grids abort the fast path on a near-tie;
-        // the LogNormal equal-time grid does not.
-        if name == "Lognormal" {
-            let d = discretize(
-                dist.as_ref(),
-                DiscretizationScheme::EqualTime,
-                DEEP_N,
-                GATE_EPSILON,
-            )
-            .expect("the deep discretization succeeds");
-            deep = Some(DeepCase {
-                n: DEEP_N,
-                exact_transitions: (DEEP_N * (DEEP_N + 1) / 2) as u64,
-                case: solve_case(name, "equal_time", &d, &cost),
-            });
+            cases.push(solve_case(name, scheme_tag(scheme), &d, &cost));
+            // The deep cases: a grid with no near-tie and one with.
+            let deep_grid = matches!(
+                (name, scheme),
+                ("Lognormal", DiscretizationScheme::EqualTime)
+                    | ("Exponential", DiscretizationScheme::EqualProbability)
+            );
+            if deep_grid {
+                let d = discretize(dist.as_ref(), scheme, DEEP_N, GATE_EPSILON)
+                    .expect("the deep discretizations succeed");
+                deep.push(DeepCase {
+                    n: DEEP_N,
+                    exact_transitions: (DEEP_N * (DEEP_N + 1) / 2) as u64,
+                    case: solve_case(name, scheme_tag(scheme), &d, &cost),
+                });
+            }
         }
     }
+    let near_ties: Vec<NearTieCase> = near_tie_instances()
+        .into_iter()
+        .map(|(spec, scheme, cost)| {
+            let dist = spec.build().expect("near-tie specs build");
+            let d = discretize(dist.as_ref(), scheme, NEAR_TIE_N, GATE_EPSILON)
+                .expect("near-tie discretizations succeed");
+            NearTieCase {
+                cost,
+                case: solve_case(&format!("{spec:?}"), scheme_tag(scheme), &d, &cost),
+            }
+        })
+        .collect();
     GateBaseline {
         schema_version: PERF_SCHEMA_VERSION,
         n: GATE_N,
         epsilon: GATE_EPSILON,
         total_monotone_evals: cases.iter().map(|c| c.monotone_evals).sum(),
         cases,
-        deep: deep.expect("Table 1 has the LogNormal row"),
+        deep,
+        near_tie_n: NEAR_TIE_N,
+        near_tie_monotone_evals: near_ties.iter().map(|c| c.case.monotone_evals).sum(),
+        near_ties,
     }
 }
 
@@ -152,104 +261,159 @@ fn eval_limit(baseline: u64) -> u64 {
     (baseline as f64 * (1.0 + TOLERANCE)) as u64
 }
 
+/// Compares one case with its baseline: the digest must not move, and a
+/// case that took the fast path (or must take it) must still take it.
+fn compare_case(
+    label: &str,
+    base: &GateCase,
+    cur: &GateCase,
+    must_fire: bool,
+    failures: &mut Vec<String>,
+) {
+    if cur.digest != base.digest {
+        failures.push(format!(
+            "{label}: digest changed {} -> {}",
+            base.digest, cur.digest
+        ));
+    }
+    if (must_fire || base.monotone_fired) && !cur.monotone_fired {
+        failures.push(format!(
+            "{label}: monotone gate did not fire (fell back to O(n²))"
+        ));
+    }
+}
+
+/// Fails an evaluation count more than [`TOLERANCE`] above its baseline.
+fn compare_count(label: &str, base: u64, cur: u64, failures: &mut Vec<String>) {
+    let limit = eval_limit(base);
+    if cur > limit {
+        failures.push(format!(
+            "{label}: monotone evaluations regressed >{:.0}%: {base} -> {cur} (limit {limit})",
+            TOLERANCE * 100.0
+        ));
+    }
+}
+
+/// Matches each baseline case to the current run's case of the same
+/// distribution and scheme and compares them.
+fn compare_cases<'a>(
+    group: &str,
+    base: impl IntoIterator<Item = &'a GateCase>,
+    current: &[&GateCase],
+    must_fire: bool,
+    failures: &mut Vec<String>,
+) {
+    for base in base {
+        let label = format!("{group}{}/{}", base.distribution, base.scheme);
+        match current
+            .iter()
+            .find(|c| c.distribution == base.distribution && c.scheme == base.scheme)
+        {
+            Some(cur) => compare_case(&label, base, cur, must_fire, failures),
+            None => failures.push(format!("{label}: case missing from current run")),
+        }
+    }
+}
+
+/// The current run's deep case of `base`'s distribution and scheme.
+fn find_deep<'a>(current: &'a GateBaseline, base: &GateCase) -> Option<&'a DeepCase> {
+    current
+        .deep
+        .iter()
+        .find(|d| d.case.distribution == base.distribution && d.case.scheme == base.scheme)
+}
+
 fn check(current: &GateBaseline) -> Result<(), String> {
     let path = report::results_dir().join("perf_gate.json");
     let body = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
     let baseline: GateBaseline =
         serde_json::from_str(&body).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let shape = |g: &GateBaseline| (g.n, g.deep.n, g.epsilon);
+    let shape = |g: &GateBaseline| {
+        let deep: Vec<usize> = g.deep.iter().map(|d| d.n).collect();
+        (g.n, deep, g.near_tie_n, g.epsilon)
+    };
     if shape(&baseline) != shape(current) {
         return Err(format!(
-            "workload shape changed (baseline n, deep n, ε = {:?}, current {:?}); regenerate the baseline",
+            "workload shape changed (baseline n, deep n, near-tie n, ε = {:?}, current {:?}); regenerate the baseline",
             shape(&baseline),
             shape(current)
         ));
     }
     let mut failures = Vec::new();
-    for base in &baseline.cases {
-        let Some(cur) = current
-            .cases
-            .iter()
-            .find(|c| c.distribution == base.distribution && c.scheme == base.scheme)
-        else {
-            failures.push(format!(
-                "{}/{}: case missing from current run",
-                base.distribution, base.scheme
-            ));
-            continue;
-        };
-        if cur.digest != base.digest {
-            failures.push(format!(
-                "{}/{}: digest changed {} -> {}",
-                base.distribution, base.scheme, base.digest, cur.digest
-            ));
-        }
-        if base.monotone_fired && !cur.monotone_fired {
-            failures.push(format!(
-                "{}/{}: monotone gate stopped firing (fell back to O(n²))",
-                base.distribution, base.scheme
-            ));
-        }
-    }
-    let limit = eval_limit(baseline.total_monotone_evals);
-    if current.total_monotone_evals > limit {
-        failures.push(format!(
-            "total monotone evaluations regressed >{:.0}%: {} -> {} (limit {})",
-            TOLERANCE * 100.0,
-            baseline.total_monotone_evals,
-            current.total_monotone_evals,
-            limit
-        ));
-    }
-    let (base, cur) = (&baseline.deep.case, &current.deep.case);
-    let deep_name = format!(
-        "deep {}/{} n={}",
-        cur.distribution, cur.scheme, current.deep.n
+    let cases: Vec<&GateCase> = current.cases.iter().collect();
+    compare_cases("", &baseline.cases, &cases, false, &mut failures);
+    compare_count(
+        "total",
+        baseline.total_monotone_evals,
+        current.total_monotone_evals,
+        &mut failures,
     );
-    let deep_limit = eval_limit(base.monotone_evals);
-    if cur.digest != base.digest {
-        failures.push(format!(
-            "{deep_name}: digest changed {} -> {}",
-            base.digest, cur.digest
-        ));
+    for base in &baseline.deep {
+        let label = format!("deep {}/{}", base.case.distribution, base.case.scheme);
+        match find_deep(current, &base.case) {
+            Some(cur) => {
+                compare_case(&label, &base.case, &cur.case, true, &mut failures);
+                compare_count(
+                    &label,
+                    base.case.monotone_evals,
+                    cur.case.monotone_evals,
+                    &mut failures,
+                );
+            }
+            None => failures.push(format!("{label}: case missing from current run")),
+        }
     }
-    if !cur.monotone_fired {
-        failures.push(format!(
-            "{deep_name}: monotone gate did not fire (fell back to O(n²))"
-        ));
+    let near: Vec<&GateCase> = current.near_ties.iter().map(|c| &c.case).collect();
+    compare_cases(
+        "near-tie ",
+        baseline.near_ties.iter().map(|c| &c.case),
+        &near,
+        true,
+        &mut failures,
+    );
+    compare_count(
+        "near-tie total",
+        baseline.near_tie_monotone_evals,
+        current.near_tie_monotone_evals,
+        &mut failures,
+    );
+    if !failures.is_empty() {
+        return Err(failures.join("\n"));
     }
-    if cur.monotone_evals > deep_limit {
-        failures.push(format!(
-            "{deep_name}: monotone evaluations regressed >{:.0}%: {} -> {} (limit {})",
-            TOLERANCE * 100.0,
-            base.monotone_evals,
-            cur.monotone_evals,
-            deep_limit
-        ));
-    }
-    if failures.is_empty() {
+    println!(
+        "perf gate OK: {} cases, {} evaluations (baseline {}, limit {})",
+        current.cases.len(),
+        current.total_monotone_evals,
+        baseline.total_monotone_evals,
+        eval_limit(baseline.total_monotone_evals)
+    );
+    for base in &baseline.deep {
+        let cur = find_deep(current, &base.case).expect("matched above");
         println!(
-            "perf gate OK: {} cases, {} evaluations (baseline {}, limit {})",
-            current.cases.len(),
-            current.total_monotone_evals,
-            baseline.total_monotone_evals,
-            limit
-        );
-        println!(
-            "perf gate OK: {deep_name}: {} evaluations (baseline {}, limit {}), \
+            "perf gate OK: deep {}/{} n={}: {} evaluations (baseline {}, limit {}), \
              {:.0}x fewer than the exact pass's {} transitions, digest {} equal to it",
-            cur.monotone_evals,
-            base.monotone_evals,
-            deep_limit,
-            current.deep.exact_transitions as f64 / cur.monotone_evals as f64,
-            current.deep.exact_transitions,
-            cur.digest
+            cur.case.distribution,
+            cur.case.scheme,
+            cur.n,
+            cur.case.monotone_evals,
+            base.case.monotone_evals,
+            eval_limit(base.case.monotone_evals),
+            cur.exact_transitions as f64 / cur.case.monotone_evals as f64,
+            cur.exact_transitions,
+            cur.case.digest
         );
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
     }
+    println!(
+        "perf gate OK: {} near-tie cases at n={} on the fast path with the exact pass's digests, \
+         {} evaluations (baseline {}, limit {})",
+        current.near_ties.len(),
+        current.near_tie_n,
+        current.near_tie_monotone_evals,
+        baseline.near_tie_monotone_evals,
+        eval_limit(baseline.near_tie_monotone_evals)
+    );
+    Ok(())
 }
 
 fn main() -> std::io::Result<()> {

@@ -18,9 +18,11 @@
 //! The per-state minimization is totally monotone (see `dp_monotone`), so
 //! [`optimal_discrete`] first attempts the `O(n log n)` envelope pass and
 //! falls back to the exact `O(n²)` scan when the runtime gate declines or
-//! a comparison is too close to trust. Whenever the fast path completes it
-//! is bit-for-bit identical to the exact pass; [`optimal_discrete_exact`]
-//! forces the `O(n²)` pass for A/B runs and verification.
+//! the pass aborts: on a near-tie whose float outcomes no envelope of lines
+//! reproduces, or on a non-finite candidate. Whenever the fast path
+//! completes it is bit-for-bit identical to the exact pass;
+//! [`optimal_discrete_exact`] forces the `O(n²)` pass for A/B runs and
+//! verification.
 
 use super::dp_monotone;
 use super::{Solve, Strategy, TailPolicy};
@@ -49,8 +51,10 @@ pub(super) const DP_CANCEL_STRIDE: usize = 64;
 pub enum DpPath {
     /// The `O(n log n)` monotone envelope pass completed (gate fired).
     Monotone,
-    /// The gate declined (or a comparison was too close to trust) and the
-    /// exact `O(n²)` pass ran as the fallback.
+    /// The gate declined, or the envelope pass aborted on a near-tie whose
+    /// float outcomes are not one run of wins then losses or on a
+    /// non-finite candidate, and the exact `O(n²)` pass ran as the
+    /// fallback.
     ExactDeclined,
     /// The exact `O(n²)` pass was forced — `monotone: false` in the
     /// solver spec, or a direct call to an `optimal_discrete_exact*`
@@ -183,7 +187,7 @@ pub fn optimal_discrete_exact_cancellable(
 }
 
 /// Attempts the monotone fast path *without* the exact fallback:
-/// `Ok(None)` when the gate declines or a comparison aborts. Benchmarks
+/// `Ok(None)` when the gate declines or the envelope pass aborts. Benchmarks
 /// and the equivalence suite use this to time and verify the envelope
 /// pass in isolation; production callers want [`optimal_discrete`],
 /// which never returns `None`.

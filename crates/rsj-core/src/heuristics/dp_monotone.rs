@@ -43,35 +43,97 @@
 //!    bisecting what is left.
 //!
 //! Every boundary the pass writes is therefore fixed either by two probes
-//! at adjacent states — a win at `h − 1` and a loss at `h`, both decided
-//! outside the margin below — or by a segment end, and the states between
-//! probes are implied by the slope order, exactly as any bisection relies
-//! on. The worst case stays `O(n log n)`; on the Table 1 grids at
-//! `n = 1000` a state costs ~6 candidate evaluations.
+//! at adjacent states — a win at `h − 1` and a loss at `h` — or by a
+//! segment end, and the states between probes are implied by the slope
+//! order, exactly as any bisection relies on. The worst case stays
+//! `O(n log n)`; on the Table 1 grids at `n = 1000` a state costs ~6
+//! candidate evaluations.
 //!
-//! ## Bit-identity discipline
+//! ## Bit-identity: a probe is exact, an inference is proven
 //!
 //! The serial `O(n²)` scan compares *floating-point* candidate values and
 //! keeps the leftmost `j` on exact ties. This module reproduces those
-//! decisions rather than approximating them:
+//! decisions rather than approximating them.
 //!
-//! * every comparison evaluates `cand(p, ·)` with the **identical
-//!   expression and operation order** as the serial scan, so the numbers
-//!   compared are the very bits the serial scan would compare. The terms
-//!   that depend on `j` alone are computed once per line, each by the
-//!   serial scan's own subexpression (see [`Line`]), and Rust never
-//!   contracts `a·b + c` into a fused multiply-add, so hoisting them moves
-//!   no bit;
-//! * `beats(c, d, p)` (with `c < d`) is `cand(p, c) ≤ cand(p, d)` — an
-//!   exact tie is decided in favour of the smaller index, matching the
-//!   serial scan's strict-`<` update rule;
-//! * whenever a comparison is too close to call — the relative difference
-//!   is within [`MONOTONE_MARGIN`], where rounding could order the floats
-//!   differently from the envelope's real-arithmetic reasoning — or any
-//!   candidate is non-finite, the fast path **aborts** and the caller
-//!   falls back to the exact pass, which is correct by definition;
-//! * `w[i]` is computed by re-evaluating `cand(i, winner)`, so the stored
-//!   value is the same expression the serial scan stores.
+//! **A probe is exact.** Every comparison evaluates `cand(p, ·)` with the
+//! identical expression and operation order as the serial scan, so the
+//! numbers compared are the very bits the serial scan compares at state
+//! `p`. The terms that depend on `j` alone are computed once per line,
+//! each by the serial scan's own subexpression (see [`Line`]), and Rust
+//! never contracts `a·b + c` into a fused multiply-add, so hoisting them
+//! moves no bit. A probe of `c` against `d` (`c < d`) at `p` is a win when
+//! `cand(p, c) ≤ cand(p, d)`: an exact tie goes to the smaller index,
+//! matching the serial scan's strict-`<` update. `w[i]` is computed by
+//! re-evaluating `cand(i, winner)`, the value the serial scan stores.
+//!
+//! **An inference is proven.** The pass also decides states it never
+//! probes: the states between two wins, and every state above a loss,
+//! including those of deeper segments. Write `ĉ(p, j)` for the float
+//! candidate and `c(p, j)` for the same expression in exact arithmetic on
+//! the same float inputs (the line's constants, `sₚ` and `aₚ`), and
+//! `u = 2⁻⁵³`, `ε = 2u` (`f64::EPSILON`).
+//!
+//! 1. *Every term is non-negative.* The gate guarantees `α, β, γ ≥ 0`,
+//!    a non-negative support and non-negative, non-increasing suffix
+//!    masses. Then `aₚ`, the float prefix sums of `fₖ·vₖ ≥ 0`, is
+//!    non-decreasing, so `a_{j+1} − aₚ ≥ 0` for every `j ≥ p`, and the
+//!    slope, the tail `β·vⱼ·s_{j+1}` and `w` are sums and products of
+//!    non-negative floats.
+//! 2. *Rounding is relative.* Each of the four terms passes through at
+//!    most five roundings (`β·(a_{j+1} − aₚ)`: a subtraction, a product
+//!    and three additions), so by Higham's γₖ bound for sums of
+//!    non-negative terms (*Accuracy and Stability of Numerical
+//!    Algorithms*, 2nd ed., §3.1), `|ĉ − c| ≤ γ₅·c` with
+//!    `γ₅ = 5u/(1 − 5u)`, plus at most `2⁻¹⁰⁷³` of underflow from the two
+//!    products. So `|ĉ − c| < 2.6ε·ĉ + 2⁻¹⁰⁷²`.
+//! 3. *Magnitudes shrink with the state.* `sₚ` is non-increasing and `aₚ`
+//!    non-decreasing, so `c(q, j) ≤ c(p, j)` for `q ≥ p`: a probe at `p`
+//!    bounds the rounding at every state `q ≥ p` by
+//!    `2.6ε·(ĉ(p, c) + ĉ(p, d))` plus the underflow term. Rounding is
+//!    monotone too, so no evaluation at `q` can overflow where the one at
+//!    `p` did not.
+//! 4. *The real gap is monotone.* In `g(p) = c(p, c) − c(p, d)` the
+//!    `−β·aₚ` cancels, leaving `(slope_c − slope_d)·sₚ` plus terms of `c`
+//!    and `d` alone. Rounding is monotone, so `v_c < v_d` and `α ≥ 0` give
+//!    `slope_c ≤ slope_d`, and `g` is non-decreasing in `p`.
+//! 5. *A decisive probe.* A probe at `p` with float gap `Δ = ĉ(p, c) −
+//!    ĉ(p, d)` and mass `M = ĉ(p, c) + ĉ(p, d)` is decisive over states
+//!    bounded by a probe of mass `M_b` when
+//!    `|Δ| > 4ε·(M + M_b) + f64::MIN_POSITIVE` ([`decisive`]): by steps 2
+//!    and 3 the rounding at the probe and at such a state is below
+//!    `2.6ε·(M + M_b)` plus the underflow terms, and `4ε` leaves room for
+//!    the rounding of `Δ`, of the masses and of the bound itself.
+//!    * A decisive **loss** (`M_b = M`) is a loss at every state `q ≥ p`:
+//!      `ĉ(q, c) − ĉ(q, d) ≥ g(q) − err(q) ≥ g(p) − err(q) ≥ Δ − err(p) −
+//!      err(q) > 0`. That covers the rest of `d`'s segment. A state `q` of
+//!      a deeper segment belongs to a line `d′ > d`, the leftmost float
+//!      minimum there, so `ĉ(q, d′) < ĉ(q, d) < ĉ(q, c)`: `c` loses it
+//!      too.
+//!    * A decisive **win** over `[b, p]`, where `b < p` is a probed win of
+//!      mass `M_b`, is a win at every state `r` between them:
+//!      `ĉ(r, c) − ĉ(r, d) ≤ g(r) + err(r) ≤ g(p) + err(r) ≤ Δ + err(p) +
+//!      err(r) < 0`, with `err(r)` bounded by `b`'s magnitudes. The bound
+//!      is taken at the nearest win below, never at the probe alone: on a
+//!      segment whose low states dwarf the probe's, the probe's own
+//!      magnitudes say nothing about the rounding down there.
+//!    * An exact float tie (`Δ = 0`) is never decisive: the leftmost rule
+//!      decides the tied state itself and nothing else.
+//!
+//! **Where no bound decides, the pass looks.** The states an undecided
+//! probe would have implied form the zone, and the pass evaluates the
+//! serial scan's own comparison there, counted in `evals`:
+//!
+//! * a win at `m` that is not decisive down to the win at `b`: probe the
+//!   midpoint `q` of `(b, m)`, then settle `(b, q)` and `(q, m)` the same
+//!   way, the upper half against `q`'s smaller magnitudes;
+//! * a first loss at `k` that is not decisive upward: evaluate `k + 1,
+//!   k + 2, …`, each against its own segment's line, until a decisive loss
+//!   covers the rest or the states run out.
+//!
+//! A zone is accepted only if its outcomes are one run of wins followed by
+//! one run of losses, which is then exactly the serial scan's. A loss
+//! below a win, or a non-finite candidate, **aborts** the pass, and the
+//! caller falls back to the exact pass, which is correct by definition.
 //!
 //! The equivalence suite (`tests/dp_monotone_equivalence.rs`) and the CI
 //! `perf-smoke` digest diff enforce the guarantee end to end.
@@ -82,14 +144,11 @@ use crate::cost::CostModel;
 use crate::error::Result;
 use std::collections::VecDeque;
 
-/// Relative margin below which a cross-candidate comparison is considered
-/// too close to trust. f64 evaluation of one candidate is accurate to a
-/// few ulps (~1e-16 relative); 1e-12 leaves four orders of magnitude of
-/// headroom while staying far below the spacing of genuinely distinct
-/// candidates on real grids, so spurious aborts are rare. Exact ties
-/// (difference of 0.0) are *not* aborts — they are decided leftmost, the
-/// same way the serial scan decides them.
-const MONOTONE_MARGIN: f64 = 1e-12;
+/// The rounding bound per unit of candidate magnitude: a probe decides
+/// the states it implies once its gap exceeds `ROUNDING` times the masses
+/// in play. Step 5 of the module docs' proof needs `2.6ε`; `4ε` leaves room
+/// for the rounding of the test itself.
+const ROUNDING: f64 = 4.0 * f64::EPSILON;
 
 /// A successful fast-path solve: the unnormalized value table `w`
 /// (`w[i] = E*ᵢ·Sᵢ`, length `n + 1`), the per-state argmin `choice`, and
@@ -101,12 +160,13 @@ pub(super) struct MonotoneSolve {
     pub evals: u64,
 }
 
-/// The runtime gate: `O(n)` verification of the sufficient condition the
-/// envelope argument needs — finite strictly increasing values, finite
-/// nonnegative masses, finite non-increasing suffix masses and a finite
-/// cost model with `α ≥ 0`. Inputs built through [`DiscreteDistribution`]
-/// and [`CostModel`] always satisfy this; the gate re-checks the raw
-/// arrays so the fast path never *assumes* upstream validation (and so
+/// The runtime gate: `O(n)` verification of what the envelope argument
+/// and its rounding proof assume — finite, non-negative, strictly
+/// increasing values, finite nonnegative masses, finite non-increasing and
+/// non-negative suffix masses, and a finite cost model with `α, β, γ ≥ 0`.
+/// Inputs built through [`DiscreteDistribution`] and [`CostModel::new`]
+/// always satisfy this; the gate re-checks the raw arrays and the public
+/// cost fields so the fast path never *assumes* upstream validation (and so
 /// tests can hand it adversarial slices directly).
 ///
 /// [`DiscreteDistribution`]: rsj_dist::DiscreteDistribution
@@ -117,7 +177,12 @@ pub fn monotone_gate(values: &[f64], probs: &[f64], suffix: &[f64], cost: &CostM
     }
     if !(cost.alpha.is_finite() && cost.beta.is_finite() && cost.gamma.is_finite())
         || cost.alpha < 0.0
+        || cost.beta < 0.0
+        || cost.gamma < 0.0
     {
+        return false;
+    }
+    if !(values[0] >= 0.0) {
         return false;
     }
     let mut prev = f64::NEG_INFINITY;
@@ -137,7 +202,7 @@ pub fn monotone_gate(values: &[f64], probs: &[f64], suffix: &[f64], cost: &CostM
         }
         prev = s;
     }
-    true
+    prev >= 0.0
 }
 
 /// The terms of `cand(p, j)` that depend on the line `j` alone, computed
@@ -156,6 +221,7 @@ struct Line {
 /// line `j` is the current envelope minimum, with that line's constants.
 /// The deque holds segments in increasing-state order; together they
 /// partition the states not yet queried.
+#[derive(Clone, Copy)]
 struct Seg {
     j: usize,
     lo: usize,
@@ -173,11 +239,191 @@ fn cand(line: &Line, beta: f64, s_p: f64, a_p: f64) -> f64 {
     line.slope * s_p + beta * (line.a1 - a_p) + line.tail + line.w1
 }
 
-/// Attempts the fast path. `Ok(None)` means the gate declined or a
-/// comparison hit the margin/finiteness abort — the caller must run the
-/// exact pass. `Ok(Some(..))` is bit-identical to what the exact pass
-/// would produce (see the module docs for the discipline that makes this
-/// hold and the test suite that enforces it).
+/// The new line `c` against an older line `d` at one state.
+#[derive(Clone, Copy)]
+struct Probe {
+    /// `cand(p, c) ≤ cand(p, d)`: `c` takes the state, exactly as the
+    /// serial scan decides it (the leftmost index on a tie).
+    win: bool,
+    /// `cand(p, c) − cand(p, d)`.
+    gap: f64,
+    /// `cand(p, c) + cand(p, d)`, the magnitude rounding scales with.
+    mass: f64,
+}
+
+/// Whether `probe` decides the states it implies: its gap exceeds the
+/// rounding at the probe and at every state whose candidates are bounded
+/// by a probe of mass `base` (step 5 of the module docs).
+#[inline]
+fn decisive(probe: &Probe, base: f64) -> bool {
+    probe.gap.abs() > ROUNDING * (probe.mass + base) + f64::MIN_POSITIVE
+}
+
+/// One envelope pass over an instance's suffix masses `s` and prefix
+/// sums `a`: the deque of segments and the evaluation counter.
+struct Envelope<'a> {
+    s: &'a [f64],
+    a: &'a [f64],
+    beta: f64,
+    dq: VecDeque<Seg>,
+    evals: u64,
+}
+
+impl Envelope<'_> {
+    /// `c` against `d` at state `p`. `None` when a candidate is not
+    /// finite.
+    #[inline]
+    fn probe(&mut self, c: &Line, d: &Line, p: usize) -> Option<Probe> {
+        let (s_p, a_p) = (self.s[p], self.a[p]);
+        let cc = cand(c, self.beta, s_p, a_p);
+        let cd = cand(d, self.beta, s_p, a_p);
+        self.evals += 2;
+        if !cc.is_finite() || !cd.is_finite() {
+            return None;
+        }
+        Some(Probe {
+            win: cc <= cd,
+            gap: cc - cd,
+            mass: cc + cd,
+        })
+    }
+
+    /// Settles the new line `c = i` against the front segments in the
+    /// module docs' probe order, popping each one it wins outright. It wins
+    /// on a prefix of the remaining states `[0, i]`: returns that prefix's
+    /// length, or `None` when the pass must abort.
+    fn settle(&mut self, c: &Line, i: usize) -> Option<usize> {
+        while let Some(&Seg {
+            lo, hi, line: d, ..
+        }) = self.dq.front()
+        {
+            let at_lo = self.probe(c, &d, lo)?;
+            if !at_lo.win {
+                self.losses_above(c, lo, &at_lo)?;
+                return Some(lo);
+            }
+            if lo < hi {
+                let at_hi = self.probe(c, &d, hi)?;
+                if !at_hi.win {
+                    // c wins at lo and loses at hi, so its first loss is in
+                    // (lo, hi]: try hi − 1, then bisect (lo, hi − 1) keeping
+                    // a probed win at l − 1 (of mass `l_mass`) and a probed
+                    // loss at h.
+                    let (mut l, mut l_mass) = (lo + 1, at_lo.mass);
+                    let (mut h, mut at_h) = (hi, at_hi);
+                    if hi - 1 > lo {
+                        let at = self.probe(c, &d, hi - 1)?;
+                        if at.win {
+                            self.wins_between(c, &d, lo, at_lo.mass, hi - 1, &at)?;
+                            (l, l_mass) = (hi, at.mass);
+                        } else {
+                            (h, at_h) = (hi - 1, at);
+                        }
+                    }
+                    while l < h {
+                        let mid = l + (h - l) / 2;
+                        let at = self.probe(c, &d, mid)?;
+                        if at.win {
+                            self.wins_between(c, &d, l - 1, l_mass, mid, &at)?;
+                            (l, l_mass) = (mid + 1, at.mass);
+                        } else {
+                            (h, at_h) = (mid, at);
+                        }
+                    }
+                    self.losses_above(c, h, &at_h)?;
+                    self.dq.front_mut().expect("probed segment").lo = h;
+                    return Some(h);
+                }
+                self.wins_between(c, &d, lo, at_lo.mass, hi, &at_hi)?;
+            }
+            self.dq.pop_front();
+        }
+        Some(i + 1)
+    }
+
+    /// Proves that `c` wins every state strictly between its probed wins
+    /// at `b` (of mass `b_mass`) and `m` against the segment line `d`:
+    /// directly when `at_m` is decisive down to `b`, otherwise in the zone.
+    /// `None` when a state in between is a loss, so that the outcomes are
+    /// not a prefix.
+    #[inline]
+    fn wins_between(
+        &mut self,
+        c: &Line,
+        d: &Line,
+        b: usize,
+        b_mass: f64,
+        m: usize,
+        at_m: &Probe,
+    ) -> Option<()> {
+        if m == b + 1 || decisive(at_m, b_mass) {
+            return Some(());
+        }
+        self.win_zone(c, d, b, b_mass, m, at_m)
+    }
+
+    /// [`Self::wins_between`]'s undecided case: probes the midpoint `q`
+    /// and settles `(b, q)` and `(q, m)` the same way, the upper half
+    /// against `q`'s smaller magnitudes.
+    #[cold]
+    fn win_zone(
+        &mut self,
+        c: &Line,
+        d: &Line,
+        b: usize,
+        b_mass: f64,
+        m: usize,
+        at_m: &Probe,
+    ) -> Option<()> {
+        let q = b + (m - b) / 2;
+        let at_q = self.probe(c, d, q)?;
+        if !at_q.win {
+            return None;
+        }
+        self.wins_between(c, d, b, b_mass, q, &at_q)?;
+        self.wins_between(c, d, q, at_q.mass, m, at_m)
+    }
+
+    /// Proves that `c` loses every state above its probed first loss `k`
+    /// (which lies in the front segment), through the deeper segments:
+    /// directly when `at_k` is decisive, otherwise in the zone. `None`
+    /// when a state above is a win.
+    #[inline]
+    fn losses_above(&mut self, c: &Line, k: usize, at_k: &Probe) -> Option<()> {
+        if decisive(at_k, at_k.mass) {
+            return Some(());
+        }
+        self.loss_zone(c, k)
+    }
+
+    /// [`Self::losses_above`]'s undecided case: compares `c` with each
+    /// state's own line from `k + 1` upward until a decisive loss covers
+    /// the rest.
+    #[cold]
+    fn loss_zone(&mut self, c: &Line, k: usize) -> Option<()> {
+        for seg in 0..self.dq.len() {
+            let Seg {
+                lo, hi, line: d, ..
+            } = self.dq[seg];
+            for p in lo.max(k + 1)..=hi {
+                let at = self.probe(c, &d, p)?;
+                if at.win {
+                    return None;
+                }
+                if decisive(&at, at.mass) {
+                    return Some(());
+                }
+            }
+        }
+        Some(())
+    }
+}
+
+/// Attempts the fast path. `Ok(None)` means the gate declined, or the pass
+/// aborted on a zone whose outcomes are not one run of wins then losses or
+/// on a non-finite candidate — the caller must run the exact pass.
+/// `Ok(Some(..))` is bit-identical to what the exact pass would produce
+/// (see the module docs for the proof and the test suite that enforces it).
 pub(super) fn try_solve(
     v: &[f64],
     f: &[f64],
@@ -193,64 +439,14 @@ pub(super) fn try_solve(
     let beta = cost.beta;
     let mut w = vec![0.0; n + 1];
     let mut choice = vec![0usize; n];
-    let mut evals: u64 = 0;
-
-    // Does line `c` win against line `d` (c < d) at state `p`, in the
-    // serial scan's float-level sense? `None` = too close to call.
-    let beats = |evals: &mut u64, c: &Line, d: &Line, p: usize| -> Option<bool> {
-        let (s_p, a_p) = (s[p], a[p]);
-        let ca = cand(c, beta, s_p, a_p);
-        let cd = cand(d, beta, s_p, a_p);
-        *evals += 2;
-        if !ca.is_finite() || !cd.is_finite() {
-            return None;
-        }
-        let delta = ca - cd;
-        if delta == 0.0 {
-            return Some(true); // exact tie → leftmost index, like the serial scan
-        }
-        if delta.abs() <= MONOTONE_MARGIN * ca.abs().max(cd.abs()) {
-            return None;
-        }
-        Some(delta < 0.0)
+    let mut env = Envelope {
+        s,
+        a,
+        beta,
+        dq: VecDeque::with_capacity(64),
+        evals: 0,
     };
 
-    // Settles the new line `c` against the front segments in the module
-    // docs' probe order, popping each one it wins outright. It wins on a
-    // prefix of the remaining states [0, i]: returns that prefix's length,
-    // or `None` when a comparison is too close to call.
-    let settle = |dq: &mut VecDeque<Seg>, evals: &mut u64, c: &Line, i: usize| -> Option<usize> {
-        while let Some(front) = dq.front_mut() {
-            let (lo, hi, d) = (front.lo, front.hi, front.line);
-            if !beats(evals, c, &d, lo)? {
-                return Some(lo);
-            }
-            if lo < hi && !beats(evals, c, &d, hi)? {
-                // c wins at lo and loses at hi, so its first loss is in
-                // (lo, hi]: try hi − 1, then bisect (lo, hi − 1) keeping a
-                // win at l − 1 and a loss at h.
-                let mut first_loss = hi;
-                if hi - 1 > lo && !beats(evals, c, &d, hi - 1)? {
-                    let (mut l, mut h) = (lo + 1, hi - 1);
-                    while l < h {
-                        let mid = l + (h - l) / 2;
-                        if beats(evals, c, &d, mid)? {
-                            l = mid + 1;
-                        } else {
-                            h = mid;
-                        }
-                    }
-                    first_loss = l;
-                }
-                front.lo = first_loss;
-                return Some(first_loss);
-            }
-            dq.pop_front();
-        }
-        Some(i + 1)
-    };
-
-    let mut dq: VecDeque<Seg> = VecDeque::with_capacity(64);
     for i in (0..n).rev() {
         if (n - i).is_multiple_of(DP_CANCEL_STRIDE) {
             cancel.check()?;
@@ -262,11 +458,11 @@ pub(super) fn try_solve(
             tail: beta * v[i] * s[i + 1],
             w1: w[i + 1],
         };
-        let Some(owned) = settle(&mut dq, &mut evals, &line, i) else {
+        let Some(owned) = env.settle(&line, i) else {
             return Ok(None);
         };
         if owned > 0 {
-            dq.push_front(Seg {
+            env.dq.push_front(Seg {
                 j: i,
                 lo: 0,
                 hi: owned - 1,
@@ -276,10 +472,10 @@ pub(super) fn try_solve(
 
         // Query state i: the deque partitions [0, i], so the back segment
         // contains i and its line is the envelope minimum there.
-        let back = dq.back().expect("deque partitions [0, i]");
+        let back = env.dq.back().expect("deque partitions [0, i]");
         debug_assert!(back.lo <= i && i <= back.hi);
         let best = cand(&back.line, beta, s[i], a[i]);
-        evals += 1;
+        env.evals += 1;
         if !best.is_finite() {
             // The serial scan would propagate this non-finite value into
             // every later comparison; don't try to reproduce that here.
@@ -290,16 +486,20 @@ pub(super) fn try_solve(
 
         // State i will never be queried again: shrink the partition to
         // [0, i-1].
-        if let Some(back) = dq.back_mut() {
+        if let Some(back) = env.dq.back_mut() {
             if back.lo == i {
-                dq.pop_back();
+                env.dq.pop_back();
             } else {
                 back.hi = i - 1;
             }
         }
     }
 
-    Ok(Some(MonotoneSolve { w, choice, evals }))
+    Ok(Some(MonotoneSolve {
+        w,
+        choice,
+        evals: env.evals,
+    }))
 }
 
 #[cfg(test)]
@@ -322,7 +522,7 @@ mod tests {
         let a = prefix_weighted_values(v, f);
         let fast = try_solve(v, f, &s, &a, &cost, &CancelToken::none())
             .unwrap()
-            .expect("no comparison is close to a tie");
+            .expect("the fast path fires");
 
         // The exact pass's serial scan (`dp::exact_pass` below
         // `DP_PAR_MIN_SPAN`), verbatim.
@@ -413,6 +613,70 @@ mod tests {
     }
 
     #[test]
+    fn an_undecided_loss_is_extended_by_evaluating_the_states_above() {
+        // Integer support and equal masses perturbed by a few ulps. Lines
+        // 2 and 1 each lose state 0 by under 2e-15 relative, inside the
+        // rounding bound, so the pass evaluates state 1 as well, where the
+        // loss is decisive. Line 0 loses state 0 just as narrowly, with no
+        // state above it left to check: 4 queries + 3 probes + 2 zone
+        // evaluations.
+        let (choice, evals) = solve_matching_exact(
+            &[
+                1.0000000000000002,
+                2.000000000000014,
+                3.0000000000000018,
+                4.000000000000001,
+            ],
+            &[
+                0.9999999999999967,
+                0.9999999999999999,
+                0.999999999999998,
+                0.9999999999999971,
+            ],
+        );
+        assert_eq!(choice, [3, 3, 3, 3]);
+        assert_eq!(evals, 4 + 2 * (3 + 2));
+    }
+
+    #[test]
+    fn a_loss_under_a_win_decided_at_its_own_magnitudes_aborts() {
+        // When line 3 enters, line 4 owns states 0–3. Line 3 ties state 0
+        // (and takes it), loses state 1 by one ulp, and wins states 2 and
+        // 3, state 3 by 1.1e-17: decisive at state 3's own magnitudes, but
+        // not at state 0's, ~8,000 times larger. The serial scan gives
+        // state 1 to line 4, which no envelope of lines reproduces. A bound
+        // taken at the probe alone would pop the segment and hand state 1
+        // to line 3; taken at the nearest win below, it leaves the states
+        // in between open, and the pass evaluates state 1 and declines.
+        let cost =
+            CostModel::new(2.0288949126344256e-7, 2.628534233175759, 0.7779673184461704).unwrap();
+        let d = DiscreteDistribution::new(
+            vec![
+                1.4882316740251358,
+                2.405250256131548,
+                3.598155577587235,
+                5.9454809169657645,
+                5.9454809184064406,
+                15613.724390053705,
+            ],
+            vec![
+                0.47532461074687915,
+                0.8786965312401324,
+                0.7662886348985852,
+                9.280485921378945e-5,
+                1.4117027901636909e-18,
+                1.2216858633139091e-8,
+            ],
+        )
+        .unwrap();
+        let (v, f) = (d.values(), d.probs());
+        let s = d.suffix_masses();
+        let a = prefix_weighted_values(v, f);
+        let solve = try_solve(v, f, &s, &a, &cost, &CancelToken::none()).unwrap();
+        assert!(solve.is_none(), "the pass must decline");
+    }
+
+    #[test]
     fn gate_accepts_valid_and_rejects_broken_arrays() {
         let cost = CostModel::reservation_only();
         let v = [1.0, 2.0, 4.0];
@@ -427,6 +691,18 @@ mod tests {
         // Non-finite entries anywhere decline.
         assert!(!monotone_gate(&[1.0, f64::NAN, 4.0], &f, &s, &cost));
         assert!(!monotone_gate(&v, &[0.5, f64::INFINITY, 0.2], &s, &cost));
+        // Negative terms void the rounding bound: a negative support value,
+        // a negative suffix mass, a negative β or γ.
+        assert!(!monotone_gate(&[-1.0, 2.0, 4.0], &f, &s, &cost));
+        assert!(!monotone_gate(&v, &f, &[0.5, 0.0, -0.3, -0.5], &cost));
+        for (beta, gamma) in [(-0.5, 0.0), (0.0, -0.5)] {
+            let cost = CostModel {
+                alpha: 1.0,
+                beta,
+                gamma,
+            };
+            assert!(!monotone_gate(&v, &f, &s, &cost));
+        }
         // Mismatched shapes decline.
         assert!(!monotone_gate(&v, &f[..2], &s, &cost));
         assert!(!monotone_gate(&[], &[], &[0.0], &cost));
