@@ -39,7 +39,7 @@ pub struct Row {
 }
 
 /// Jobs per adaptive run at the given fidelity.
-pub fn jobs(fidelity: Fidelity) -> usize {
+pub(crate) fn jobs(fidelity: Fidelity) -> usize {
     match fidelity {
         Fidelity::Paper => 400,
         Fidelity::Quick => 120,
@@ -96,7 +96,7 @@ fn run_one(
 }
 
 /// Computes the ablation: two priors per Table 1 truth.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
     let n_jobs = jobs(fidelity);
     let dists = paper_distributions();
     Parallelism::current()

@@ -12,7 +12,7 @@ use rsj_dist::{discretize, DiscretizationScheme};
 use rsj_par::Parallelism;
 
 /// Overheads swept, expressed as a fraction of the distribution's mean.
-pub const OVERHEAD_FRACTIONS: [f64; 5] = [0.001, 0.01, 0.1, 0.5, 2.0];
+pub(crate) const OVERHEAD_FRACTIONS: [f64; 5] = [0.001, 0.01, 0.1, 0.5, 2.0];
 
 /// One distribution's ablation row.
 #[derive(Debug, Clone)]
@@ -26,7 +26,7 @@ pub struct Row {
 }
 
 /// Computes the ablation.
-pub fn compute(fidelity: Fidelity) -> Vec<Row> {
+pub(crate) fn compute(fidelity: Fidelity) -> Vec<Row> {
     let cost = CostModel::reservation_only();
     let n = fidelity.discretization().min(500); // DP is O(n²) per overhead
     let dists = paper_distributions();

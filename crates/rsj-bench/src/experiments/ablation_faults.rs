@@ -17,13 +17,13 @@ use rsj_par::Parallelism;
 use rsj_sim::{run_batch, run_batch_resilient, FaultConfig, ResilienceConfig, RetryPolicy};
 
 /// MTBF values swept, expressed as multiples of the distribution's mean.
-pub const MTBF_FRACTIONS: [f64; 4] = [0.5, 1.0, 2.0, 10.0];
+pub(crate) const MTBF_FRACTIONS: [f64; 4] = [0.5, 1.0, 2.0, 10.0];
 
 /// Checkpoint/restart overhead as a fraction of the distribution's mean.
-pub const CHECKPOINT_OVERHEAD_FRACTION: f64 = 0.05;
+pub(crate) const CHECKPOINT_OVERHEAD_FRACTION: f64 = 0.05;
 
 /// Retry budget per job before the runner returns a degraded outcome.
-pub const MAX_FAILURES: usize = 50;
+pub(crate) const MAX_FAILURES: usize = 50;
 
 /// One MTBF cell of a distribution's sweep.
 #[derive(Debug, Clone, Copy)]
@@ -53,7 +53,7 @@ pub struct Row {
 
 /// Computes the ablation: Mean-Doubling sequences executed resiliently
 /// under crash faults, MTBF × checkpoint on/off, per Table 1 distribution.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
     let cost = CostModel::reservation_only();
     let n = fidelity.samples();
     let dists = paper_distributions();

@@ -13,7 +13,7 @@ use rsj_dist::{fit_lognormal, sample_n, DiscretizationScheme};
 use rsj_par::Parallelism;
 
 /// Trace sizes swept (the paper's archives hold "over 5000 runs").
-pub const SAMPLE_SIZES: [usize; 4] = [50, 200, 1000, 5000];
+pub(crate) const SAMPLE_SIZES: [usize; 4] = [50, 200, 1000, 5000];
 
 /// One distribution's row: penalty ratio per trace size.
 #[derive(Debug, Clone)]
@@ -25,7 +25,7 @@ pub struct Row {
 }
 
 /// Computes the ablation.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
     let cost = CostModel::reservation_only();
     let n_dp = fidelity.discretization().min(500);
     let dists = paper_distributions();

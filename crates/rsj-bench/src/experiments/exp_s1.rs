@@ -19,7 +19,7 @@ pub struct S1Report {
 }
 
 /// Computes the report.
-pub fn compute() -> S1Report {
+pub(crate) fn compute() -> S1Report {
     S1Report {
         s1: exp_optimal_s1(),
         published_s1: 0.74219,

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use rsj_traces::{figure1_archive, fit_archive, FitReport};
 
 /// Number of runs per application (the paper: "over 5000").
-pub fn runs(fidelity: Fidelity) -> usize {
+pub(crate) fn runs(fidelity: Fidelity) -> usize {
     match fidelity {
         Fidelity::Paper => 5000,
         Fidelity::Quick => 1500,
@@ -16,14 +16,14 @@ pub fn runs(fidelity: Fidelity) -> usize {
 }
 
 /// Generates the archive and fits both applications.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<FitReport> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<FitReport> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let archive = figure1_archive(runs(fidelity), &mut rng);
     fit_archive(&archive).expect("synthetic archives are clean")
 }
 
 /// Renders the fit table.
-pub fn render(reports: &[FitReport]) -> Result<Table, crate::report::ReportError> {
+pub(crate) fn render(reports: &[FitReport]) -> Result<Table, crate::report::ReportError> {
     let mut table = Table::new(vec![
         "Application",
         "runs",

@@ -12,7 +12,7 @@ use rsj_sim::{
 };
 
 /// The two job widths of Figure 2.
-pub const WIDTHS: [usize; 2] = [204, 409];
+pub(crate) const WIDTHS: [usize; 2] = [204, 409];
 
 /// Full result of the Figure 2 experiment.
 #[derive(Debug, Clone)]
@@ -40,7 +40,7 @@ fn workload(fidelity: Fidelity) -> WorkloadConfig {
 }
 
 /// Runs the queue simulation and the 20-group analysis for both widths.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Fig2Result {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Fig2Result {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     // Actual runtimes: LogNormal with mean 3 h and std 3 h — a wide spread
     // so requested runtimes cover the Figure 2 x-axis.

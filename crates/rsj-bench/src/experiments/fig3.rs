@@ -17,7 +17,7 @@ pub struct Panel {
 }
 
 /// Computes all nine panels.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Panel> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<Panel> {
     let cost = CostModel::reservation_only();
     let dists = paper_distributions();
     Parallelism::current().par_map(&dists, |i, nd| {

@@ -12,7 +12,7 @@ use rsj_par::Parallelism;
 use rsj_traces::NeuroHpcScenario;
 
 /// The `(mean_factor, std_factor)` grid of the robustness sweep.
-pub fn factor_grid(fidelity: Fidelity) -> Vec<(f64, f64)> {
+pub(crate) fn factor_grid(fidelity: Fidelity) -> Vec<(f64, f64)> {
     let factors: &[f64] = match fidelity {
         Fidelity::Paper => &[1.0, 2.0, 4.0, 7.0, 10.0],
         Fidelity::Quick => &[1.0, 10.0],
@@ -38,7 +38,7 @@ pub struct Row {
 }
 
 /// Computes the Figure 4 sweep.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
     let grid = factor_grid(fidelity);
     Parallelism::current().par_map(&grid, |i, &(mf, sf)| {
         let scenario = NeuroHpcScenario::with_scaled_moments(mf, sf).expect("positive factors");
@@ -68,7 +68,7 @@ pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
 }
 
 /// Renders the sweep as a long-format table.
-pub fn render(rows: &[Row]) -> Result<Table, crate::report::ReportError> {
+pub(crate) fn render(rows: &[Row]) -> Result<Table, crate::report::ReportError> {
     let mut header = vec!["mean x".to_string(), "std x".to_string()];
     if let Some(first) = rows.first() {
         header.extend(first.costs.iter().map(|(n, _)| n.clone()));

@@ -25,7 +25,7 @@ pub struct SimQueueFig4 {
 }
 
 /// Runs the cross-substrate experiment.
-pub fn compute(fidelity: Fidelity, seed: u64) -> SimQueueFig4 {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> SimQueueFig4 {
     // 1. Figure 2's simulation → affine wait fit for the 409-wide class.
     let fig2 = super::fig2::compute(fidelity, seed);
     let analysis = fig2

@@ -19,7 +19,7 @@ pub struct Row {
 
 /// Computes the Table 2 data. Every heuristic for one distribution is
 /// scored on the same `N` Monte-Carlo samples (common random numbers).
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
     let cost = CostModel::reservation_only();
     let dists = paper_distributions();
     Parallelism::current().par_map(&dists, |i, nd| {
@@ -47,7 +47,7 @@ pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
 
 /// Renders the paper's layout: each non-brute-force column shows the
 /// normalized cost with its ratio to Brute-Force in brackets.
-pub fn render(rows: &[Row]) -> Result<Table, crate::report::ReportError> {
+pub(crate) fn render(rows: &[Row]) -> Result<Table, crate::report::ReportError> {
     let mut header = vec!["Distribution".to_string()];
     if let Some(first) = rows.first() {
         header.extend(first.costs.iter().map(|(n, _)| n.clone()));
@@ -152,8 +152,9 @@ mod tests {
     fn render_shape() {
         let rows = compute(Fidelity::Quick, 7);
         let t = render(&rows).unwrap();
-        assert_eq!(t.len(), 9);
         let md = t.to_markdown();
+        // Header, separator and one line per Table 1 law.
+        assert_eq!(md.lines().count(), 2 + 9);
         assert!(md.contains("Brute-Force"));
         assert!(md.contains("("));
     }

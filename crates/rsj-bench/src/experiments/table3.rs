@@ -8,7 +8,7 @@ use rsj_core::{BruteForce, CostModel, EvalMethod};
 use rsj_par::Parallelism;
 
 /// Quantiles probed by the paper.
-pub const QUANTILES: [f64; 4] = [0.25, 0.5, 0.75, 0.99];
+pub(crate) const QUANTILES: [f64; 4] = [0.25, 0.5, 0.75, 0.99];
 
 /// One distribution's Table 3 row.
 #[derive(Debug, Clone)]
@@ -24,7 +24,7 @@ pub struct Row {
 }
 
 /// Computes the Table 3 data.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
     let cost = CostModel::reservation_only();
     let dists = paper_distributions();
     Parallelism::current().par_map(&dists, |i, nd| {
@@ -55,7 +55,7 @@ pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
 }
 
 /// Renders the paper's layout.
-pub fn render(rows: &[Row]) -> Result<Table, crate::report::ReportError> {
+pub(crate) fn render(rows: &[Row]) -> Result<Table, crate::report::ReportError> {
     let mut header = vec!["Distribution".to_string(), "t1_bf (cost)".to_string()];
     header.extend(QUANTILES.iter().map(|q| format!("Q({q})")));
     let mut table = Table::new(header);

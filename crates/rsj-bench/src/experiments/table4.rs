@@ -9,9 +9,9 @@ use rsj_dist::DiscretizationScheme;
 use rsj_par::Parallelism;
 
 /// The paper's sample-count sweep.
-pub const PAPER_NS: [usize; 7] = [10, 25, 50, 100, 250, 500, 1000];
+pub(crate) const PAPER_NS: [usize; 7] = [10, 25, 50, 100, 250, 500, 1000];
 /// Reduced sweep for smoke runs.
-pub const QUICK_NS: [usize; 4] = [10, 50, 100, 250];
+pub(crate) const QUICK_NS: [usize; 4] = [10, 50, 100, 250];
 
 /// One distribution's Table 4 row.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ fn ns(fidelity: Fidelity) -> Vec<usize> {
 
 /// Computes the Table 4 data; both schemes of one distribution are scored
 /// on the same Monte-Carlo samples.
-pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
+pub(crate) fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
     let cost = CostModel::reservation_only();
     let sweep = ns(fidelity);
     let dists = paper_distributions();
@@ -62,7 +62,7 @@ pub fn compute(fidelity: Fidelity, seed: u64) -> Vec<Row> {
 }
 
 /// Renders the paper's (wide) layout.
-pub fn render(rows: &[Row]) -> Result<Table, crate::report::ReportError> {
+pub(crate) fn render(rows: &[Row]) -> Result<Table, crate::report::ReportError> {
     let sweep: Vec<usize> = rows
         .first()
         .map(|r| r.equal_time.iter().map(|&(n, _)| n).collect())

@@ -40,7 +40,7 @@ pub struct HostInfo {
 
 impl HostInfo {
     /// Captures the current process's view of the machine.
-    pub fn capture() -> Self {
+    pub(crate) fn capture() -> Self {
         Self {
             available_parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -128,7 +128,7 @@ impl PerfManifest {
 
     /// Pretty JSON (round-trip-exact floats, same convention as the
     /// metrics exporters).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("manifest is serializable")
     }
 

@@ -3,11 +3,11 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Errors from assembling a report table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReportError {
+pub(crate) enum ReportError {
     /// A row's cell count does not match the header's column count.
     RowWidthMismatch {
         /// Number of header columns.
@@ -62,14 +62,14 @@ pub fn write_result_file(name: &str, content: &str) -> std::io::Result<PathBuf> 
 
 /// A simple Markdown/CSV table builder.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(header: Vec<S>) -> Self {
+    pub(crate) fn new<S: Into<String>>(header: Vec<S>) -> Self {
         Self {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -79,7 +79,7 @@ impl Table {
     /// Appends a row; errors when its length does not match the header
     /// (a malformed experiment result must surface as a reportable error,
     /// not a panic deep inside a long run).
-    pub fn push_row<S: Into<String>>(&mut self, row: Vec<S>) -> Result<(), ReportError> {
+    pub(crate) fn push_row<S: Into<String>>(&mut self, row: Vec<S>) -> Result<(), ReportError> {
         let row: Vec<String> = row.into_iter().map(Into::into).collect();
         if row.len() != self.header.len() {
             return Err(ReportError::RowWidthMismatch {
@@ -92,18 +92,8 @@ impl Table {
         Ok(())
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let mut out = String::new();
         let widths: Vec<usize> = self
             .header
@@ -141,7 +131,7 @@ impl Table {
     }
 
     /// Renders CSV (comma-separated, quoting cells containing commas).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let quote = |c: &str| {
             if c.contains(',') || c.contains('"') {
                 format!("\"{}\"", c.replace('"', "\"\""))
@@ -168,7 +158,7 @@ impl Table {
 
     /// Writes both renderings under `results/` with the given stem and
     /// prints the Markdown to stdout.
-    pub fn emit(&self, stem: &str, title: &str) -> std::io::Result<()> {
+    pub(crate) fn emit(&self, stem: &str, title: &str) -> std::io::Result<()> {
         let md = format!("# {title}\n\n{}", self.to_markdown());
         println!("{md}");
         write_result_file(&format!("{stem}.md"), &md)?;
@@ -179,16 +169,11 @@ impl Table {
 
 /// Formats a ratio like the paper's tables (2 decimals), with `-` for
 /// invalid entries.
-pub fn fmt_ratio(v: Option<f64>) -> String {
+pub(crate) fn fmt_ratio(v: Option<f64>) -> String {
     match v {
         Some(x) => format!("{x:.2}"),
         None => "-".into(),
     }
-}
-
-/// Checks that `path` exists (used by smoke tests).
-pub fn exists(path: &Path) -> bool {
-    path.exists()
 }
 
 #[cfg(test)]
@@ -225,7 +210,7 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("2 columns"));
-        assert!(t.is_empty(), "failed row must not be committed");
+        assert!(t.rows.is_empty(), "failed row must not be committed");
         // And it converts into io::Error for `?` in emit() pipelines.
         let io: std::io::Error = err.into();
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidInput);

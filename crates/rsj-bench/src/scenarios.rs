@@ -44,7 +44,7 @@ impl Fidelity {
     }
 
     /// Brute-force grid size `M`.
-    pub fn grid(self) -> usize {
+    pub(crate) fn grid(self) -> usize {
         match self {
             Fidelity::Paper => 5000,
             Fidelity::Quick => 300,
@@ -52,7 +52,7 @@ impl Fidelity {
     }
 
     /// Monte-Carlo sample count `N`.
-    pub fn samples(self) -> usize {
+    pub(crate) fn samples(self) -> usize {
         match self {
             Fidelity::Paper => 1000,
             Fidelity::Quick => 400,
@@ -60,7 +60,7 @@ impl Fidelity {
     }
 
     /// Discretization sample count `n`.
-    pub fn discretization(self) -> usize {
+    pub(crate) fn discretization(self) -> usize {
         match self {
             Fidelity::Paper => 1000,
             Fidelity::Quick => 200,
@@ -69,12 +69,12 @@ impl Fidelity {
 }
 
 /// The paper's ε for truncating unbounded supports.
-pub const EPSILON: f64 = 1e-7;
+pub(crate) const EPSILON: f64 = 1e-7;
 
 /// The seven-heuristic Table 2 suite at the given fidelity, built through
 /// `rsj-core`'s [`SuiteBuilder`] (the benches only adjust the evaluation
 /// parameters, never the set of heuristics).
-pub fn heuristic_suite(fidelity: Fidelity, seed: u64) -> Vec<Box<dyn Strategy>> {
+pub(crate) fn heuristic_suite(fidelity: Fidelity, seed: u64) -> Vec<Box<dyn Strategy>> {
     SuiteBuilder::new(seed)
         .grid(fidelity.grid())
         .samples(fidelity.samples())

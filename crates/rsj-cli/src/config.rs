@@ -20,7 +20,7 @@ pub struct CostSpec {
 
 impl CostSpec {
     /// Builds the validated cost model.
-    pub fn build(&self) -> Result<CostModel, String> {
+    pub(crate) fn build(&self) -> Result<CostModel, String> {
         CostModel::new(self.alpha, self.beta, self.gamma).map_err(|e| e.to_string())
     }
 }
@@ -34,7 +34,7 @@ impl CostSpec {
 /// `rsj-serve` requests. One behavioral difference: an unknown DP
 /// `scheme` is now rejected when the config is parsed (a typed serde
 /// error naming the bad value) instead of when the solver is built.
-pub type HeuristicSpec = SolverSpec;
+pub(crate) type HeuristicSpec = SolverSpec;
 
 /// `rsj plan` configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

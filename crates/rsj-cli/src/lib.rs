@@ -1,7 +1,7 @@
 //! # rsj-cli — command-line reservation planner
 //!
 //! A small front-end over the `rsj-*` crates. Four commands, all driven by
-//! JSON configurations (see [`PlanConfig`] etc.) or flags:
+//! JSON configurations (see `PlanConfig` etc.) or flags:
 //!
 //! * `rsj plan` — compute a request ladder for a distribution + cost model
 //!   (through the `Planner` facade);
@@ -18,12 +18,11 @@
 
 #![warn(missing_docs)]
 
-pub mod commands;
-pub mod config;
-pub mod serve_cmd;
+pub(crate) mod commands;
+pub(crate) mod config;
+pub(crate) mod serve_cmd;
 
 pub use commands::{run_evaluate, run_fit, run_plan, run_risk, run_simulate};
-pub use config::{EvaluateConfig, HeuristicSpec, PlanConfig, SimulateConfig};
 pub use serve_cmd::{
     run_request, run_serve, run_trace_export, RequestAction, RequestOptions, ServeOptions,
     TraceExportOptions,

@@ -301,8 +301,10 @@ fn main() -> ExitCode {
                 Some(Err(_)) => return fail("invalid --deadline-ms: expected a number"),
                 None => {}
             }
+            // A call makes `retries + 1` attempts, so that count must fit.
             match flag_value(&args, "--retries").map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) => opts.retries = Some(n),
+                Some(Ok(n)) if n < u32::MAX => opts.retries = Some(n),
+                Some(Ok(_)) => return fail("invalid --retries: at most 4294967294"),
                 Some(Err(_)) => return fail("invalid --retries: expected a number"),
                 None => {}
             }

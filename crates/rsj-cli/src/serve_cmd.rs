@@ -9,8 +9,8 @@
 use crate::config::PlanConfig;
 use rsj_core::CostModel;
 use rsj_serve::{
-    BreakerConfig, Client, DurabilityConfig, Request, ResilientClient, Response, RetryPolicy,
-    Server, ServerConfig, PROTOCOL_VERSION,
+    Client, DurabilityConfig, Request, ResilientClient, Response, RetryPolicy, Server,
+    ServerConfig, PROTOCOL_VERSION,
 };
 use std::io::Write;
 
@@ -147,9 +147,11 @@ pub struct RequestOptions {
     /// Per-request deadline in milliseconds (`--deadline-ms`); the server
     /// sheds the request (typed `deadline_exceeded`) once it lapses.
     pub deadline_ms: Option<u64>,
-    /// Retry attempts after the first (`--retries`); retried through the
-    /// resilient client (seeded-jitter backoff + circuit breaker) and
-    /// only for transient failures (`overloaded`, `internal`, transport).
+    /// Retry attempts after the first (`--retries`), so a call makes at
+    /// most `retries + 1` attempts; retried through the resilient client
+    /// (seeded-jitter backoff, a fresh connection per attempt) and only
+    /// for transient failures (`overloaded`, `not_ready`, `internal`,
+    /// transport).
     pub retries: Option<u32>,
     /// `--trace`: ask the server to return its per-request timeline and
     /// render it under the plan (text mode) or embed it (JSON mode).
@@ -198,7 +200,7 @@ pub fn run_request(
                 max_attempts: retries + 1,
                 ..RetryPolicy::default()
             };
-            let mut client = ResilientClient::new(addr, policy, BreakerConfig::default());
+            let mut client = ResilientClient::new(addr, policy);
             client
                 .call(&request)
                 .map_err(|e| format!("request failed: {e}"))?

@@ -188,6 +188,41 @@ fn serve_help_prints_usage_without_serving() {
     assert!(!stdout.contains("rsj-serve listening on"), "{stdout}");
 }
 
+/// An address that refuses connections: a port bound and released again.
+fn refused_addr() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.local_addr().unwrap().to_string()
+}
+
+#[test]
+fn request_retries_n_makes_n_plus_one_attempts() {
+    let addr = refused_addr();
+    let out = run_bounded(&["request", "--addr", &addr, "--ping", "--retries", "5"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("retries exhausted after 6 attempts"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn request_retries_whose_attempt_count_overflows_is_a_usage_error() {
+    let addr = refused_addr();
+    let out = run_bounded(&[
+        "request",
+        "--addr",
+        &addr,
+        "--ping",
+        "--retries",
+        "4294967295",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("invalid --retries"), "{stderr}");
+    assert!(stderr.contains("USAGE"), "{stderr}");
+}
+
 #[test]
 fn plan_rejects_unknown_flags_and_missing_values() {
     let out = rsj()

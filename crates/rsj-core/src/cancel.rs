@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::error::{CoreError, Result};
 
@@ -49,11 +49,6 @@ impl CancelToken {
         }
     }
 
-    /// A flagged token firing after `timeout` from now.
-    pub fn with_timeout(timeout: Duration) -> Self {
-        Self::with_deadline(Instant::now() + timeout)
-    }
-
     /// Raises the flag. Idempotent; a no-op on flagless tokens.
     pub fn cancel(&self) {
         if let Some(flag) = &self.flag {
@@ -62,7 +57,7 @@ impl CancelToken {
     }
 
     /// Whether the flag is up or the deadline has passed.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         if let Some(flag) = &self.flag {
             if flag.load(Ordering::Relaxed) {
                 return true;
@@ -82,23 +77,12 @@ impl CancelToken {
         }
         Ok(())
     }
-
-    /// Time left until the deadline; `None` when there is no deadline.
-    /// Zero once the deadline has passed.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// The wall-clock deadline, if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn none_never_fires() {
@@ -107,7 +91,6 @@ mod tests {
         t.cancel(); // no-op, must not panic
         assert!(!t.is_cancelled());
         assert!(t.check().is_ok());
-        assert!(t.remaining().is_none());
     }
 
     #[test]
@@ -124,9 +107,7 @@ mod tests {
     fn past_deadline_fires_without_cancel() {
         let t = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(t.is_cancelled());
-        assert_eq!(t.remaining(), Some(Duration::ZERO));
-        let future = CancelToken::with_timeout(Duration::from_secs(3600));
+        let future = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!future.is_cancelled());
-        assert!(future.remaining().unwrap() > Duration::from_secs(3000));
     }
 }

@@ -113,7 +113,7 @@ pub trait ConvexCost: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// The affine `G(x) = α·x + γ` viewed as a [`ConvexCost`]; Appendix C
+/// The affine `G(x) = α·x + γ` viewed as a `ConvexCost`; Appendix C
 /// results must reduce to the §3.3 ones with this instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AffineConvexCost(pub CostModel);

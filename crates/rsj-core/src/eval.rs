@@ -121,16 +121,6 @@ pub fn normalized_cost_analytic(
     expected_cost_analytic(seq, dist, cost) / cost.omniscient(dist)
 }
 
-/// Monte-Carlo analogue of [`normalized_cost_analytic`].
-pub fn normalized_cost_monte_carlo(
-    seq: &ReservationSequence,
-    dist: &dyn ContinuousDistribution,
-    cost: &CostModel,
-    samples: &[f64],
-) -> f64 {
-    expected_cost_monte_carlo(seq, cost, samples) / cost.omniscient(dist)
-}
-
 /// Exact expected cost under a convex reservation cost (Appendix C):
 /// `E(S) = β·E[X] + Σ_{i≥0} (G(t_{i+1}) + β·tᵢ)·P(X ≥ tᵢ)`.
 pub fn expected_cost_analytic_convex(
@@ -154,31 +144,6 @@ pub fn expected_cost_analytic_convex(
         t_prev = t_next;
     }
     total
-}
-
-/// Single-job accounting under a convex reservation cost.
-pub fn run_job_convex(seq: &ReservationSequence, cost: &dyn ConvexCost, t: f64) -> RunOutcome {
-    assert!(
-        t >= 0.0 && t.is_finite(),
-        "job duration must be finite, got {t}"
-    );
-    let k = seq.first_fitting(t);
-    let mut total = 0.0;
-    let mut reserved = 0.0;
-    for i in 0..k {
-        let r = seq.reservation(i);
-        total += cost.single(r, r); // failed: used the whole slot
-        reserved += r;
-    }
-    let final_r = seq.reservation(k);
-    total += cost.single(final_r, t);
-    reserved += final_r;
-    RunOutcome {
-        cost: total,
-        reservations: k + 1,
-        reserved_time: reserved,
-        wasted_time: final_r - t,
-    }
 }
 
 #[cfg(test)]
@@ -281,13 +246,6 @@ mod tests {
         let affine = expected_cost_analytic(&s, &d, &c);
         let convex = expected_cost_analytic_convex(&s, &d, &AffineConvexCost(c));
         assert!((affine - convex).abs() < 1e-10);
-        // Per-job accounting must agree too.
-        for &t in &[0.3, 1.7, 9.9] {
-            let a = run_job(&s, &c, t);
-            let v = run_job_convex(&s, &AffineConvexCost(c), t);
-            assert!((a.cost - v.cost).abs() < 1e-10, "t={t}");
-            assert_eq!(a.reservations, v.reservations);
-        }
     }
 
     #[test]

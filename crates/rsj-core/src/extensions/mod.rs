@@ -1,16 +1,16 @@
 //! Extensions beyond the paper's core model, implementing its §7 future
 //! work:
 //!
-//! * [`checkpoint`] — checkpoint snapshots at the end of reservations,
+//! * `checkpoint` — checkpoint snapshots at the end of reservations,
 //!   including an exact DP for discrete distributions;
-//! * [`multiresource`] — reservations as (processors, duration) pairs
+//! * `multiresource` — reservations as (processors, duration) pairs
 //!   under parallel speedup models, reduced to the 1-D problem per width.
 
-pub mod checkpoint;
-pub mod multiresource;
+pub(crate) mod checkpoint;
+pub(crate) mod multiresource;
 
 pub use checkpoint::{
     expected_cost_checkpointed, optimal_discrete_checkpointed, run_job_checkpointed,
-    CheckpointConfig, CheckpointDpSolution,
+    CheckpointConfig,
 };
-pub use multiresource::{MultiResourcePlan, MultiResourcePlanner, SpeedupModel, WidthPolicy};
+pub use multiresource::{MultiResourcePlanner, SpeedupModel, WidthPolicy};

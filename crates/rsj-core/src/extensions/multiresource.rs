@@ -48,7 +48,7 @@ pub enum SpeedupModel {
 
 impl SpeedupModel {
     /// The runtime factor `g(p) > 0`.
-    pub fn factor(&self, processors: usize) -> f64 {
+    pub(crate) fn factor(&self, processors: usize) -> f64 {
         assert!(processors >= 1, "need at least one processor");
         let p = processors as f64;
         match *self {
@@ -61,7 +61,7 @@ impl SpeedupModel {
     }
 
     /// Validates model parameters.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let ok = match *self {
             SpeedupModel::Amdahl { serial_fraction } => (0.0..=1.0).contains(&serial_fraction),
             SpeedupModel::Linear => true,
@@ -98,7 +98,7 @@ pub enum WidthPolicy {
 
 impl WidthPolicy {
     /// The width-adjusted cost model.
-    pub fn cost_at(&self, base: &CostModel, processors: usize) -> Result<CostModel> {
+    pub(crate) fn cost_at(&self, base: &CostModel, processors: usize) -> Result<CostModel> {
         let p = processors as f64;
         match *self {
             WidthPolicy::ProcessorHours => {

@@ -154,19 +154,8 @@ impl BruteForce {
         self
     }
 
-    /// The paper's evaluation parameters: `M = 5000`, `N = 1000`,
-    /// Monte-Carlo scoring.
-    pub fn paper(seed: u64) -> Self {
-        Self::new(5000, 1000, EvalMethod::MonteCarlo, seed).expect("paper parameters are valid")
-    }
-
-    /// Grid size `M`.
-    pub fn grid_size(&self) -> usize {
-        self.m
-    }
-
     /// The `t₁` candidate grid over `[a, b̄]` (§4.1: `t₁ = a + m·(b̄-a)/M`).
-    pub fn grid(&self, dist: &dyn ContinuousDistribution, cost: &CostModel) -> Vec<f64> {
+    pub(crate) fn grid(&self, dist: &dyn ContinuousDistribution, cost: &CostModel) -> Vec<f64> {
         let a = dist.support().lower();
         let b = upper_bound_t1(dist, cost);
         (1..=self.m)
@@ -210,7 +199,7 @@ impl BruteForce {
     /// skipped (their scoring work elided) and the call returns
     /// [`CoreError::Cancelled`]; an uncancelled sweep is bit-for-bit the
     /// same as [`sweep`](Self::sweep).
-    pub fn sweep_cancellable(
+    pub(crate) fn sweep_cancellable(
         &self,
         dist: &dyn ContinuousDistribution,
         cost: &CostModel,
@@ -284,7 +273,7 @@ impl BruteForce {
 
     /// [`best`](Self::best) with cooperative cancellation (see
     /// [`sweep_cancellable`](Self::sweep_cancellable)).
-    pub fn best_cancellable(
+    pub(crate) fn best_cancellable(
         &self,
         dist: &dyn ContinuousDistribution,
         cost: &CostModel,

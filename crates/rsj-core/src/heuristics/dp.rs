@@ -92,24 +92,16 @@ pub struct DpSolution {
 /// accepts (the common case), falling back to the exact `O(n²)` pass
 /// otherwise; either way the result is the same bits.
 pub fn optimal_discrete(dist: &DiscreteDistribution, cost: &CostModel) -> Result<DpSolution> {
-    optimal_discrete_par(dist, cost, &Parallelism::current())
+    optimal_discrete_cancellable(dist, cost, &Parallelism::current(), &CancelToken::none())
 }
 
 /// [`optimal_discrete`] with an explicit worker pool (used only by the
 /// exact fallback — the envelope pass is inherently sequential and needs
-/// no workers, which also makes it trivially thread-count-deterministic).
-pub fn optimal_discrete_par(
-    dist: &DiscreteDistribution,
-    cost: &CostModel,
-    par: &Parallelism,
-) -> Result<DpSolution> {
-    optimal_discrete_cancellable(dist, cost, par, &CancelToken::none())
-}
-
-/// [`optimal_discrete_par`] with cooperative cancellation, polled every
-/// `DP_CANCEL_STRIDE` states of the backward pass. An uncancelled run
-/// is bit-for-bit identical to the uncancellable entry points.
-pub fn optimal_discrete_cancellable(
+/// no workers, which also makes it trivially thread-count-deterministic)
+/// and cooperative cancellation, polled every `DP_CANCEL_STRIDE` states of
+/// the backward pass. An uncancelled run is bit-for-bit identical to
+/// [`optimal_discrete`].
+pub(crate) fn optimal_discrete_cancellable(
     dist: &DiscreteDistribution,
     cost: &CostModel,
     par: &Parallelism,
@@ -152,10 +144,11 @@ pub fn optimal_discrete_cancellable(
 /// keep it for A/B runs (`SolverSpec::Dp { monotone: false, .. }`), for
 /// the equivalence suite, and as the fallback when the gate declines.
 pub fn optimal_discrete_exact(dist: &DiscreteDistribution, cost: &CostModel) -> Result<DpSolution> {
-    optimal_discrete_exact_par(dist, cost, &Parallelism::current())
+    optimal_discrete_exact_cancellable(dist, cost, &Parallelism::current(), &CancelToken::none())
 }
 
-/// [`optimal_discrete_exact`] with an explicit worker pool.
+/// [`optimal_discrete_exact`] with an explicit worker pool and cooperative
+/// cancellation.
 ///
 /// The per-state minimization over `j ∈ [i, n)` evaluates a pure
 /// function of precomputed prefix arrays, so it fans out as a chunked
@@ -163,16 +156,7 @@ pub fn optimal_discrete_exact(dist: &DiscreteDistribution, cost: &CostModel) -> 
 /// the smallest `j` (serial scan used strict `<`; the reduction keeps
 /// the left operand on ties and chunks are combined in index order), so
 /// the solution is bit-for-bit identical at any thread count.
-pub fn optimal_discrete_exact_par(
-    dist: &DiscreteDistribution,
-    cost: &CostModel,
-    par: &Parallelism,
-) -> Result<DpSolution> {
-    optimal_discrete_exact_cancellable(dist, cost, par, &CancelToken::none())
-}
-
-/// [`optimal_discrete_exact_par`] with cooperative cancellation.
-pub fn optimal_discrete_exact_cancellable(
+pub(crate) fn optimal_discrete_exact_cancellable(
     dist: &DiscreteDistribution,
     cost: &CostModel,
     par: &Parallelism,
@@ -403,7 +387,7 @@ pub struct DiscretizedDp {
 impl DiscretizedDp {
     /// Creates the heuristic; the paper uses `n = 1000`, `ε = 1e-7`. The
     /// monotone fast path is on by default (it changes no output bits);
-    /// see [`with_monotone`](Self::with_monotone) for A/B runs.
+    /// see `with_monotone` for A/B runs.
     pub fn new(scheme: DiscretizationScheme, n: usize, epsilon: f64) -> Result<Self> {
         if n == 0 {
             return Err(CoreError::InvalidHeuristicParameter {
@@ -435,24 +419,9 @@ impl DiscretizedDp {
     /// default). Disabling forces the exact `O(n²)` pass on every solve —
     /// the output is identical either way; the knob exists for A/B timing
     /// runs and for pinning down a suspected fast-path discrepancy.
-    pub fn with_monotone(mut self, on: bool) -> Self {
+    pub(crate) fn with_monotone(mut self, on: bool) -> Self {
         self.monotone = on;
         self
-    }
-
-    /// Whether the monotone fast path is enabled.
-    pub fn monotone(&self) -> bool {
-        self.monotone
-    }
-
-    /// The configured discretization scheme.
-    pub fn scheme(&self) -> DiscretizationScheme {
-        self.scheme
-    }
-
-    /// The configured sample count.
-    pub fn samples(&self) -> usize {
-        self.n
     }
 }
 
@@ -555,7 +524,7 @@ mod tests {
         let d = d3();
         let c = CostModel::new(1.0, 0.5, 0.25).unwrap();
         let sol = optimal_discrete(&d, &c).unwrap();
-        let n = d.len();
+        let n = d.values().len();
         let mut best = f64::INFINITY;
         for mask in 0..(1u32 << (n - 1)) {
             let mut indices: Vec<usize> = (0..n - 1).filter(|&i| mask & (1 << i) != 0).collect();
@@ -659,9 +628,14 @@ mod tests {
         dist: &dyn rsj_dist::ContinuousDistribution,
         cost: &CostModel,
     ) -> ReservationSequence {
-        let discrete = rsj_dist::discretize(dist, dp.scheme(), dp.samples(), 1e-7).unwrap();
-        let solution =
-            optimal_discrete_par(&discrete, cost, &rsj_par::Parallelism::serial()).unwrap();
+        let discrete = rsj_dist::discretize(dist, dp.scheme, dp.n, 1e-7).unwrap();
+        let solution = optimal_discrete_cancellable(
+            &discrete,
+            cost,
+            &rsj_par::Parallelism::serial(),
+            &CancelToken::none(),
+        )
+        .unwrap();
         let mut times = solution.values;
         if dist.support().is_bounded() {
             return ReservationSequence::new(times, true).unwrap();
@@ -733,11 +707,12 @@ mod tests {
         )
         .unwrap();
         let c = CostModel::new(0.95, 1.0, 1.05).unwrap();
-        let serial = optimal_discrete_exact_par(&d, &c, &rsj_par::Parallelism::serial()).unwrap();
+        let exact = |par: rsj_par::Parallelism| {
+            optimal_discrete_exact_cancellable(&d, &c, &par, &CancelToken::none()).unwrap()
+        };
+        let serial = exact(rsj_par::Parallelism::serial());
         for threads in [2, 4] {
-            let par =
-                optimal_discrete_exact_par(&d, &c, &rsj_par::Parallelism::new(threads).unwrap())
-                    .unwrap();
+            let par = exact(rsj_par::Parallelism::new(threads).unwrap());
             assert_eq!(serial.indices, par.indices, "{threads} threads");
             assert_eq!(
                 serial.expected_cost.to_bits(),
@@ -761,7 +736,7 @@ mod tests {
         let c = CostModel::new(0.95, 1.0, 1.05).unwrap();
         let fast = DiscretizedDp::new(DiscretizationScheme::EqualProbability, 400, 1e-7).unwrap();
         let slow = fast.clone().with_monotone(false);
-        assert!(fast.monotone() && !slow.monotone());
+        assert!(fast.monotone && !slow.monotone);
         let a = fast.sequence(&d, &c).unwrap();
         let b = slow.sequence(&d, &c).unwrap();
         assert_eq!(a.times().len(), b.times().len());

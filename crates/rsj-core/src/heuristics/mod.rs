@@ -18,13 +18,12 @@ mod spec;
 
 pub use brute_force::{BruteForce, EvalMethod, SweepPoint};
 pub use dp::{
-    discrete_sequence_cost, optimal_discrete, optimal_discrete_cancellable, optimal_discrete_exact,
-    optimal_discrete_exact_cancellable, optimal_discrete_exact_par, optimal_discrete_monotone,
-    optimal_discrete_par, DiscretizedDp, DpPath, DpSolution,
+    discrete_sequence_cost, optimal_discrete, optimal_discrete_exact, optimal_discrete_monotone,
+    DiscretizedDp, DpPath, DpSolution,
 };
 pub use dp_monotone::monotone_gate;
 pub use simple::{MeanByMean, MeanDoubling, MeanStdev, MedianByMedian};
-pub use spec::{SolverSpec, DEFAULT_EPSILON, DEFAULT_GRID, DEFAULT_SAMPLES};
+pub use spec::{SolverSpec, DEFAULT_EPSILON};
 
 use crate::cancel::CancelToken;
 use crate::cost::CostModel;
@@ -100,42 +99,31 @@ impl Default for TailPolicy {
     }
 }
 
-/// Configurable construction of the §4 heuristic suite.
-///
-/// Replaces the fixed `paper_suite(seed)` entry point: every evaluation
-/// parameter is adjustable (`M`, `N`, the brute-force scoring method, the
-/// DP's `n` and ε) and each of the seven heuristics can be toggled off,
-/// while the default configuration reproduces the paper's Table 2 suite
-/// exactly — [`paper_suite`] is now a thin wrapper over this builder.
+/// Configurable construction of the §4 heuristic suite: the seven
+/// heuristics in Table 2 column order, with every evaluation parameter
+/// adjustable (`M`, `N`, the DP's `n` and ε). The default configuration
+/// reproduces the paper's Table 2 suite exactly; Brute-Force scores its
+/// candidates by Monte Carlo, as in the paper.
 ///
 /// ```
 /// use rsj_core::heuristics::SuiteBuilder;
 ///
-/// // The Table 2 suite at reduced fidelity, without the brute force.
+/// // The Table 2 suite at reduced fidelity.
 /// let suite = SuiteBuilder::new(42)
 ///     .grid(500)
 ///     .samples(200)
 ///     .discretization(200)
-///     .brute_force(false)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(suite.len(), 6);
+/// assert_eq!(suite.len(), 7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SuiteBuilder {
     seed: u64,
     grid: usize,
     samples: usize,
-    eval: EvalMethod,
     discretization: usize,
     epsilon: f64,
-    brute_force: bool,
-    mean_by_mean: bool,
-    mean_stdev: bool,
-    mean_doubling: bool,
-    median_by_median: bool,
-    dp_equal_time: bool,
-    dp_equal_probability: bool,
 }
 
 impl SuiteBuilder {
@@ -147,16 +135,8 @@ impl SuiteBuilder {
             seed,
             grid: spec::DEFAULT_GRID,
             samples: spec::DEFAULT_SAMPLES,
-            eval: EvalMethod::MonteCarlo,
             discretization: spec::DEFAULT_SAMPLES,
             epsilon: spec::DEFAULT_EPSILON,
-            brute_force: true,
-            mean_by_mean: true,
-            mean_stdev: true,
-            mean_doubling: true,
-            median_by_median: true,
-            dp_equal_time: true,
-            dp_equal_probability: true,
         }
     }
 
@@ -172,13 +152,6 @@ impl SuiteBuilder {
         self
     }
 
-    /// How brute-force candidates are scored (default Monte Carlo, as in
-    /// the paper).
-    pub fn eval(mut self, method: EvalMethod) -> Self {
-        self.eval = method;
-        self
-    }
-
     /// Discretization sample count `n` for both DP schemes.
     pub fn discretization(mut self, n: usize) -> Self {
         self.discretization = n;
@@ -191,104 +164,32 @@ impl SuiteBuilder {
         self
     }
 
-    /// Includes or excludes Brute-Force (§4.1).
-    pub fn brute_force(mut self, on: bool) -> Self {
-        self.brute_force = on;
-        self
-    }
-
-    /// Includes or excludes Mean-by-Mean (§4.3).
-    pub fn mean_by_mean(mut self, on: bool) -> Self {
-        self.mean_by_mean = on;
-        self
-    }
-
-    /// Includes or excludes Mean-Stdev (§4.3).
-    pub fn mean_stdev(mut self, on: bool) -> Self {
-        self.mean_stdev = on;
-        self
-    }
-
-    /// Includes or excludes Mean-Doubling (§4.3).
-    pub fn mean_doubling(mut self, on: bool) -> Self {
-        self.mean_doubling = on;
-        self
-    }
-
-    /// Includes or excludes Median-by-Median (§4.3).
-    pub fn median_by_median(mut self, on: bool) -> Self {
-        self.median_by_median = on;
-        self
-    }
-
-    /// Includes or excludes the Equal-time DP (§4.2).
-    pub fn dp_equal_time(mut self, on: bool) -> Self {
-        self.dp_equal_time = on;
-        self
-    }
-
-    /// Includes or excludes the Equal-probability DP (§4.2).
-    pub fn dp_equal_probability(mut self, on: bool) -> Self {
-        self.dp_equal_probability = on;
-        self
-    }
-
-    /// Keeps only the measure-based §4.3 rules (no brute force, no DP).
-    pub fn simple_only(self) -> Self {
-        self.brute_force(false)
-            .dp_equal_time(false)
-            .dp_equal_probability(false)
-    }
-
-    /// Builds the enabled strategies in Table 2 column order, validating
+    /// Builds the seven strategies in Table 2 column order, validating
     /// every parameter.
     pub fn build(&self) -> Result<Vec<Box<dyn Strategy>>> {
-        let mut suite: Vec<Box<dyn Strategy>> = Vec::new();
-        if self.brute_force {
-            suite.push(Box::new(BruteForce::new(
+        Ok(vec![
+            Box::new(BruteForce::new(
                 self.grid,
                 self.samples,
-                self.eval,
+                EvalMethod::MonteCarlo,
                 self.seed,
-            )?));
-        }
-        if self.mean_by_mean {
-            suite.push(Box::new(MeanByMean::default()));
-        }
-        if self.mean_stdev {
-            suite.push(Box::new(MeanStdev::default()));
-        }
-        if self.mean_doubling {
-            suite.push(Box::new(MeanDoubling::default()));
-        }
-        if self.median_by_median {
-            suite.push(Box::new(MedianByMedian::default()));
-        }
-        if self.dp_equal_time {
-            suite.push(Box::new(DiscretizedDp::new(
+            )?),
+            Box::new(MeanByMean::default()),
+            Box::new(MeanStdev::default()),
+            Box::new(MeanDoubling::default()),
+            Box::new(MedianByMedian::default()),
+            Box::new(DiscretizedDp::new(
                 rsj_dist::DiscretizationScheme::EqualTime,
                 self.discretization,
                 self.epsilon,
-            )?));
-        }
-        if self.dp_equal_probability {
-            suite.push(Box::new(DiscretizedDp::new(
+            )?),
+            Box::new(DiscretizedDp::new(
                 rsj_dist::DiscretizationScheme::EqualProbability,
                 self.discretization,
                 self.epsilon,
-            )?));
-        }
-        Ok(suite)
+            )?),
+        ])
     }
-}
-
-/// The full §4 heuristic suite with the paper's evaluation parameters
-/// (`M = 5000`, `N = 1000`, `ε = 1e-7`, `n = 1000`), in Table 2 column
-/// order — a compatibility wrapper over [`SuiteBuilder`].
-pub fn paper_suite(seed: u64) -> Vec<Box<dyn Strategy>> {
-    SuiteBuilder::new(seed)
-        .build()
-        .expect("paper parameters are valid")
 }
 
 #[cfg(test)]
@@ -298,7 +199,7 @@ mod tests {
 
     #[test]
     fn suite_has_paper_names_in_order() {
-        let suite = paper_suite(1);
+        let suite = SuiteBuilder::new(1).build().unwrap();
         let names: Vec<&str> = suite.iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
@@ -315,37 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_toggles_and_parameters() {
-        // Toggling off everything but the simple rules.
-        let simple = SuiteBuilder::new(0).simple_only().build().unwrap();
-        let names: Vec<&str> = simple.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "Mean-by-Mean",
-                "Mean-Stdev",
-                "Mean-Doubling",
-                "Median-by-Median"
-            ]
-        );
-        // Individual toggles preserve Table 2 column order.
-        let suite = SuiteBuilder::new(0)
-            .mean_stdev(false)
-            .dp_equal_time(false)
-            .build()
-            .unwrap();
-        let names: Vec<&str> = suite.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "Brute-Force",
-                "Mean-by-Mean",
-                "Mean-Doubling",
-                "Median-by-Median",
-                "Equal-probability",
-            ]
-        );
-        // Invalid custom parameters surface as typed errors.
+    fn builder_rejects_invalid_parameters() {
         assert!(SuiteBuilder::new(0).grid(0).build().is_err());
         assert!(SuiteBuilder::new(0).discretization(0).build().is_err());
     }

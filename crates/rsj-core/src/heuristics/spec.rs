@@ -19,9 +19,9 @@ use rsj_dist::DiscretizationScheme;
 use serde::{Deserialize, Serialize};
 
 /// The paper's brute-force grid size `M`.
-pub const DEFAULT_GRID: usize = 5000;
+pub(crate) const DEFAULT_GRID: usize = 5000;
 /// The paper's Monte-Carlo sample count `N` (also the DP's default `n`).
-pub const DEFAULT_SAMPLES: usize = 1000;
+pub(crate) const DEFAULT_SAMPLES: usize = 1000;
 /// The paper's truncation quantile ε.
 pub const DEFAULT_EPSILON: f64 = 1e-7;
 
@@ -191,35 +191,6 @@ impl SolverSpec {
             other => other,
         }
     }
-
-    /// All seven paper solvers with default parameters, in Table 2 column
-    /// order.
-    pub fn paper_specs(seed: u64) -> Vec<SolverSpec> {
-        vec![
-            SolverSpec::BruteForce {
-                grid: DEFAULT_GRID,
-                samples: DEFAULT_SAMPLES,
-                analytic: false,
-                seed,
-            },
-            SolverSpec::MeanByMean,
-            SolverSpec::MeanStdev,
-            SolverSpec::MeanDoubling,
-            SolverSpec::MedianByMedian,
-            SolverSpec::Dp {
-                scheme: DiscretizationScheme::EqualTime,
-                n: DEFAULT_SAMPLES,
-                epsilon: DEFAULT_EPSILON,
-                monotone: true,
-            },
-            SolverSpec::Dp {
-                scheme: DiscretizationScheme::EqualProbability,
-                n: DEFAULT_SAMPLES,
-                epsilon: DEFAULT_EPSILON,
-                monotone: true,
-            },
-        ]
-    }
 }
 
 impl std::fmt::Display for SolverSpec {
@@ -289,6 +260,35 @@ mod tests {
     use super::*;
     use rsj_dist::DistSpec;
 
+    /// All seven paper solvers with default parameters, in Table 2 column
+    /// order.
+    fn paper_specs(seed: u64) -> Vec<SolverSpec> {
+        vec![
+            SolverSpec::BruteForce {
+                grid: DEFAULT_GRID,
+                samples: DEFAULT_SAMPLES,
+                analytic: false,
+                seed,
+            },
+            SolverSpec::MeanByMean,
+            SolverSpec::MeanStdev,
+            SolverSpec::MeanDoubling,
+            SolverSpec::MedianByMedian,
+            SolverSpec::Dp {
+                scheme: DiscretizationScheme::EqualTime,
+                n: DEFAULT_SAMPLES,
+                epsilon: DEFAULT_EPSILON,
+                monotone: true,
+            },
+            SolverSpec::Dp {
+                scheme: DiscretizationScheme::EqualProbability,
+                n: DEFAULT_SAMPLES,
+                epsilon: DEFAULT_EPSILON,
+                monotone: true,
+            },
+        ]
+    }
+
     #[test]
     fn wire_shape_matches_legacy_heuristic_configs() {
         // The `kind`-tagged JSON written for the pre-SolverSpec CLI must
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        for spec in SolverSpec::paper_specs(7) {
+        for spec in paper_specs(7) {
             let json = serde_json::to_string(&spec).unwrap();
             let back: SolverSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(spec, back, "{json}");
@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn names_round_trip_through_from_str() {
-        for spec in SolverSpec::paper_specs(0) {
+        for spec in paper_specs(0) {
             let back: SolverSpec = spec.name().parse().unwrap();
             assert_eq!(back.name(), spec.name());
         }

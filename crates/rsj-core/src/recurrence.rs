@@ -62,7 +62,7 @@ impl Default for RecurrenceConfig {
 impl RecurrenceConfig {
     /// Coverage horizon matched to an `n`-sample Monte-Carlo evaluation
     /// (`Q(1 - 1/n)`).
-    pub fn for_monte_carlo(n_samples: usize) -> Self {
+    pub(crate) fn for_monte_carlo(n_samples: usize) -> Self {
         Self {
             coverage_quantile: 1.0 - 1.0 / n_samples.max(2) as f64,
             ..Self::default()

@@ -13,7 +13,6 @@
 //! of jobs" and "how bad is the worst 5%".
 
 use crate::cost::CostModel;
-use crate::eval::run_job;
 use crate::sequence::ReservationSequence;
 use rsj_dist::ContinuousDistribution;
 use serde::{Deserialize, Serialize};
@@ -35,13 +34,8 @@ pub struct CostBracket {
 }
 
 impl CostBracket {
-    /// Cost at the bracket's lower edge (approached from above).
-    pub fn cost_low(&self, beta: f64) -> f64 {
-        self.fixed + beta * self.t_lower
-    }
-
     /// Cost at the bracket's upper edge.
-    pub fn cost_high(&self, beta: f64) -> f64 {
+    pub(crate) fn cost_high(&self, beta: f64) -> f64 {
         self.fixed + beta * self.t_upper
     }
 }
@@ -95,29 +89,6 @@ impl RiskProfile {
     /// the job time across brackets).
     pub fn brackets(&self) -> &[CostBracket] {
         &self.brackets
-    }
-
-    /// `P(cost ≤ c)` — requires the job-time law used to build the profile.
-    pub fn cost_cdf(&self, dist: &dyn ContinuousDistribution, c: f64) -> f64 {
-        let mut acc = 0.0;
-        for b in &self.brackets {
-            if c >= b.cost_high(self.beta) {
-                acc += b.probability;
-            } else if c > b.cost_low(self.beta) {
-                // Partially covered bracket: invert cost = fixed + β·t.
-                if self.beta > 0.0 {
-                    let t = (c - b.fixed) / self.beta;
-                    acc += (dist.cdf(t) - dist.cdf(b.t_lower)).max(0.0);
-                } else {
-                    // β = 0: the whole bracket costs exactly `fixed`
-                    // (cost_low = cost_high), handled above.
-                }
-                break;
-            } else {
-                break;
-            }
-        }
-        acc.min(1.0)
     }
 
     /// The cost quantile: the smallest budget covering a fraction `q` of
@@ -176,40 +147,29 @@ impl RiskProfile {
     }
 }
 
-/// Convenience: the budget covering a fraction `q` of jobs under `seq`.
-pub fn budget_at_quantile(
-    seq: &ReservationSequence,
-    dist: &dyn ContinuousDistribution,
-    cost: &CostModel,
-    q: f64,
-) -> f64 {
-    risk_profile(seq, dist, cost).cost_quantile(dist, q)
-}
-
-/// Monte-Carlo cross-check helper used in tests: the empirical cost
-/// quantile over sampled jobs.
-pub fn empirical_cost_quantile(
-    seq: &ReservationSequence,
-    cost: &CostModel,
-    samples: &[f64],
-    q: f64,
-) -> f64 {
-    assert!(!samples.is_empty());
-    let mut costs: Vec<f64> = samples
-        .iter()
-        .map(|&t| run_job(seq, cost, t).cost)
-        .collect();
-    costs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = ((q * costs.len() as f64).ceil() as usize).clamp(1, costs.len()) - 1;
-    costs[idx]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::expected_cost_analytic;
+    use crate::eval::{expected_cost_analytic, run_job};
     use crate::heuristics::{MeanByMean, Strategy};
     use rsj_dist::{Exponential, LogNormal, Uniform};
+
+    /// Monte-Carlo cross-check: the empirical cost quantile over sampled
+    /// jobs.
+    fn empirical_cost_quantile(
+        seq: &ReservationSequence,
+        cost: &CostModel,
+        samples: &[f64],
+        q: f64,
+    ) -> f64 {
+        let mut costs: Vec<f64> = samples
+            .iter()
+            .map(|&t| run_job(seq, cost, t).cost)
+            .collect();
+        costs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let idx = ((q * costs.len() as f64).ceil() as usize).clamp(1, costs.len()) - 1;
+        costs[idx]
+    }
 
     #[test]
     fn single_reservation_profile() {
@@ -225,7 +185,6 @@ mod tests {
         assert!((p.cost_quantile(&d, 0.0) - 30.5).abs() < 1e-9);
         assert!((p.cost_quantile(&d, 1.0) - 40.5).abs() < 1e-9);
         assert!((p.cost_quantile(&d, 0.5) - 35.5).abs() < 1e-9);
-        assert!((p.cost_cdf(&d, 35.5) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -262,34 +221,23 @@ mod tests {
     }
 
     #[test]
-    fn cdf_quantile_are_inverse() {
-        let d = LogNormal::new(3.0, 0.5).unwrap();
-        let c = CostModel::new(1.0, 1.0, 0.0).unwrap();
-        let seq = MeanByMean::default().sequence(&d, &c).unwrap();
-        let p = risk_profile(&seq, &d, &c);
-        for q in [0.05, 0.3, 0.6, 0.95] {
-            let budget = p.cost_quantile(&d, q);
-            let back = p.cost_cdf(&d, budget);
-            assert!((back - q).abs() < 1e-6, "q={q}: F(Q(q)) = {back}");
-        }
-    }
-
-    #[test]
-    fn cdf_is_monotone_with_jumps_at_reservation_boundaries() {
+    fn quantile_steps_at_reservation_boundaries() {
         // RESERVATIONONLY: within a bracket the cost is constant (β = 0),
-        // so the cost CDF is a step function.
+        // so the cost quantile is a step function: the first bracket's
+        // cost is exactly t₁ = 1, with probability 1 - e⁻¹ ≈ 0.632.
         let d = Exponential::new(1.0).unwrap();
         let c = CostModel::reservation_only();
         let seq = MeanByMean::default().sequence(&d, &c).unwrap();
         let p = risk_profile(&seq, &d, &c);
-        let mut prev = -1.0;
-        for budget in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
-            let f = p.cost_cdf(&d, budget);
-            assert!(f >= prev - 1e-12);
-            prev = f;
+        assert!((p.cost_quantile(&d, 0.3) - 1.0).abs() < 1e-9);
+        assert!((p.cost_quantile(&d, 0.6) - 1.0).abs() < 1e-9);
+        assert!(p.cost_quantile(&d, 0.7) > 1.0 + 1e-9);
+        let mut prev = 0.0;
+        for q in [0.1, 0.5, 0.7, 0.9, 0.99] {
+            let budget = p.cost_quantile(&d, q);
+            assert!(budget >= prev);
+            prev = budget;
         }
-        // The first bracket's cost is exactly t₁ = 1 with prob 1 - e⁻¹.
-        assert!((p.cost_cdf(&d, 1.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-9);
     }
 
     #[test]
@@ -310,11 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_helper() {
+    fn reservation_only_single_reservation_budget() {
         let d = Uniform::new(10.0, 20.0).unwrap();
         let c = CostModel::reservation_only();
         let s = ReservationSequence::single(20.0).unwrap();
         // Every job costs exactly 20.
-        assert!((budget_at_quantile(&s, &d, &c, 0.99) - 20.0).abs() < 1e-9);
+        let budget = risk_profile(&s, &d, &c).cost_quantile(&d, 0.99);
+        assert!((budget - 20.0).abs() < 1e-9);
     }
 }

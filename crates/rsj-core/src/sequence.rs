@@ -74,11 +74,6 @@ impl ReservationSequence {
         self.complete
     }
 
-    /// Whether a job of duration `t` fits within the materialized prefix.
-    pub fn covers(&self, t: f64) -> bool {
-        t <= self.last()
-    }
-
     /// The `i`-th reservation (0-based), extending geometrically (doubling
     /// from the last materialized element) beyond the prefix.
     ///
@@ -116,7 +111,7 @@ impl ReservationSequence {
     }
 
     /// Iterates over the materialized reservations.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.times.iter().copied()
     }
 }
@@ -165,7 +160,6 @@ mod tests {
         assert_eq!(s.first(), 1.0);
         assert_eq!(s.last(), 4.0);
         assert!(!s.is_complete());
-        assert!(s.covers(3.5) && !s.covers(4.5));
     }
 
     #[test]

@@ -475,7 +475,7 @@ fn zero_mass_atoms_and_coarse_spikes_are_bit_identical() {
         vec![0.0, 0.7, 0.0, 0.1, 0.0, 0.15, 0.05],
     )
     .unwrap();
-    assert_eq!(d.len(), 4, "zero-mass atoms dropped");
+    assert_eq!(d.values().len(), 4, "zero-mass atoms dropped");
     for cost in [
         CostModel::reservation_only(),
         CostModel::new(1.0, 0.5, 0.25).unwrap(),

@@ -63,7 +63,7 @@ impl Observation {
     }
 
     /// `true` for right-censored observations.
-    pub fn is_censored(&self) -> bool {
+    pub(crate) fn is_censored(&self) -> bool {
         self.kind == CensorKind::RightCensored
     }
 }
@@ -123,8 +123,6 @@ pub struct KaplanMeier {
     times: Vec<f64>,
     /// `S(tᵢ)` immediately after each event time.
     survival: Vec<f64>,
-    n: usize,
-    n_censored: usize,
     /// Largest observation of either kind.
     max_observed: f64,
 }
@@ -164,8 +162,6 @@ impl KaplanMeier {
         Ok(Self {
             times,
             survival,
-            n,
-            n_censored: observations.iter().filter(|o| o.is_censored()).count(),
             max_observed: sorted.last().expect("non-empty").0,
         })
     }
@@ -178,26 +174,6 @@ impl KaplanMeier {
         } else {
             self.survival[idx - 1]
         }
-    }
-
-    /// Distinct exact-event times, sorted ascending.
-    pub fn event_times(&self) -> &[f64] {
-        &self.times
-    }
-
-    /// Survival values immediately after each event time.
-    pub fn survival_at_events(&self) -> &[f64] {
-        &self.survival
-    }
-
-    /// Total observations used.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// How many observations were right-censored.
-    pub fn n_censored(&self) -> usize {
-        self.n_censored
     }
 
     /// Converts the step curve into a plannable continuous law by linear
@@ -258,12 +234,6 @@ pub fn fit_exponential_censored(observations: &[Observation]) -> Result<Censored
         n_censored: observations.len() - d,
         iterations: 0,
     })
-}
-
-/// Uncensored convenience wrapper around [`fit_exponential_censored`].
-pub fn fit_exponential(samples: &[f64]) -> Result<CensoredFit<Exponential>> {
-    let obs: Vec<Observation> = samples.iter().map(|&x| Observation::exact(x)).collect();
-    fit_exponential_censored(&obs)
 }
 
 const WEIBULL_MAX_ITER: usize = 500;
@@ -349,12 +319,6 @@ pub fn fit_weibull_censored(observations: &[Observation]) -> Result<CensoredFit<
         n_censored: observations.len() - d,
         iterations,
     })
-}
-
-/// Uncensored convenience wrapper around [`fit_weibull_censored`].
-pub fn fit_weibull(samples: &[f64]) -> Result<CensoredFit<Weibull>> {
-    let obs: Vec<Observation> = samples.iter().map(|&x| Observation::exact(x)).collect();
-    fit_weibull_censored(&obs)
 }
 
 /// Standard-normal hazard `φ(a)/Φ̄(a)` (the inverse Mills ratio), with the
@@ -517,7 +481,6 @@ mod tests {
         assert!((km.survival(3.5) - 0.375).abs() < 1e-12);
         // Curve never reaches 0 (last observation censored).
         assert!(km.survival(100.0) > 0.0);
-        assert_eq!(km.n_censored(), 2);
     }
 
     #[test]
@@ -556,7 +519,8 @@ mod tests {
         assert!((fit.dist.lambda() - 2.0 / 6.0).abs() < 1e-12);
         assert_eq!(fit.n_censored, 1);
         // Uncensored reduction: λ = 1/mean.
-        let fit = fit_exponential(&[1.0, 2.0, 3.0]).unwrap();
+        let exact: Vec<Observation> = [1.0, 2.0, 3.0].map(Observation::exact).to_vec();
+        let fit = fit_exponential_censored(&exact).unwrap();
         assert!((fit.dist.lambda() - 0.5).abs() < 1e-12);
     }
 

@@ -29,11 +29,6 @@ impl BetaDist {
         })
     }
 
-    /// First shape parameter `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Second shape parameter `β`.
     pub fn beta(&self) -> f64 {
         self.beta

@@ -36,21 +36,6 @@ impl BoundedPareto {
             norm: 1.0 - (l / h).powf(alpha),
         })
     }
-
-    /// Left endpoint `L`.
-    pub fn lower(&self) -> f64 {
-        self.l
-    }
-
-    /// Right endpoint `H`.
-    pub fn upper(&self) -> f64 {
-        self.h
-    }
-
-    /// Tail index `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl ContinuousDistribution for BoundedPareto {

@@ -28,16 +28,6 @@ impl GammaDist {
             igamma: IncGamma::new(shape),
         })
     }
-
-    /// Shape parameter `α`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// Rate parameter `β`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 impl ContinuousDistribution for GammaDist {

@@ -27,16 +27,6 @@ impl Pareto {
         )?;
         Ok(Self { nu, alpha })
     }
-
-    /// Scale parameter `ν` (the left endpoint of the support).
-    pub fn nu(&self) -> f64 {
-        self.nu
-    }
-
-    /// Shape (tail index) parameter `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl ContinuousDistribution for Pareto {

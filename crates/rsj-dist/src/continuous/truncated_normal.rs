@@ -49,21 +49,6 @@ impl TruncatedNormal {
         })
     }
 
-    /// Location parameter `μ` of the parent normal.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Scale parameter `σ` of the parent normal.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Truncation point `a`.
-    pub fn truncation(&self) -> f64 {
-        self.a
-    }
-
     /// Standardized hazard (inverse Mills ratio) `λ(z) = φ(z) / (1 - Φ(z))`,
     /// computed stably for large `z` via an asymptotic expansion.
     fn hazard(z: f64) -> f64 {

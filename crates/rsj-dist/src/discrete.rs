@@ -147,14 +147,8 @@ impl DiscreteDistribution {
     }
 
     /// Number of support points `n`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Whether the distribution has no support points (never true after
-    /// construction; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// The strictly increasing execution times `v₁ < … < vₙ`.
@@ -165,12 +159,6 @@ impl DiscreteDistribution {
     /// The normalized probabilities `f₁, …, fₙ` (sum to 1).
     pub fn probs(&self) -> &[f64] {
         &self.probs
-    }
-
-    /// Pre-normalization probability mass (equals `F(b) = 1 - ε` when built
-    /// by truncating an unbounded distribution).
-    pub fn raw_mass(&self) -> f64 {
-        self.raw_mass
     }
 
     /// Largest support point `vₙ` (the value any optimal DP sequence ends
@@ -197,19 +185,6 @@ impl DiscreteDistribution {
             s[i] = s[i + 1] + self.probs[i];
         }
         s
-    }
-
-    /// CDF of the discrete law: `P(X ≤ t)`.
-    pub fn cdf(&self, t: f64) -> f64 {
-        let mut acc = 0.0;
-        for (v, p) in self.values.iter().zip(&self.probs) {
-            if *v <= t {
-                acc += p;
-            } else {
-                break;
-            }
-        }
-        acc
     }
 }
 
@@ -339,7 +314,7 @@ mod tests {
         let d = DiscreteDistribution::new(vec![1.0, 2.0, 3.0], vec![1.0, 1.0, 2.0]).unwrap();
         assert!((d.probs().iter().sum::<f64>() - 1.0).abs() < 1e-15);
         assert!((d.probs()[2] - 0.5).abs() < 1e-15);
-        assert!((d.raw_mass() - 4.0).abs() < 1e-15);
+        assert!((d.raw_mass - 4.0).abs() < 1e-15);
     }
 
     #[test]
@@ -387,7 +362,7 @@ mod tests {
         let e = Exponential::new(1.0).unwrap();
         let d = discretize(&e, DiscretizationScheme::EqualTime, 100, 1e-7).unwrap();
         // Raw mass should be F(b) = 1 - ε.
-        assert!((d.raw_mass() - (1.0 - 1e-7)).abs() < 1e-9);
+        assert!((d.raw_mass - (1.0 - 1e-7)).abs() < 1e-9);
         // Normalized probabilities sum to 1.
         assert!((d.probs().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
@@ -405,14 +380,6 @@ mod tests {
         let e = Exponential::new(1.0).unwrap();
         let d = discretize(&e, DiscretizationScheme::EqualProbability, 4000, 1e-9).unwrap();
         assert!((d.mean() - 1.0).abs() < 0.01, "mean {}", d.mean());
-    }
-
-    #[test]
-    fn discrete_cdf() {
-        let d = DiscreteDistribution::new(vec![1.0, 2.0], vec![0.4, 0.6]).unwrap();
-        assert_eq!(d.cdf(0.5), 0.0);
-        assert!((d.cdf(1.0) - 0.4).abs() < 1e-15);
-        assert!((d.cdf(5.0) - 1.0).abs() < 1e-15);
     }
 
     #[test]

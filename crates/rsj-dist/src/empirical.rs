@@ -1,14 +1,13 @@
 //! Empirical distributions built from observed runtimes (system S4).
 //!
 //! Used by the trace pipeline (`rsj-traces`): an archive of job runtimes is
-//! loaded into an [`Empirical`] distribution for descriptive statistics and
-//! Kolmogorov–Smirnov comparison against a fitted parametric law.
+//! loaded into an [`Empirical`] distribution for a Kolmogorov–Smirnov
+//! comparison against a fitted parametric law.
 
 use crate::error::{DistError, Result};
 use crate::traits::ContinuousDistribution;
 
-/// Empirical distribution of a sample: step-function CDF, order-statistic
-/// quantiles and plug-in moments.
+/// Empirical distribution of a sample, held as its sorted observations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Empirical {
     /// Sorted observations.
@@ -32,70 +31,6 @@ impl Empirical {
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite by validation"));
         Ok(Self { sorted })
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the sample is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// The sorted observations.
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Empirical CDF `F̂(t) = #{xᵢ ≤ t} / n`.
-    pub fn cdf(&self, t: f64) -> f64 {
-        let n = self.sorted.len();
-        let idx = self.sorted.partition_point(|&x| x <= t);
-        idx as f64 / n as f64
-    }
-
-    /// Empirical quantile (inverse CDF, lower order statistic):
-    /// `Q̂(p) = x_{⌈np⌉}`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "quantile: p out of [0,1]: {p}");
-        let n = self.sorted.len();
-        if p == 0.0 {
-            return self.sorted[0];
-        }
-        let k = ((p * n as f64).ceil() as usize).clamp(1, n);
-        self.sorted[k - 1]
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Unbiased sample variance (`n-1` denominator); 0 for singletons.
-    pub fn variance(&self) -> f64 {
-        let n = self.sorted.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        self.sorted.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (n - 1) as f64
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Maximum observation.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty")
     }
 
     /// Kolmogorov–Smirnov statistic `D_n = sup_t |F̂(t) - F(t)|` against a
@@ -124,35 +59,6 @@ mod tests {
         assert!(Empirical::from_samples(&[]).is_err());
         assert!(Empirical::from_samples(&[1.0, -2.0]).is_err());
         assert!(Empirical::from_samples(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn basic_statistics() {
-        let e = Empirical::from_samples(&[3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(e.len(), 3);
-        assert_eq!(e.min(), 1.0);
-        assert_eq!(e.max(), 3.0);
-        assert!((e.mean() - 2.0).abs() < 1e-15);
-        assert!((e.variance() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn cdf_step_function() {
-        let e = Empirical::from_samples(&[1.0, 2.0, 2.0, 4.0]).unwrap();
-        assert_eq!(e.cdf(0.5), 0.0);
-        assert_eq!(e.cdf(1.0), 0.25);
-        assert_eq!(e.cdf(2.0), 0.75);
-        assert_eq!(e.cdf(3.9), 0.75);
-        assert_eq!(e.cdf(4.0), 1.0);
-    }
-
-    #[test]
-    fn quantile_order_statistics() {
-        let e = Empirical::from_samples(&[10.0, 20.0, 30.0, 40.0]).unwrap();
-        assert_eq!(e.quantile(0.0), 10.0);
-        assert_eq!(e.quantile(0.25), 10.0);
-        assert_eq!(e.quantile(0.5), 20.0);
-        assert_eq!(e.quantile(1.0), 40.0);
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl InterpolatedEmpirical {
     ///
     /// This is the bridge from a Kaplan–Meier survival curve (or any other
     /// externally estimated CDF) to a plannable continuous law.
-    pub fn from_cdf_points(points: &[(f64, f64)]) -> Result<Self> {
+    pub(crate) fn from_cdf_points(points: &[(f64, f64)]) -> Result<Self> {
         if points.len() < 2 {
             return Err(DistError::DegenerateSample {
                 reason: "need at least two CDF points to interpolate",
@@ -139,11 +139,6 @@ impl InterpolatedEmpirical {
             cdf_at,
             mean,
         }
-    }
-
-    /// The interpolation knots (sorted distinct observations).
-    pub fn knots(&self) -> &[f64] {
-        &self.knots
     }
 
     fn cell_of(&self, t: f64) -> usize {
@@ -269,7 +264,7 @@ mod tests {
         let d = InterpolatedEmpirical::from_samples(&[1.0, 2.0, 2.0, 2.0, 3.0]).unwrap();
         // Mass between 1 and 2 covers the first three plotting positions.
         assert!((d.cdf(2.0) - 0.75).abs() < 1e-12, "cdf(2) = {}", d.cdf(2.0));
-        for w in d.knots().windows(2) {
+        for w in d.knots.windows(2) {
             assert!(w[1] > w[0]);
         }
     }

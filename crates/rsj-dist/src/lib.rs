@@ -6,17 +6,17 @@
 //!
 //! * [`special`] — from-scratch special functions (`ln Γ`, incomplete
 //!   gamma/beta and inverses, `erf`, normal CDF/quantile);
-//! * [`continuous`] — the nine job-runtime distributions of Table 1 with the
+//! * `continuous` — the nine job-runtime distributions of Table 1 with the
 //!   closed forms of Table 5 and the conditional expectations of Appendix B;
-//! * [`discrete`] — finite discrete distributions plus the Equal-time /
+//! * `discrete` — finite discrete distributions plus the Equal-time /
 //!   Equal-probability truncation-and-discretization schemes of §4.2.1;
-//! * [`empirical`] / [`fit`] — empirical distributions, LogNormal MLE and
+//! * `empirical` / `fit` — empirical distributions, LogNormal MLE and
 //!   affine least squares (the Figure 1 / Figure 2 fitting procedures);
 //! * [`censored`] — Kaplan–Meier survival estimation and censored MLE fits
 //!   for online learn-while-scheduling pipelines (system S19);
 //! * [`quadrature`] — adaptive Simpson integration backing default trait
 //!   implementations and cross-validation tests;
-//! * [`spec`] — serializable distribution specifications for experiment
+//! * `spec` — serializable distribution specifications for experiment
 //!   configuration.
 //!
 //! Everything implements the object-safe [`ContinuousDistribution`] trait so
@@ -40,22 +40,22 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod censored;
-pub mod continuous;
-pub mod discrete;
-pub mod empirical;
-pub mod error;
-pub mod eval_table;
-pub mod fit;
-pub mod interpolated;
+pub(crate) mod continuous;
+pub(crate) mod discrete;
+pub(crate) mod empirical;
+pub(crate) mod error;
+pub(crate) mod eval_table;
+pub(crate) mod fit;
+pub(crate) mod interpolated;
 pub mod quadrature;
-pub mod spec;
+pub(crate) mod spec;
 pub mod special;
-pub mod traits;
+pub(crate) mod traits;
 pub mod transform;
 
 pub use censored::{
-    fit_exponential, fit_exponential_censored, fit_lognormal_censored, fit_weibull,
-    fit_weibull_censored, CensorKind, CensoredFit, KaplanMeier, Observation,
+    fit_exponential_censored, fit_lognormal_censored, fit_weibull_censored, KaplanMeier,
+    Observation,
 };
 pub use continuous::{
     BetaDist, BoundedPareto, Exponential, GammaDist, LogNormal, Pareto, TruncatedNormal, Uniform,
@@ -65,20 +65,18 @@ pub use discrete::{discretize, DiscreteDistribution, DiscretizationScheme};
 pub use empirical::Empirical;
 pub use error::{DistError, Result};
 pub use eval_table::{
-    clear_eval_cache, discretize_eval, eval_cache_stats, DiscretizedEval, EvalCacheStats,
-    EvalTable, EvalTableSource,
+    clear_eval_cache, discretize_eval, eval_cache_stats, EvalTable, EvalTableSource,
 };
 pub use fit::{fit_affine, fit_lognormal, AffineFit, LogNormalFit};
 pub use interpolated::InterpolatedEmpirical;
 pub use spec::DistSpec;
 pub use traits::{sample_n, ContinuousDistribution, Support};
-pub use transform::Scaled;
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::censored::{
-        fit_exponential_censored, fit_lognormal_censored, fit_weibull_censored, CensorKind,
-        KaplanMeier, Observation,
+        fit_exponential_censored, fit_lognormal_censored, fit_weibull_censored, KaplanMeier,
+        Observation,
     };
     pub use crate::continuous::{
         BetaDist, BoundedPareto, Exponential, GammaDist, LogNormal, Pareto, TruncatedNormal,

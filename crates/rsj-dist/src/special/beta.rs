@@ -105,7 +105,7 @@ impl IncBeta {
     }
 
     /// `ln B(a, b)`, as [`ln_beta`] returns it.
-    pub(crate) fn ln_beta(&self) -> f64 {
+    pub fn ln_beta(&self) -> f64 {
         self.ln_b
     }
 

@@ -2,7 +2,6 @@
 //! `erf(x) = sgn(x) · P(1/2, x²)` and `erfc(x) = Q(1/2, x²)` for `x ≥ 0`.
 
 use super::gamma::{gamma_p, gamma_q};
-use super::normal::norm_quantile;
 
 /// The error function `erf(x) = (2/√π) ∫₀ˣ e^{-t²} dt`.
 pub fn erf(x: f64) -> f64 {
@@ -28,32 +27,6 @@ pub fn erfc(x: f64) -> f64 {
     } else {
         1.0 + gamma_p(0.5, x * x)
     }
-}
-
-/// Inverse error function: returns `x` with `erf(x) = z` for `z ∈ (-1, 1)`.
-///
-/// Uses the identity `erf⁻¹(z) = Φ⁻¹((z+1)/2) / √2`.
-pub fn erf_inv(z: f64) -> f64 {
-    assert!(
-        (-1.0..=1.0).contains(&z),
-        "erf_inv: argument must be in [-1, 1], got {z}"
-    );
-    if z == 1.0 {
-        return f64::INFINITY;
-    }
-    if z == -1.0 {
-        return f64::NEG_INFINITY;
-    }
-    norm_quantile((z + 1.0) / 2.0) / std::f64::consts::SQRT_2
-}
-
-/// Inverse complementary error function: `x` with `erfc(x) = q`.
-pub fn erfc_inv(q: f64) -> f64 {
-    assert!(
-        (0.0..=2.0).contains(&q),
-        "erfc_inv: argument must be in [0, 2], got {q}"
-    );
-    erf_inv(1.0 - q)
 }
 
 #[cfg(test)]
@@ -85,15 +58,6 @@ mod tests {
     fn erf_erfc_complement() {
         for &x in &[-3.0, -1.0, -0.1, 0.0, 0.2, 1.5, 4.0] {
             assert_close(erf(x) + erfc(x), 1.0, 1e-13, &format!("complement x={x}"));
-        }
-    }
-
-    #[test]
-    fn erf_inv_round_trip() {
-        for i in -99..=99 {
-            let z = i as f64 / 100.0;
-            let x = erf_inv(z);
-            assert_close(erf(x), z, 1e-11, &format!("roundtrip z={z}"));
         }
     }
 

@@ -321,14 +321,6 @@ pub fn inverse_gamma_p(a: f64, p: f64) -> f64 {
     IncGamma::new(a).inverse_p(p)
 }
 
-/// Inverse of the *upper* regularized incomplete gamma: `x` with `Q(a, x) = q`.
-///
-/// Matches the paper's `Γ^{-1}(x, z)` notation (Appendix A) up to
-/// regularization: the paper inverts the non-regularized `Γ(a, ·)`.
-pub fn inverse_gamma_q(a: f64, q: f64) -> f64 {
-    inverse_gamma_p(a, 1.0 - q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

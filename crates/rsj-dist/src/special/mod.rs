@@ -11,13 +11,11 @@
 pub mod beta;
 pub mod erf;
 pub mod gamma;
-pub mod normal;
+pub(crate) mod normal;
 
 pub use beta::{beta, beta_inc, beta_inc_unreg, inverse_beta_inc, ln_beta};
-pub use erf::{erf, erf_inv, erfc, erfc_inv};
-pub use gamma::{
-    gamma, gamma_p, gamma_q, inverse_gamma_p, inverse_gamma_q, ln_gamma, upper_incomplete_gamma,
-};
+pub use erf::{erf, erfc};
+pub use gamma::{gamma, gamma_p, gamma_q, inverse_gamma_p, ln_gamma, upper_incomplete_gamma};
 pub use normal::{norm_cdf, norm_pdf, norm_quantile, norm_sf};
 
 #[cfg(test)]

@@ -20,16 +20,6 @@ impl<D: ContinuousDistribution> Scaled<D> {
         check_param("factor", factor, "must be > 0 and finite", factor > 0.0)?;
         Ok(Self { inner, factor })
     }
-
-    /// The base distribution.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// The scale factor `c`.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
 }
 
 impl<D: ContinuousDistribution> ContinuousDistribution for Scaled<D> {

@@ -75,7 +75,7 @@ pub struct HistogramSample {
 
 impl HistogramSample {
     /// Summarizes `histogram` under `name`.
-    pub fn of(name: &str, histogram: &Histogram) -> Self {
+    pub(crate) fn of(name: &str, histogram: &Histogram) -> Self {
         Self {
             name: name.to_string(),
             count: histogram.count(),
@@ -181,7 +181,7 @@ fn fmt_value(v: f64) -> String {
 
 /// Maps a metric name into the Prometheus grammar
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn sanitize_metric_name(name: &str) -> String {
+pub(crate) fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, ch) in name.chars().enumerate() {
         let ok =

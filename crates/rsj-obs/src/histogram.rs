@@ -93,7 +93,7 @@ impl Histogram {
     /// (last-writer-wins: the bucket remembers its most recent traced
     /// sample). Non-finite values are dropped exactly as in
     /// [`Histogram::record`].
-    pub fn record_with_exemplar(&mut self, value: f64, trace_id: &str) {
+    pub(crate) fn record_with_exemplar(&mut self, value: f64, trace_id: &str) {
         if !value.is_finite() {
             return;
         }
@@ -112,30 +112,14 @@ impl Histogram {
         );
     }
 
-    /// Records every sample in `values`.
-    pub fn record_all(&mut self, values: &[f64]) {
-        for &v in values {
-            self.record(v);
-        }
-    }
-
     /// Number of recorded (finite) samples.
     pub fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of recorded samples.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 
     /// Smallest recorded sample (0 when empty).
@@ -188,17 +172,17 @@ impl Histogram {
     }
 
     /// The median estimate.
-    pub fn p50(&self) -> f64 {
+    pub(crate) fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
 
     /// The 95th-percentile estimate.
-    pub fn p95(&self) -> f64 {
+    pub(crate) fn p95(&self) -> f64 {
         self.quantile(0.95)
     }
 
     /// The 99th-percentile estimate.
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
 
@@ -226,28 +210,10 @@ impl Histogram {
         }
     }
 
-    /// The non-empty buckets as `(lower, upper, count)` triples in
+    /// The non-empty buckets as `(lower, upper, count, exemplar)` in
     /// ascending order, with the underflow bucket (values ≤ 0) first as
-    /// `(0, 0, n)` when present. This is the exporters' view.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
-        let mut out = Vec::new();
-        if self.zero > 0 {
-            out.push((0.0, 0.0, self.zero));
-        }
-        for (&exp, subs) in &self.buckets {
-            for (i, &c) in subs.iter().enumerate() {
-                if c > 0 {
-                    let lower = exp2(exp) * (1.0 + i as f64 / SUBBUCKETS as f64);
-                    let upper = exp2(exp) * (1.0 + (i + 1) as f64 / SUBBUCKETS as f64);
-                    out.push((lower, upper, c));
-                }
-            }
-        }
-        out
-    }
-
-    /// [`Histogram::nonzero_buckets`] with each bucket's retained
-    /// exemplar, if any.
+    /// `(0, 0, n, _)` when present; each carries its retained exemplar, if
+    /// any. This is the exporters' view.
     pub fn nonzero_buckets_with_exemplars(&self) -> Vec<(f64, f64, u64, Option<&Exemplar>)> {
         let mut out = Vec::new();
         if self.zero > 0 {
@@ -300,8 +266,7 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
-        assert_eq!(h.mean(), 0.0);
-        assert!(h.nonzero_buckets().is_empty());
+        assert!(h.nonzero_buckets_with_exemplars().is_empty());
     }
 
     #[test]
@@ -326,8 +291,8 @@ mod tests {
         h.record(1.0);
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), -3.0);
-        let buckets = h.nonzero_buckets();
-        assert_eq!(buckets[0], (0.0, 0.0, 2));
+        let buckets = h.nonzero_buckets_with_exemplars();
+        assert_eq!(buckets[0], (0.0, 0.0, 2, None));
     }
 
     #[test]
@@ -342,7 +307,9 @@ mod tests {
     fn quantile_relative_error_is_bounded() {
         let mut h = Histogram::new();
         let samples: Vec<f64> = (1..=10_000).map(|i| i as f64 / 100.0).collect();
-        h.record_all(&samples);
+        for &v in &samples {
+            h.record(v);
+        }
         for q in [0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
             let exact = samples[((q * samples.len() as f64).ceil() as usize).max(1) - 1];
             let est = h.quantile(q);
@@ -355,18 +322,22 @@ mod tests {
     fn merge_equals_recording_everything() {
         let a_samples: Vec<f64> = (1..500).map(|i| (i as f64).sqrt()).collect();
         let b_samples: Vec<f64> = (1..800).map(|i| (i as f64) * 0.17).collect();
+        let record = |h: &mut Histogram, samples: &[f64]| samples.iter().for_each(|&v| h.record(v));
         let mut merged = Histogram::new();
-        merged.record_all(&a_samples);
-        merged.record_all(&b_samples);
+        record(&mut merged, &a_samples);
+        record(&mut merged, &b_samples);
         let mut a = Histogram::new();
-        a.record_all(&a_samples);
+        record(&mut a, &a_samples);
         let mut b = Histogram::new();
-        b.record_all(&b_samples);
+        record(&mut b, &b_samples);
         a.merge(&b);
         assert_eq!(a.count(), merged.count());
         assert_eq!(a.min(), merged.min());
         assert_eq!(a.max(), merged.max());
-        assert_eq!(a.nonzero_buckets(), merged.nonzero_buckets());
+        assert_eq!(
+            a.nonzero_buckets_with_exemplars(),
+            merged.nonzero_buckets_with_exemplars()
+        );
         for q in [0.1, 0.5, 0.9, 0.99] {
             assert_eq!(a.quantile(q), merged.quantile(q));
         }
@@ -390,8 +361,6 @@ mod tests {
         let exemplar = buckets[2].3.expect("traced bucket keeps an exemplar");
         assert_eq!(exemplar.trace_id, "trace-b");
         assert_eq!(exemplar.value, 4.21);
-        // Plain bucket views are unchanged by exemplars.
-        assert_eq!(h.nonzero_buckets().len(), 3);
     }
 
     #[test]

@@ -19,22 +19,13 @@ pub enum Level {
     Info = 3,
     /// Solver internals (chosen t₁, candidate counts, refit decisions).
     Debug = 4,
-    /// Per-span enter/exit and high-volume diagnostics.
+    /// Per-span exit timings and high-volume diagnostics.
     Trace = 5,
 }
 
 impl Level {
-    /// All levels, most severe first.
-    pub const ALL: [Level; 5] = [
-        Level::Error,
-        Level::Warn,
-        Level::Info,
-        Level::Debug,
-        Level::Trace,
-    ];
-
     /// Lower-case name as used by `RSJ_LOG` and the exporters.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Level::Error => "error",
             Level::Warn => "warn",
@@ -45,7 +36,7 @@ impl Level {
     }
 
     /// Fixed-width upper-case tag for the stderr logger.
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             Level::Error => "ERROR",
             Level::Warn => "WARN ",
@@ -116,7 +107,13 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        for lvl in Level::ALL {
+        for lvl in [
+            Level::Error,
+            Level::Warn,
+            Level::Info,
+            Level::Debug,
+            Level::Trace,
+        ] {
             assert_eq!(lvl.as_str().parse::<Level>().unwrap(), lvl);
         }
         assert_eq!("WARNING".parse::<Level>().unwrap(), Level::Warn);

@@ -40,53 +40,48 @@
 
 #![warn(missing_docs)]
 
-pub mod chrome;
+pub(crate) mod chrome;
 pub mod export;
-pub mod histogram;
-pub mod level;
-pub mod metrics;
-pub mod ring;
-pub mod subscribers;
-pub mod timeline;
+pub(crate) mod histogram;
+pub(crate) mod level;
+pub(crate) mod metrics;
+pub(crate) mod ring;
+pub(crate) mod subscribers;
+pub(crate) mod timeline;
 pub mod trace;
 
 pub use chrome::chrome_trace_json;
-pub use export::{
-    sanitize_metric_name, write_metrics_file, BucketSample, CounterSample, ExemplarSample,
-    GaugeSample, HistogramSample, MetricsSnapshot,
-};
-pub use histogram::{Exemplar, Histogram, SUBBUCKETS};
-pub use level::{parse_filter, Level, ParseLevelError};
-pub use metrics::{Counter, Gauge, HistogramHandle, Registry};
+pub use export::{write_metrics_file, HistogramSample, MetricsSnapshot};
+pub use histogram::{Histogram, SUBBUCKETS};
+pub use level::{parse_filter, Level};
+pub use metrics::{Counter, Registry};
 pub use ring::TraceRing;
-pub use subscribers::{MemorySink, StderrLogger};
-pub use timeline::{
-    request_tracing_enabled, set_request_tracing, set_trace_seed, StageRecord, Timeline,
-    TimelineRecord, TraceContext,
-};
+pub use subscribers::MemorySink;
+pub use timeline::{StageRecord, Timeline, TimelineRecord, TraceContext};
 pub use trace::{clear_subscriber, set_subscriber, Span, Subscriber};
 
 use std::sync::Arc;
+use subscribers::StderrLogger;
 
 /// Whether recording into the global metrics registry is enabled
-/// (re-export of [`metrics::enabled`] under an unambiguous name).
+/// (re-export of `metrics::enabled` under an unambiguous name).
 #[inline(always)]
 pub fn metrics_enabled() -> bool {
     metrics::enabled()
 }
 
 /// Turns global metrics recording on or off (re-export of
-/// [`metrics::set_enabled`]).
+/// `metrics::set_enabled`).
 pub fn set_metrics_enabled(on: bool) {
     metrics::set_enabled(on);
 }
 
-/// The process-global metrics registry (re-export of [`metrics::global`]).
+/// The process-global metrics registry (re-export of `metrics::global`).
 pub fn global_registry() -> &'static Registry {
     metrics::global()
 }
 
-/// Installs a [`StderrLogger`] at `level`; `None` clears the subscriber
+/// Installs a `StderrLogger` at `level`; `None` clears the subscriber
 /// so tracing reverts to the free disabled path.
 pub fn init(level: Option<Level>) {
     match level {
@@ -95,7 +90,7 @@ pub fn init(level: Option<Level>) {
     }
 }
 
-/// Installs a [`StderrLogger`] at the level named by `RSJ_LOG`, falling
+/// Installs a `StderrLogger` at the level named by `RSJ_LOG`, falling
 /// back to `default` when the variable is unset and to `warn` when it is
 /// set to an unparsable value (a typo should not silence error reporting).
 pub fn init_from_env_default(default: Option<Level>) {
@@ -125,6 +120,5 @@ mod tests {
         assert!(!trace::enabled(Level::Trace));
         init(None);
         assert!(!trace::enabled(Level::Error));
-        assert!(!trace::subscriber_installed());
     }
 }

@@ -50,7 +50,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -78,14 +78,6 @@ impl HistogramHandle {
             .lock()
             .expect("histogram lock poisoned")
             .record_with_exemplar(value, trace_id);
-    }
-
-    /// Records a whole slice under one lock acquisition.
-    pub fn observe_all(&self, values: &[f64]) {
-        self.0
-            .lock()
-            .expect("histogram lock poisoned")
-            .record_all(values);
     }
 
     /// Merges a locally accumulated histogram (the per-shard pattern:
@@ -177,14 +169,6 @@ impl Registry {
         })
     }
 
-    /// Whether no metric has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics
-            .lock()
-            .expect("registry lock poisoned")
-            .is_empty()
-    }
-
     /// Registered metric names in sorted order.
     pub fn names(&self) -> Vec<String> {
         self.metrics
@@ -193,11 +177,6 @@ impl Registry {
             .keys()
             .cloned()
             .collect()
-    }
-
-    /// Removes every metric (tests; the global registry is per-process).
-    pub fn clear(&self) {
-        self.metrics.lock().expect("registry lock poisoned").clear();
     }
 
     /// A consistent point-in-time snapshot for the exporters.
@@ -229,18 +208,18 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Whether global-registry recording is on — the hot-path guard
 /// (one relaxed atomic load).
 #[inline(always)]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns global-registry recording on or off.
-pub fn set_enabled(on: bool) {
+pub(crate) fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// The process-global registry. Always usable; instrumented code gates on
 /// [`enabled`] before touching it.
-pub fn global() -> &'static Registry {
+pub(crate) fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
 }
@@ -262,19 +241,18 @@ mod tests {
         assert_eq!(reg.gauge("queue_depth").get(), 3.25);
 
         let h = reg.histogram("latency");
-        h.observe(1.0);
-        h.observe_all(&[2.0, 3.0]);
+        for v in [1.0, 2.0, 3.0] {
+            h.observe(v);
+        }
         assert_eq!(reg.histogram("latency").snapshot().count(), 3);
     }
 
     #[test]
-    fn names_are_sorted_and_clear_works() {
+    fn names_are_sorted() {
         let reg = Registry::new();
         reg.counter("b");
         reg.counter("a");
         assert_eq!(reg.names(), vec!["a".to_string(), "b".to_string()]);
-        reg.clear();
-        assert!(reg.is_empty());
     }
 
     #[test]

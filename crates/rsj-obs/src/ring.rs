@@ -48,22 +48,6 @@ impl TraceRing {
         self.slots.len()
     }
 
-    /// How many records are currently held (saturates at capacity).
-    pub fn len(&self) -> usize {
-        (self.cursor.load(Ordering::Acquire) as usize).min(self.capacity())
-    }
-
-    /// Whether nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.cursor.load(Ordering::Acquire) == 0
-    }
-
-    /// Total records ever pushed (monotone; exceeds capacity once the
-    /// ring has wrapped).
-    pub fn pushed_total(&self) -> u64 {
-        self.cursor.load(Ordering::Acquire)
-    }
-
     /// Stores `record`, evicting the oldest entry once full.
     pub fn push(&self, record: TimelineRecord) {
         let ticket = self.cursor.fetch_add(1, Ordering::AcqRel);
@@ -117,7 +101,6 @@ mod tests {
     #[test]
     fn recent_returns_newest_first() {
         let ring = TraceRing::new(4);
-        assert!(ring.is_empty());
         assert!(ring.recent(10).is_empty());
         for i in 0..3 {
             ring.push(record(i));
@@ -126,7 +109,6 @@ mod tests {
         assert_eq!(got.len(), 3);
         assert_eq!(got[0].total_us, 2);
         assert_eq!(got[2].total_us, 0);
-        assert_eq!(ring.len(), 3);
     }
 
     #[test]
@@ -135,8 +117,6 @@ mod tests {
         for i in 0..10 {
             ring.push(record(i));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.pushed_total(), 10);
         let got: Vec<u64> = ring.recent(10).iter().map(|r| r.total_us).collect();
         assert_eq!(got, vec![9, 8, 7]);
     }

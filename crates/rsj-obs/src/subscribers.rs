@@ -10,13 +10,13 @@ use std::time::Duration;
 /// Leveled logger printing `[LEVEL target] span.path: message` lines to
 /// stderr. This is what [`crate::init_from_env`] installs.
 #[derive(Debug)]
-pub struct StderrLogger {
+pub(crate) struct StderrLogger {
     level: Level,
 }
 
 impl StderrLogger {
     /// A logger passing everything at `level` and more severe.
-    pub fn new(level: Level) -> Self {
+    pub(crate) fn new(level: Level) -> Self {
         Self { level }
     }
 

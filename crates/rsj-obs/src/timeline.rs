@@ -1,48 +1,27 @@
 //! Per-request trace identities and stage timelines.
 //!
 //! A [`TraceContext`] is a 128-bit trace id plus a 64-bit span id, drawn
-//! from a splitmix64 generator seeded by [`set_trace_seed`] and advanced
-//! by an atomic counter — no wall-clock entropy, so a run that issues the
-//! same requests in the same order mints the same ids and stays
-//! reproducible. A [`Timeline`] records named stage intervals against a
-//! monotonic epoch and freezes into a serializable [`TimelineRecord`].
+//! from a splitmix64 generator with a fixed seed and advanced by an atomic
+//! counter — no wall-clock entropy, so a process that issues the same
+//! requests in the same order mints the same ids and stays reproducible.
+//! A [`Timeline`] records named stage intervals against a monotonic epoch
+//! and freezes into a serializable [`TimelineRecord`].
 //!
-//! Both follow the crate's one-relaxed-atomic-when-disabled discipline:
-//! [`Timeline::disabled`] holds no allocation and every recording call on
-//! it is a branch on `None`, and [`Timeline::begin_if_enabled`] costs a
-//! single relaxed atomic load when request tracing is off.
+//! Whether a request is traced is the caller's choice: it starts a live
+//! timeline with [`Timeline::begin`] or passes [`Timeline::disabled`],
+//! which holds no allocation and makes every recording call a branch on
+//! `None`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Process-global switch for [`Timeline::begin_if_enabled`].
-static REQUEST_TRACING: AtomicBool = AtomicBool::new(false);
-
-/// Generator state: a settable base seed plus a monotonically increasing
-/// draw counter. Ids depend only on (seed, draw index), never the clock.
-static TRACE_SEED: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
+/// The generator's base seed. Ids depend only on (seed, draw index),
+/// never the clock.
+const TRACE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The generator's draw counter.
 static TRACE_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Whether [`Timeline::begin_if_enabled`] starts live timelines. One
-/// relaxed atomic load.
-#[inline(always)]
-pub fn request_tracing_enabled() -> bool {
-    REQUEST_TRACING.load(Ordering::Relaxed)
-}
-
-/// Turns process-global request tracing on or off.
-pub fn set_request_tracing(on: bool) {
-    REQUEST_TRACING.store(on, Ordering::Relaxed);
-}
-
-/// Reseeds the trace-id generator and resets its draw counter, making the
-/// sequence of generated ids reproducible from this point.
-pub fn set_trace_seed(seed: u64) {
-    TRACE_SEED.store(seed, Ordering::Relaxed);
-    TRACE_COUNTER.store(0, Ordering::Relaxed);
-}
 
 /// The splitmix64 finalizer: a bijective avalanche over `u64`.
 fn splitmix64(mut x: u64) -> u64 {
@@ -65,10 +44,10 @@ pub struct TraceContext {
 
 impl TraceContext {
     /// Mints a fresh context from the seeded generator. Deterministic
-    /// given the seed and the number of prior draws; never reads a clock.
+    /// given the number of prior draws; never reads a clock.
     pub fn generate() -> Self {
         let draw = TRACE_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let seed = TRACE_SEED.load(Ordering::Relaxed);
+        let seed = TRACE_SEED;
         let hi = splitmix64(seed ^ splitmix64(draw));
         let lo = splitmix64(hi.wrapping_add(draw));
         let trace_id = ((hi as u128) << 64) | lo as u128;
@@ -77,19 +56,6 @@ impl TraceContext {
             trace_id: if trace_id == 0 { 1 } else { trace_id },
             span_id: splitmix64(lo ^ seed),
         }
-    }
-
-    /// Parses a 1–32 character hex trace id (as produced by
-    /// [`trace_id_hex`](Self::trace_id_hex)); the span id is minted fresh.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.is_empty() || s.len() > 32 {
-            return None;
-        }
-        let trace_id = u128::from_str_radix(s, 16).ok()?;
-        Some(Self {
-            trace_id,
-            span_id: Self::generate().span_id,
-        })
     }
 
     /// The trace id as 32 lowercase hex characters.
@@ -213,18 +179,6 @@ impl Timeline {
                 epoch,
                 stages: Vec::with_capacity(8),
             })),
-        }
-    }
-
-    /// [`begin`](Self::begin) with a freshly generated context when
-    /// process-global request tracing is on, [`disabled`](Self::disabled)
-    /// otherwise. The off path is one relaxed atomic load: no id is
-    /// minted, no clock read, nothing allocated.
-    pub fn begin_if_enabled(epoch: Instant) -> Self {
-        if request_tracing_enabled() {
-            Self::begin(TraceContext::generate(), epoch)
-        } else {
-            Self::disabled()
         }
     }
 
@@ -360,15 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trips() {
+    fn hex_is_32_lowercase_digits_of_the_id() {
         let ctx = TraceContext::generate();
         let hex = ctx.trace_id_hex();
         assert_eq!(hex.len(), 32);
-        let back = TraceContext::from_hex(&hex).expect("parse");
-        assert_eq!(back.trace_id, ctx.trace_id);
-        assert!(TraceContext::from_hex("").is_none());
-        assert!(TraceContext::from_hex("zz").is_none());
-        assert!(TraceContext::from_hex(&"f".repeat(33)).is_none());
+        assert_eq!(u128::from_str_radix(&hex, 16).unwrap(), ctx.trace_id);
+        assert_eq!(hex, hex.to_lowercase());
     }
 
     #[test]

@@ -31,14 +31,9 @@ pub struct Event<'a> {
     pub spans: &'a [&'static str],
 }
 
-/// A span boundary handed to [`Subscriber::on_span_enter`] /
-/// [`Subscriber::on_span_exit`].
+/// A span exit handed to [`Subscriber::on_span_exit`].
 #[derive(Debug)]
 pub struct SpanRecord<'a> {
-    /// The span's name.
-    pub name: &'static str,
-    /// Nesting depth after entering (1 = top level).
-    pub depth: usize,
     /// Names of the enclosing spans including this one, outermost first.
     pub spans: &'a [&'static str],
 }
@@ -53,11 +48,8 @@ pub trait Subscriber: Send + Sync {
     /// An event passed the level filter.
     fn on_event(&self, event: &Event<'_>);
 
-    /// A span was entered (dispatched only at `max_level() >= Trace`
-    /// alongside timing on exit; override for structured sinks).
-    fn on_span_enter(&self, _span: &SpanRecord<'_>) {}
-
-    /// A span was exited after `elapsed`.
+    /// A span was exited after `elapsed` (dispatched only at
+    /// `max_level() >= Trace`).
     fn on_span_exit(&self, _span: &SpanRecord<'_>, _elapsed: Duration) {}
 }
 
@@ -91,12 +83,6 @@ pub fn clear_subscriber() {
 #[inline(always)]
 pub fn enabled(level: Level) -> bool {
     level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
-}
-
-/// Whether any subscriber is installed at all.
-#[inline(always)]
-pub fn subscriber_installed() -> bool {
-    MAX_LEVEL.load(Ordering::Relaxed) != 0
 }
 
 /// Formats and dispatches an event. Called by the [`event!`](crate::event)
@@ -183,18 +169,7 @@ impl Drop for Span {
 
 #[cold]
 fn enter_span(name: &'static str) {
-    SPAN_STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        stack.push(name);
-        let guard = SUBSCRIBER.read().expect("subscriber lock poisoned");
-        if let Some(subscriber) = guard.as_ref() {
-            subscriber.on_span_enter(&SpanRecord {
-                name,
-                depth: stack.len(),
-                spans: &stack,
-            });
-        }
-    });
+    SPAN_STACK.with(|stack| stack.borrow_mut().push(name));
 }
 
 #[cold]
@@ -203,14 +178,7 @@ fn exit_span(name: &'static str, elapsed: Duration) {
         let mut stack = stack.borrow_mut();
         let guard = SUBSCRIBER.read().expect("subscriber lock poisoned");
         if let Some(subscriber) = guard.as_ref() {
-            subscriber.on_span_exit(
-                &SpanRecord {
-                    name,
-                    depth: stack.len(),
-                    spans: &stack,
-                },
-                elapsed,
-            );
+            subscriber.on_span_exit(&SpanRecord { spans: &stack }, elapsed);
         }
         // Pop after notifying so the record still contains this span.
         // Guard against unbalanced drops (a span sent across threads).

@@ -13,7 +13,9 @@ fn sample() -> impl proptest::strategy::Strategy<Value = f64> {
 
 fn hist_of(samples: &[f64]) -> Histogram {
     let mut h = Histogram::new();
-    h.record_all(samples);
+    for &v in samples {
+        h.record(v);
+    }
     h
 }
 
@@ -26,7 +28,12 @@ fn fingerprint(h: &Histogram) -> Fingerprint {
         .iter()
         .map(|&q| h.quantile(q))
         .collect();
-    (h.count(), h.min(), h.max(), h.nonzero_buckets(), quantiles)
+    let buckets = h
+        .nonzero_buckets_with_exemplars()
+        .into_iter()
+        .map(|(lower, upper, count, _)| (lower, upper, count))
+        .collect();
+    (h.count(), h.min(), h.max(), buckets, quantiles)
 }
 
 proptest! {
@@ -74,9 +81,7 @@ proptest! {
     ) {
         let mut merged = hist_of(&a);
         merged.merge(&hist_of(&b));
-        let mut single = Histogram::new();
-        single.record_all(&a);
-        single.record_all(&b);
+        let single = hist_of(&[a.as_slice(), b.as_slice()].concat());
         prop_assert_eq!(fingerprint(&merged), fingerprint(&single));
         prop_assert_eq!(merged.count(), (a.len() + b.len()) as u64);
     }

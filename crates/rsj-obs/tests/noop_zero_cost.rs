@@ -51,12 +51,12 @@ fn allocations() -> u64 {
 
 /// A stand-in for an instrumented hot path: a span with its wall-time
 /// histogram, leveled events with formatting arguments, guarded registry
-/// calls, and a per-request timeline (disabled unless request tracing is
-/// on).
+/// calls, and the disabled per-request timeline that the server and the
+/// facade pass when a request is not traced.
 fn instrumented_work(iterations: u64) -> f64 {
     let _span = rsj_obs::span!("noop_test", "noop_test_wall_seconds");
     let epoch = std::time::Instant::now();
-    let mut timeline = rsj_obs::Timeline::begin_if_enabled(epoch);
+    let mut timeline = rsj_obs::Timeline::disabled();
     let mut acc = 0.0;
     for i in 0..iterations {
         // Formatting here would allocate; the macros must skip it.
@@ -77,7 +77,7 @@ fn instrumented_work(iterations: u64) -> f64 {
     }
     // A disabled timeline yields no record (and allocated nothing on the
     // way here).
-    assert!(timeline.finish("noop").is_some() == rsj_obs::request_tracing_enabled());
+    assert!(timeline.finish("noop").is_none());
     acc
 }
 
@@ -88,7 +88,6 @@ fn disabled_observability_does_not_allocate_or_record() {
     // assuming test ordering.
     rsj_obs::init(None);
     rsj_obs::set_metrics_enabled(false);
-    rsj_obs::set_request_tracing(false);
 
     // Warm up once so lazily initialized runtime structures (thread-local
     // registration, etc.) don't count against the measured region.
@@ -134,24 +133,6 @@ fn disabled_tracing_emits_nothing_to_a_sink_installed_later() {
         "live sink must receive span exits"
     );
     rsj_obs::clear_subscriber();
-}
-
-#[test]
-fn request_tracing_toggle_gates_timeline_capture() {
-    let _guard = global_state();
-    rsj_obs::set_request_tracing(false);
-    let off = rsj_obs::Timeline::begin_if_enabled(std::time::Instant::now());
-    assert!(!off.is_enabled());
-    assert!(off.finish("noop").is_none());
-
-    rsj_obs::set_request_tracing(true);
-    let mut on = rsj_obs::Timeline::begin_if_enabled(std::time::Instant::now());
-    assert!(on.is_enabled());
-    on.time("stage_a", || ());
-    let record = on.finish("noop").expect("enabled timeline yields a record");
-    assert_eq!(record.op, "noop");
-    assert!(record.stage_us("stage_a").is_some());
-    rsj_obs::set_request_tracing(false);
 }
 
 /// One `span!` scope feeding the histogram `histogram`.

@@ -2,7 +2,7 @@
 //!
 //! A std-only parallel execution layer for the reservation-strategies
 //! workspace: a scoped worker pool ([`Parallelism`]) with chunked work
-//! distribution, [`Parallelism::par_map`] / [`Parallelism::try_par_map_reduce`]
+//! distribution, [`Parallelism::par_map`] / [`Parallelism::try_par_reduce_range`]
 //! entry points whose results are **bit-for-bit identical to serial
 //! execution at any thread count**, typed panic propagation
 //! ([`ParError::WorkerPanicked`]), and an `RSJ_THREADS` environment
@@ -33,12 +33,13 @@ mod pool;
 mod stream;
 
 pub use error::ParError;
-pub use pool::{chunk_size, Parallelism};
+pub use pool::Parallelism;
 pub use stream::substream_seed;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::chunk_size;
 
     #[test]
     fn zero_threads_is_a_typed_error() {
@@ -70,13 +71,13 @@ mod tests {
             .map(|i| 1.0 / (1.0 + i as f64).powi(2))
             .collect();
         let reference = Parallelism::serial()
-            .try_par_map_reduce(&items, |_, x| *x, |a, b| a + b)
+            .try_par_reduce_range(items.len(), |i| items[i], |a, b| a + b)
             .unwrap()
             .unwrap();
         for threads in [2, 4, 7] {
             let sum = Parallelism::new(threads)
                 .unwrap()
-                .try_par_map_reduce(&items, |_, x| *x, |a, b| a + b)
+                .try_par_reduce_range(items.len(), |i| items[i], |a, b| a + b)
                 .unwrap()
                 .unwrap();
             assert_eq!(
@@ -89,8 +90,9 @@ mod tests {
 
     #[test]
     fn min_reduction_matches_plain_serial_scan() {
-        // Min with leftmost-index tie-breaking is truly associative, so
-        // the chunked reduction must equal the naive serial fold exactly.
+        // Min with leftmost-index tie-breaking (the DP's shape) is truly
+        // associative, so the chunked reduction must equal the naive serial
+        // fold exactly.
         let items: Vec<f64> = (0..5000)
             .map(|i| ((i as f64) * 0.7919).sin().abs())
             .collect();
@@ -104,62 +106,14 @@ mod tests {
             .unwrap();
         let chunked = Parallelism::new(4)
             .unwrap()
-            .try_par_map_reduce(&items, |i, &v| (i, v), |a, b| if b.1 < a.1 { b } else { a })
-            .unwrap()
-            .unwrap();
-        assert_eq!(naive, chunked);
-    }
-
-    #[test]
-    fn range_reduce_matches_slice_reduce_bit_for_bit() {
-        // The DP inner loop swaps the slice variant for the range variant
-        // to drop per-state index allocations; the two must share one
-        // reduction tree exactly, at any thread count.
-        let items: Vec<f64> = (0..10_000)
-            .map(|i| ((i as f64) * 0.316).cos() / (1.0 + i as f64))
-            .collect();
-        let via_slice = Parallelism::new(4)
-            .unwrap()
-            .try_par_map_reduce(&items, |_, x| *x, |a, b| a + b)
-            .unwrap()
-            .unwrap();
-        for threads in [1, 2, 4, 7] {
-            let via_range = Parallelism::new(threads)
-                .unwrap()
-                .try_par_reduce_range(items.len(), |i| items[i], |a, b| a + b)
-                .unwrap()
-                .unwrap();
-            assert_eq!(
-                via_slice.to_bits(),
-                via_range.to_bits(),
-                "{threads} threads"
-            );
-        }
-        // Min-with-index reductions (the DP shape) agree too.
-        let naive = items
-            .iter()
-            .enumerate()
-            .fold(None::<(f64, usize)>, |best, (i, &v)| match best {
-                Some((bv, _)) if bv <= v => best,
-                _ => Some((v, i)),
-            })
-            .unwrap();
-        let ranged = Parallelism::new(3)
-            .unwrap()
             .try_par_reduce_range(
                 items.len(),
-                |i| (items[i], i),
-                |a, b| if b.0 < a.0 { b } else { a },
+                |i| (i, items[i]),
+                |a, b| if b.1 < a.1 { b } else { a },
             )
             .unwrap()
             .unwrap();
-        assert_eq!(naive, ranged);
-        assert_eq!(
-            Parallelism::new(4)
-                .unwrap()
-                .try_par_reduce_range(0, |i| i, |a, _| a),
-            Ok(None)
-        );
+        assert_eq!(naive, chunked);
     }
 
     #[test]
@@ -172,7 +126,7 @@ mod tests {
         assert_eq!(
             Parallelism::new(4)
                 .unwrap()
-                .try_par_map_reduce(&empty, |_, x| *x, |a, _| a),
+                .try_par_reduce_range(0, |i| i, |a, _| a),
             Ok(None)
         );
     }

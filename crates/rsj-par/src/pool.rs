@@ -38,7 +38,7 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// Chunk size used for an input of `len` items. Depends only on `len`
 /// (see the module-level determinism contract). Public so tests and
 /// benchmarks can reason about the chunk shape.
-pub fn chunk_size(len: usize) -> usize {
+pub(crate) fn chunk_size(len: usize) -> usize {
     (len / TARGET_CHUNKS).max(1)
 }
 
@@ -67,7 +67,7 @@ impl Parallelism {
 
     /// The machine's available parallelism, or 1 when it cannot be
     /// determined.
-    pub fn available() -> Self {
+    pub(crate) fn available() -> Self {
         Parallelism {
             threads: std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
         }
@@ -75,7 +75,7 @@ impl Parallelism {
 
     /// Strict environment lookup: honours `RSJ_THREADS` when set
     /// (rejecting `0` and non-integers with a typed error), otherwise
-    /// falls back to [`Parallelism::available`]. Binaries should call
+    /// falls back to `Parallelism::available`. Binaries should call
     /// this once at startup so a bad override fails loudly.
     pub fn from_env() -> Result<Self, ParError> {
         match std::env::var("RSJ_THREADS") {
@@ -175,49 +175,10 @@ impl Parallelism {
         }
     }
 
-    /// Maps `f` over the items and reduces with `reduce` using the fixed
+    /// Maps `f` over `0..len` and reduces with `reduce` using the fixed
     /// chunked association described in the module docs: left-to-right
     /// within each chunk, then left-to-right across chunk partials.
-    /// Returns `None` for an empty input.
-    pub fn try_par_map_reduce<T, R, F, G>(
-        &self,
-        items: &[T],
-        map: F,
-        reduce: G,
-    ) -> Result<Option<R>, ParError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: Fn(R, R) -> R + Sync,
-    {
-        let len = items.len();
-        if len == 0 {
-            return Ok(None);
-        }
-        let chunk = chunk_size(len);
-        let n_chunks = len.div_ceil(chunk);
-        let partials = self.run_chunks(n_chunks, |c| {
-            let start = c * chunk;
-            let end = (start + chunk).min(len);
-            let mut acc = map(start, &items[start]);
-            for (i, item) in items.iter().enumerate().take(end).skip(start + 1) {
-                acc = reduce(acc, map(i, item));
-            }
-            acc
-        })?;
-        record_tasks(len);
-        Ok(partials.into_iter().reduce(reduce))
-    }
-
-    /// Range variant of [`Parallelism::try_par_map_reduce`]: maps `f`
-    /// over `0..len` and reduces with the *same* chunk shape and
-    /// association (left-to-right within each chunk, then left-to-right
-    /// across chunk partials). For a given `len` the reduction tree is
-    /// identical to the slice variant's, so replacing
-    /// `try_par_map_reduce(&(0..len).collect::<Vec<_>>(), …)` with this
-    /// method changes no output bits — it only drops the index-vector
-    /// allocation (the DP inner loop used to allocate one per state).
+    /// Returns `None` for an empty range.
     pub fn try_par_reduce_range<R, F, G>(
         &self,
         len: usize,

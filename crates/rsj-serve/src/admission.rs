@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Sizing of an [`AdmissionQueue`].
+/// Sizing of an `AdmissionQueue`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Hard bound on queued items; admission above it always sheds.
@@ -44,7 +44,7 @@ impl Default for AdmissionConfig {
 impl AdmissionConfig {
     /// Clamps the watermarks into a usable shape: `low ≤ high ≤ capacity`,
     /// capacity at least 1.
-    pub fn normalized(self) -> Self {
+    pub(crate) fn normalized(self) -> Self {
         let capacity = self.capacity.max(1);
         let high = self.high_watermark.min(capacity).max(1);
         let low = self.low_watermark.min(high);
@@ -65,7 +65,7 @@ struct State<T> {
 
 /// Outcome of a [`AdmissionQueue::pop`] call.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Pop<T> {
+pub(crate) enum Pop<T> {
     /// An admitted item, in FIFO order.
     Item(T),
     /// The wait timed out with the queue still open and empty.
@@ -77,9 +77,9 @@ pub enum Pop<T> {
 /// A bounded MPMC queue with watermark-hysteresis shedding. `try_admit`
 /// is the producer side (the accept loop); `pop` is the consumer side
 /// (workers). Closing the queue lets consumers drain what was already
-/// admitted, then observe [`Pop::Closed`].
+/// admitted, then observe `Pop::Closed`.
 #[derive(Debug)]
-pub struct AdmissionQueue<T> {
+pub(crate) struct AdmissionQueue<T> {
     config: AdmissionConfig,
     state: Mutex<State<T>>,
     not_empty: Condvar,
@@ -88,7 +88,7 @@ pub struct AdmissionQueue<T> {
 impl<T> AdmissionQueue<T> {
     /// An open queue sized by `config` (normalized; see
     /// [`AdmissionConfig::normalized`]).
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub(crate) fn new(config: AdmissionConfig) -> Self {
         Self {
             config: config.normalized(),
             state: Mutex::new(State {
@@ -101,14 +101,14 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// The normalized sizing in effect.
-    pub fn config(&self) -> AdmissionConfig {
+    pub(crate) fn config(&self) -> AdmissionConfig {
         self.config
     }
 
     /// Admits `item` or hands it back for shedding. Rejection reasons:
     /// shedding mode (entered at the high watermark, left at the low
     /// one), hard capacity, or a closed queue.
-    pub fn try_admit(&self, item: T) -> Result<(), T> {
+    pub(crate) fn try_admit(&self, item: T) -> Result<(), T> {
         let mut state = self.state.lock().expect("admission lock");
         if state.closed {
             return Err(item);
@@ -132,7 +132,7 @@ impl<T> AdmissionQueue<T> {
     /// Waits up to `timeout` for an item. Items admitted before
     /// [`close`](Self::close) keep being returned after it (drain);
     /// [`Pop::Closed`] only appears once the queue is closed *and* empty.
-    pub fn pop(&self, timeout: Duration) -> Pop<T> {
+    pub(crate) fn pop(&self, timeout: Duration) -> Pop<T> {
         let mut state = self.state.lock().expect("admission lock");
         loop {
             if let Some(item) = state.queue.pop_front() {
@@ -154,7 +154,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Closes the queue: future admissions shed, consumers drain the
     /// backlog then observe [`Pop::Closed`]. Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("admission lock");
         state.closed = true;
         drop(state);
@@ -162,13 +162,8 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Current queue depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.state.lock().expect("admission lock").queue.len()
-    }
-
-    /// Whether the queue is currently in shedding mode.
-    pub fn is_shedding(&self) -> bool {
-        self.state.lock().expect("admission lock").shedding
     }
 }
 
@@ -192,14 +187,12 @@ mod tests {
         }
         // Depth 4 = high watermark: shedding begins.
         assert_eq!(q.try_admit(99), Err(99));
-        assert!(q.is_shedding());
         // Draining to 3 (> low) keeps shedding on.
         assert_eq!(q.pop(Duration::ZERO), Pop::Item(0));
         assert_eq!(q.try_admit(99), Err(99));
         // Draining to 2 (= low) re-opens admission.
         assert_eq!(q.pop(Duration::ZERO), Pop::Item(1));
         q.try_admit(100).expect("below low watermark again");
-        assert!(!q.is_shedding());
     }
 
     #[test]

@@ -118,16 +118,11 @@ impl PlanCache {
     }
 
     /// Number of cached plans across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("cache shard poisoned").map.len())
             .sum()
-    }
-
-    /// Whether the cache currently holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// A point-in-time copy of every cached `(key, plan)` pair, in
@@ -135,7 +130,7 @@ impl PlanCache {
     /// consistent per shard but not across shards — exactly the guarantee
     /// a snapshot compaction needs (any plan it misses is still in the
     /// journal tail).
-    pub fn entries(&self) -> Vec<(String, Arc<Plan>)> {
+    pub(crate) fn entries(&self) -> Vec<(String, Arc<Plan>)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("cache shard poisoned");
@@ -206,7 +201,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = PlanCache::new(0, 4);
         cache.insert("a".into(), plan("a"));
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert!(cache.get("a").is_none());
     }
 
@@ -226,7 +221,7 @@ mod tests {
         // cache that never holds anything.
         let cache = PlanCache::new(0, 0);
         cache.insert("a".into(), plan("a"));
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert!(cache.get("a").is_none());
         assert!(cache.entries().is_empty());
     }

@@ -145,7 +145,7 @@ impl ChaosPolicy {
 /// ([`BitFlip`](Corruption::BitFlip)), and a replayed write
 /// ([`DuplicateRecord`](Corruption::DuplicateRecord)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Corruption {
+pub(crate) enum Corruption {
     /// Cut the stream at this byte offset (torn tail).
     TruncateAt {
         /// Offset to truncate at; clamped to the stream length.
@@ -189,7 +189,7 @@ impl CorruptionPolicy {
     /// The `index`-th corruption op for a stream of `len` bytes holding
     /// `records` well-formed frames. Pure: same `(seed, index, len,
     /// records)` → same op, regardless of call order or thread.
-    pub fn op(&self, index: u64, len: usize, records: usize) -> Corruption {
+    pub(crate) fn op(&self, index: u64, len: usize, records: usize) -> Corruption {
         let roll = substream_seed(substream_seed(self.seed, STREAM_CORRUPT), index);
         // Decorrelated draws for the op selector and its parameters.
         let param = substream_seed(roll, 1);

@@ -12,7 +12,7 @@ use crate::protocol::{encode, BatchItem, ErrorKind, HealthInfo, Request, Respons
 /// [`ClientError::ResponseTooLarge`] — the client-side mirror of the
 /// server's `max_line_bytes` bounded read. Plans embed their sequences,
 /// so this is far roomier than the request cap.
-pub const DEFAULT_MAX_RESPONSE_BYTES: usize = 64 << 20;
+pub(crate) const DEFAULT_MAX_RESPONSE_BYTES: usize = 64 << 20;
 
 /// What can go wrong on the client side of a call.
 #[derive(Debug)]
@@ -37,13 +37,10 @@ pub enum ClientError {
         /// The cap that was exceeded.
         limit: usize,
     },
-    /// The circuit breaker is open; the request was not sent.
-    CircuitOpen,
-    /// A [`ResilientClient`](crate::retry::ResilientClient) exhausted its
-    /// retry budget. Carries the trace id of the final attempt so the
-    /// failure can be correlated with server-side timelines and logs.
-    /// Match on [`root_cause`](ClientError::root_cause) to see through
-    /// this wrapping to the underlying transport error.
+    /// A [`ResilientClient`](crate::retry::ResilientClient) made its last
+    /// attempt without an answer. Carries the trace id of the final
+    /// attempt so the failure can be correlated with server-side
+    /// timelines and logs.
     RetriesExhausted {
         /// How many attempts were made.
         attempts: u32,
@@ -52,22 +49,6 @@ pub enum ClientError {
         /// The error the final attempt failed with.
         last: Box<ClientError>,
     },
-}
-
-impl ClientError {
-    /// The innermost failure, unwrapping any [`RetriesExhausted`]
-    /// layers. A `ResilientClient` whose retries run out wraps the final
-    /// attempt's error; callers that match on concrete transport
-    /// variants (`Io`, `ConnectionClosed`, `UnexpectedEof`, ...) should
-    /// match on `root_cause()` so the wrapping never hides them.
-    ///
-    /// [`RetriesExhausted`]: ClientError::RetriesExhausted
-    pub fn root_cause(&self) -> &ClientError {
-        match self {
-            ClientError::RetriesExhausted { last, .. } => last.root_cause(),
-            other => other,
-        }
-    }
 }
 
 impl std::fmt::Display for ClientError {
@@ -83,7 +64,6 @@ impl std::fmt::Display for ClientError {
             ClientError::ResponseTooLarge { limit } => {
                 write!(f, "response line exceeds {limit} bytes")
             }
-            ClientError::CircuitOpen => f.write_str("circuit breaker open; request not sent"),
             ClientError::RetriesExhausted {
                 attempts,
                 trace_id,
@@ -141,7 +121,7 @@ impl Client {
     }
 
     /// Caps the accepted response line (default
-    /// [`DEFAULT_MAX_RESPONSE_BYTES`]).
+    /// `DEFAULT_MAX_RESPONSE_BYTES`).
     pub fn set_max_response_bytes(&mut self, limit: usize) {
         self.max_response_bytes = limit.max(1);
     }
@@ -196,9 +176,7 @@ impl Client {
     /// each item is independently a plan or a typed error, so a batch
     /// with one bad distribution still yields plans for the rest. A
     /// batch-level server error (shed, not ready, …) surfaces as
-    /// [`ClientError::Protocol`]; use
-    /// [`ResilientClient::plan_batch`](crate::retry::ResilientClient::plan_batch)
-    /// for retries that re-send only the failed items.
+    /// [`ClientError::Protocol`].
     pub fn plan_batch(&mut self, items: Vec<PlanRequest>) -> Result<Vec<BatchItem>, ClientError> {
         match self.call(&Request::plan_batch(items))? {
             Response::PlanBatch { results, .. } => Ok(results),

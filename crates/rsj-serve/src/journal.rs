@@ -11,7 +11,7 @@
 //!
 //! The CRC-32 (IEEE, the zlib/PNG polynomial) covers the payload bytes, so
 //! any single-byte corruption of a frame — header or body — is detected.
-//! Snapshot files (see [`crate::snapshot`]) reuse the identical framing:
+//! Snapshot files (see the `snapshot` module) reuse the identical framing:
 //! one codec, one recovery reader.
 //!
 //! Decoding is *forensic*, never trusting: the [`RecordScanner`] walks a
@@ -41,14 +41,14 @@ use serde::{Deserialize, Serialize};
 
 /// Frame marker; chosen with no border so resync scans cannot skip a
 /// genuine frame start.
-pub const RECORD_MAGIC: [u8; 4] = *b"RSJ1";
+pub(crate) const RECORD_MAGIC: [u8; 4] = *b"RSJ1";
 
 /// Frame header size: magic + payload length + payload CRC.
-pub const RECORD_HEADER_BYTES: usize = 12;
+pub(crate) const RECORD_HEADER_BYTES: usize = 12;
 
 /// Upper bound on one record's payload; larger lengths are treated as
 /// corruption (a flipped bit in the length field), not as allocations.
-pub const MAX_RECORD_BYTES: usize = 64 << 20;
+pub(crate) const MAX_RECORD_BYTES: usize = 64 << 20;
 
 /// The default journal file name inside a `--journal-dir`.
 pub const JOURNAL_FILE: &str = "journal.log";
@@ -56,7 +56,7 @@ pub const JOURNAL_FILE: &str = "journal.log";
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the zlib/PNG
 /// checksum. Slicing-by-8: eight bytes per step through eight tables
 /// built once per process, the same values as the bytewise table loop.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
     let t = TABLES.get_or_init(|| {
         let mut t = [[0u32; 256]; 8];
@@ -155,7 +155,7 @@ pub enum RecordFault {
         /// Byte offset of the damaged region.
         offset: u64,
     },
-    /// The length field is implausible (> [`MAX_RECORD_BYTES`]).
+    /// The length field is implausible (> `MAX_RECORD_BYTES`).
     BadLength {
         /// Byte offset of the frame header.
         offset: u64,
@@ -250,11 +250,11 @@ pub fn encode_record(record: &JournalRecord) -> Result<Vec<u8>, JournalError> {
 }
 
 /// A scanned frame: its header offset and the decoded record.
-pub type ScannedRecord = (u64, JournalRecord);
+pub(crate) type ScannedRecord = (u64, JournalRecord);
 
 /// Walks a framed byte buffer, yielding decoded records and typed faults
 /// in file order. Never panics on any input; after a fault it
-/// resynchronizes on the next [`RECORD_MAGIC`] occurrence.
+/// resynchronizes on the next `RECORD_MAGIC` occurrence.
 ///
 /// The whole log is scanned from memory: journals are compacted into
 /// snapshots every `--snapshot-every` appends, so the tail being replayed
@@ -411,7 +411,6 @@ pub struct JournalWriter {
     file: BufWriter<File>,
     path: PathBuf,
     fsync: bool,
-    appended: u64,
 }
 
 impl JournalWriter {
@@ -425,7 +424,6 @@ impl JournalWriter {
             file: BufWriter::new(file),
             path,
             fsync,
-            appended: 0,
         })
     }
 
@@ -438,25 +436,13 @@ impl JournalWriter {
         if self.fsync {
             self.file.get_ref().sync_data()?;
         }
-        self.appended += 1;
         Ok(frame.len())
-    }
-
-    /// Records appended through this handle (not counting pre-existing
-    /// file contents).
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Empties the journal — called right after a snapshot compaction has
     /// durably captured everything the journal held. The file is
     /// truncated in place and the handle reopened for appending.
-    pub fn reset(&mut self) -> Result<(), JournalError> {
+    pub(crate) fn reset(&mut self) -> Result<(), JournalError> {
         self.file.flush()?;
         let file = OpenOptions::new()
             .create(true)
@@ -474,7 +460,7 @@ impl JournalWriter {
 
     /// Forces everything buffered out to disk (`sync_data`), regardless
     /// of the per-append `fsync` setting.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
+    pub(crate) fn sync(&mut self) -> Result<(), JournalError> {
         self.file.flush()?;
         self.file.get_ref().sync_data()?;
         Ok(())
@@ -733,7 +719,6 @@ mod tests {
         let b = record("b", &[2.0]);
         writer.append(&a).unwrap();
         writer.append(&b).unwrap();
-        assert_eq!(writer.appended(), 2);
 
         // Readable while the writer handle is still live (flushed per append).
         let bytes = read_log_bytes(&path).unwrap();

@@ -5,7 +5,7 @@
 //! long-running TCP server that computes reservation plans on demand,
 //! behind the stable [`Planner`](reservation_strategies::Planner) facade.
 //!
-//! * **Protocol** ([`protocol`]) — negotiated, line-delimited JSON: one
+//! * **Protocol** (`protocol`) — negotiated, line-delimited JSON: one
 //!   request object per line (`op`: `plan` / `plan_batch` / `trace` /
 //!   `metrics` / `health` / `ready` / `ping` / `shutdown`), one response
 //!   object per line. Requests carry an optional version `v` (absent
@@ -20,35 +20,34 @@
 //!   one frame and returns per-item tagged [`BatchItem`] results in input
 //!   order — one round trip, one trace id, one batch-level deadline —
 //!   with a failing item confined to its slot.
-//! * **Reactor** ([`poll`] / [`server`]) — a single-threaded nonblocking
+//! * **Reactor** (`poll` / `server`) — a single-threaded nonblocking
 //!   epoll front end (std-only, raw `libc`) that owns every connection's
 //!   read buffering, incremental line assembly, partial-write resumption
 //!   and idle deadline, so a slow or idle peer costs a buffer rather than
 //!   a thread. Complete frames cross a bounded MPMC queue into a fixed
 //!   worker pool, one request per pop.
-//! * **Server** ([`server`]) — admission control ([`admission`]:
+//! * **Server** (`server`) — admission control (`admission`:
 //!   watermark-hysteresis load shedding with typed `overloaded`
 //!   fast-rejects), per-request deadlines enforced at dequeue and
 //!   propagated into the solvers as cooperative cancellation,
 //!   single-flight coalescing of identical concurrent solves
-//!   ([`singleflight`]), a sharded exact-LRU plan cache ([`cache`]) keyed
+//!   (`singleflight`), a sharded exact-LRU plan cache (`cache`) keyed
 //!   on the planner's faithful cache key — one path for a `plan` and for
 //!   each `plan_batch` item — per-connection request limits
 //!   and read timeouts, panic-tolerant workers, graceful idempotent
 //!   shutdown that drains in-flight requests, and full `rsj-obs`
 //!   instrumentation (request/error/shed/coalesce counters, latency and
 //!   queue-wait histograms, Prometheus exposition via the `metrics` op).
-//! * **Client** ([`client`]) — a small blocking client used by
+//! * **Client** (`client`) — a small blocking client used by
 //!   `rsj request` and the integration tests, with typed errors for torn
 //!   and oversized responses and a [`Client::plan_batch`] wrapper for the
-//!   v2 batch op; [`retry`] wraps it into a [`ResilientClient`] with
-//!   seeded-jitter backoff, retry budgets, a circuit breaker, and
-//!   batch-aware retries that re-submit only the retryable slots of a
-//!   partially failed batch.
+//!   v2 batch op; `retry` wraps it into a [`ResilientClient`] that
+//!   reconnects and retries one call with seeded-jitter backoff, up to
+//!   an attempt cap (`rsj request --retries`).
 //! * **Chaos** ([`chaos`]) — a seed-reproducible fault-injection policy
 //!   and TCP proxy for the hardening tests, plus a seeded
 //!   journal-[`CorruptionPolicy`] for recovery testing.
-//! * **Durability** ([`journal`] / [`snapshot`] / [`recovery`]) — a
+//! * **Durability** ([`journal`] / `snapshot` / [`recovery`]) — a
 //!   CRC32-framed append-only plan journal with periodic atomically-renamed
 //!   snapshot compactions, and a startup recovery path that warm-fills the
 //!   cache, skipping torn or bit-flipped records with typed faults and
@@ -72,33 +71,29 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
-pub mod cache;
+pub(crate) mod admission;
+pub(crate) mod cache;
 pub mod chaos;
-pub mod client;
+pub(crate) mod client;
 pub mod journal;
-pub mod poll;
-pub mod protocol;
+pub(crate) mod poll;
+pub(crate) mod protocol;
 pub mod recovery;
-pub mod retry;
-pub mod server;
-pub mod singleflight;
-pub mod snapshot;
+pub(crate) mod retry;
+pub(crate) mod server;
+pub(crate) mod singleflight;
+pub(crate) mod snapshot;
 
-pub use admission::{AdmissionConfig, AdmissionQueue};
+pub use admission::AdmissionConfig;
 pub use cache::PlanCache;
-pub use chaos::{ChaosPolicy, ChaosProxy, Corruption, CorruptionPolicy, ProxyHandle};
+pub use chaos::{ChaosPolicy, ChaosProxy, CorruptionPolicy};
 pub use client::{Client, ClientError};
-pub use journal::{JournalRecord, JournalWriter, RecordFault, RecordScanner};
+pub use journal::{JournalRecord, JournalWriter};
 pub use protocol::{
-    classify, decode_request, encode, sanitize_trace_id, BatchItem, ErrorKind, HealthInfo,
-    Provenance, Request, Response, Timings, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
+    decode_request, encode, BatchItem, ErrorKind, HealthInfo, Provenance, Request, Response,
+    Timings, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
-pub use recovery::{recover, RecoveryStats};
+pub use recovery::recover;
 pub use reservation_strategies::PlanRequest;
-pub use retry::{
-    BreakerConfig, BreakerState, CircuitBreaker, ResilientClient, RetryClass, RetryPolicy,
-};
+pub use retry::{ResilientClient, RetryPolicy};
 pub use server::{DurabilityConfig, Server, ServerConfig, ShutdownHandle};
-pub use singleflight::{Flighted, SingleFlight};
-pub use snapshot::{SnapshotFile, SnapshotStore};

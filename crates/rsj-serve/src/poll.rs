@@ -22,11 +22,11 @@ use std::os::unix::io::RawFd;
 use std::time::Duration;
 
 /// Token reserved for the internal waker; never reported to callers.
-pub const WAKER_TOKEN: usize = usize::MAX;
+pub(crate) const WAKER_TOKEN: usize = usize::MAX;
 
 /// What readiness a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the fd is readable (or the peer closed).
     pub readable: bool,
     /// Wake when the fd is writable again.
@@ -35,25 +35,15 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READABLE: Interest = Interest {
+    pub(crate) const READABLE: Interest = Interest {
         readable: true,
-        writable: false,
-    };
-    /// Read + write interest (used while a partial write is parked).
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
-    /// No interest; the fd stays registered but silent (backpressure).
-    pub const NONE: Interest = Interest {
-        readable: false,
         writable: false,
     };
 }
 
 /// One readiness notification from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token supplied at registration time.
     pub token: usize,
     /// The fd has bytes to read (or EOF to observe).
@@ -69,13 +59,13 @@ pub struct Event {
 /// Cloning is cheap; each clone writes to the same self-pipe. Wakes
 /// coalesce: N wakes before the next `wait` produce one wakeup.
 #[derive(Debug)]
-pub struct Waker {
+pub(crate) struct Waker {
     fd: RawFd,
 }
 
 impl Waker {
     /// Nudge the poller out of [`Poller::wait`].
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let buf = [1u8];
         // A full pipe already guarantees a pending wakeup; ignore errors.
         unsafe {
@@ -110,24 +100,24 @@ mod sys {
     use std::os::raw::{c_int, c_void};
 
     extern "C" {
-        pub fn close(fd: c_int) -> c_int;
-        pub fn dup(fd: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
+        pub(crate) fn close(fd: c_int) -> c_int;
+        pub(crate) fn dup(fd: c_int) -> c_int;
+        pub(crate) fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        pub(crate) fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub(crate) fn pipe(fds: *mut c_int) -> c_int;
+        pub(crate) fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
     }
 
-    pub const F_SETFL: c_int = 4;
-    pub const F_SETFD: c_int = 2;
-    pub const FD_CLOEXEC: c_int = 1;
+    pub(crate) const F_SETFL: c_int = 4;
+    pub(crate) const F_SETFD: c_int = 2;
+    pub(crate) const FD_CLOEXEC: c_int = 1;
     #[cfg(target_os = "linux")]
-    pub const O_NONBLOCK: c_int = 0o4000;
+    pub(crate) const O_NONBLOCK: c_int = 0o4000;
     #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: c_int = 0x0004;
+    pub(crate) const O_NONBLOCK: c_int = 0x0004;
 
     /// Create a nonblocking close-on-exec pipe, returning (read, write).
-    pub fn nonblocking_pipe() -> std::io::Result<(c_int, c_int)> {
+    pub(crate) fn nonblocking_pipe() -> std::io::Result<(c_int, c_int)> {
         let mut fds = [0 as c_int; 2];
         if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
             return Err(std::io::Error::last_os_error());
@@ -142,7 +132,7 @@ mod sys {
     }
 
     /// Drain every pending byte from the waker pipe.
-    pub fn drain_pipe(fd: c_int) {
+    pub(crate) fn drain_pipe(fd: c_int) {
         let mut buf = [0u8; 64];
         loop {
             let n = unsafe { read(fd, buf.as_mut_ptr().cast(), buf.len()) };
@@ -193,14 +183,14 @@ mod epoll {
     }
 
     /// epoll-backed poller.
-    pub struct Poller {
+    pub(crate) struct Poller {
         epfd: RawFd,
         wake_rx: RawFd,
         wake_tx: RawFd,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -240,15 +230,25 @@ mod epoll {
             Ok(())
         }
 
-        pub fn register(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &self,
+            fd: RawFd,
+            token: usize,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, interest)
         }
 
-        pub fn reregister(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub(crate) fn reregister(
+            &self,
+            fd: RawFd,
+            token: usize,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, interest)
         }
 
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
             let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
             if rc != 0 {
@@ -257,13 +257,17 @@ mod epoll {
             Ok(())
         }
 
-        pub fn waker(&self) -> super::Waker {
+        pub(crate) fn waker(&self) -> super::Waker {
             super::Waker {
                 fd: unsafe { sys::dup(self.wake_tx) },
             }
         }
 
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             out.clear();
             let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
             let timeout_ms: c_int = match timeout {
@@ -338,14 +342,14 @@ mod portable {
 
     /// Portable `poll(2)` fallback for kqueue platforms; the interest
     /// table lives in userspace and is rebuilt on every wait.
-    pub struct Poller {
+    pub(crate) struct Poller {
         registrations: Mutex<HashMap<RawFd, (usize, Interest)>>,
         wake_rx: RawFd,
         wake_tx: RawFd,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             let (wake_rx, wake_tx) = sys::nonblocking_pipe()?;
             Ok(Poller {
                 registrations: Mutex::new(HashMap::new()),
@@ -354,7 +358,12 @@ mod portable {
             })
         }
 
-        pub fn register(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &self,
+            fd: RawFd,
+            token: usize,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.registrations
                 .lock()
                 .unwrap()
@@ -362,22 +371,31 @@ mod portable {
             Ok(())
         }
 
-        pub fn reregister(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub(crate) fn reregister(
+            &self,
+            fd: RawFd,
+            token: usize,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.register(fd, token, interest)
         }
 
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
             self.registrations.lock().unwrap().remove(&fd);
             Ok(())
         }
 
-        pub fn waker(&self) -> super::Waker {
+        pub(crate) fn waker(&self) -> super::Waker {
             super::Waker {
                 fd: unsafe { sys::dup(self.wake_tx) },
             }
         }
 
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             out.clear();
             let mut fds = Vec::new();
             let mut tokens = Vec::new();
@@ -459,35 +477,35 @@ use portable as backend;
 /// backend would otherwise keep reporting a dangling registration,
 /// although closing an fd does remove it from the epoll set when no
 /// other references exist).
-pub struct Poller {
+pub(crate) struct Poller {
     inner: backend::Poller,
 }
 
 impl Poller {
     /// Create a poller plus its internal self-pipe waker.
-    pub fn new() -> io::Result<Poller> {
+    pub(crate) fn new() -> io::Result<Poller> {
         Ok(Poller {
             inner: backend::Poller::new()?,
         })
     }
 
     /// Start watching `fd` under `token`.
-    pub fn register(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         self.inner.register(fd, token, interest)
     }
 
     /// Change the interest set for an already-registered fd.
-    pub fn reregister(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    pub(crate) fn reregister(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         self.inner.reregister(fd, token, interest)
     }
 
     /// Stop watching `fd`.
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
         self.inner.deregister(fd)
     }
 
     /// A handle other threads can use to interrupt [`Poller::wait`].
-    pub fn waker(&self) -> Waker {
+    pub(crate) fn waker(&self) -> Waker {
         self.inner.waker()
     }
 
@@ -495,7 +513,7 @@ impl Poller {
     ///
     /// Waker events are consumed internally and never surfaced. A
     /// return with an empty `out` means timeout or explicit wake.
-    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         self.inner.wait(out, timeout)
     }
 }
@@ -585,7 +603,14 @@ mod tests {
                     client.write_all(b"x").unwrap();
 
                     poller
-                        .register(server.as_raw_fd(), 3, Interest::NONE)
+                        .register(
+                            server.as_raw_fd(),
+                            3,
+                            Interest {
+                                readable: false,
+                                writable: false,
+                            },
+                        )
                         .unwrap();
                     let mut events = Vec::new();
                     poller

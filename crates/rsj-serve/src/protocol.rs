@@ -320,7 +320,7 @@ impl Request {
     }
 
     /// The protocol version the request claims.
-    pub fn version(&self) -> u32 {
+    pub(crate) fn version(&self) -> u32 {
         match *self {
             Request::Plan { v, .. }
             | Request::PlanBatch { v, .. }
@@ -338,7 +338,7 @@ impl Request {
 /// at most 64 printable-ASCII characters. Anything else is treated as
 /// absent rather than rejected — a bad trace id should never fail a
 /// request.
-pub fn sanitize_trace_id(id: Option<&str>) -> Option<String> {
+pub(crate) fn sanitize_trace_id(id: Option<&str>) -> Option<String> {
     let id = id?.trim();
     if id.is_empty() || id.len() > 64 || !id.chars().all(|c| c.is_ascii_graphic()) {
         return None;
@@ -409,7 +409,7 @@ pub enum ErrorKind {
     /// queue is above its high watermark). Retryable — and unlike
     /// [`ErrorKind::Overloaded`] it signals a *warming* server, not a
     /// struggling one, so clients should retry patiently without
-    /// escalating backoff or tripping circuit breakers.
+    /// escalating backoff.
     NotReady,
     /// The request's `deadline_ms` expired — in the queue, or mid-solve
     /// (the solver was cancelled cooperatively).
@@ -447,7 +447,7 @@ impl ErrorKind {
     /// transient server-side conditions qualify; malformed or invalid
     /// requests will fail the same way every time, and an expired
     /// deadline stays expired.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(
             self,
             ErrorKind::Overloaded | ErrorKind::NotReady | ErrorKind::Internal
@@ -456,7 +456,7 @@ impl ErrorKind {
 }
 
 /// Maps a facade error onto the wire discriminant.
-pub fn classify(err: &RsjError) -> ErrorKind {
+pub(crate) fn classify(err: &RsjError) -> ErrorKind {
     match err {
         RsjError::Dist(_) => ErrorKind::InvalidDistribution,
         // The only cancellation source in the server is the per-request
@@ -531,19 +531,6 @@ impl BatchItem {
     /// Whether the item carries a plan.
     pub fn is_ok(&self) -> bool {
         matches!(self, BatchItem::Plan { .. })
-    }
-
-    /// The item's error kind, when it failed.
-    pub fn error_kind(&self) -> Option<ErrorKind> {
-        match self {
-            BatchItem::Error { kind, .. } => Some(*kind),
-            BatchItem::Plan { .. } => None,
-        }
-    }
-
-    /// Whether a failed item is worth retrying (transient error kind).
-    pub fn is_retryable_error(&self) -> bool {
-        self.error_kind().is_some_and(|k| k.is_retryable())
     }
 }
 
@@ -669,19 +656,9 @@ impl Response {
         }
     }
 
-    /// The trace id the response carries, if any.
-    pub fn trace_id(&self) -> Option<&str> {
-        match self {
-            Response::Plan { trace_id, .. }
-            | Response::PlanBatch { trace_id, .. }
-            | Response::Error { trace_id, .. } => trace_id.as_deref(),
-            _ => None,
-        }
-    }
-
     /// Stamps `id` onto the variants that carry a trace id (plan,
     /// plan-batch and error responses); a no-op for the rest.
-    pub fn with_trace_id(mut self, id: Option<String>) -> Self {
+    pub(crate) fn with_trace_id(mut self, id: Option<String>) -> Self {
         if id.is_some() {
             match &mut self {
                 Response::Plan { trace_id, .. }
@@ -774,6 +751,16 @@ pub fn encode<T: Serialize>(message: &T) -> serde_json::Result<String> {
 mod tests {
     use super::*;
 
+    /// The trace id a response carries, if any.
+    fn trace_id_of(response: &Response) -> Option<&str> {
+        match response {
+            Response::Plan { trace_id, .. }
+            | Response::PlanBatch { trace_id, .. }
+            | Response::Error { trace_id, .. } => trace_id.as_deref(),
+            _ => None,
+        }
+    }
+
     #[test]
     fn version_defaults_and_is_enforced() {
         let req = decode_request(r#"{"op":"ping"}"#).unwrap();
@@ -820,7 +807,7 @@ mod tests {
             trace_id: Some("batch-1".into()),
             timeline: None,
         };
-        assert_eq!(resp.trace_id(), Some("batch-1"));
+        assert_eq!(trace_id_of(&resp), Some("batch-1"));
         let line = encode(&resp).unwrap();
         assert!(line.contains(r#""status":"plan_batch""#), "{line}");
         assert!(line.contains(r#""status":"error""#), "{line}");
@@ -965,18 +952,18 @@ mod tests {
     #[test]
     fn error_responses_echo_trace_ids() {
         let resp = Response::error_traced(ErrorKind::Overloaded, "try later", Some("t-1".into()));
-        assert_eq!(resp.trace_id(), Some("t-1"));
+        assert_eq!(trace_id_of(&resp), Some("t-1"));
         let line = encode(&resp).unwrap();
         let back: Response = serde_json::from_str(&line).unwrap();
-        assert_eq!(back.trace_id(), Some("t-1"));
+        assert_eq!(trace_id_of(&back), Some("t-1"));
         // Stamping only fills variants that carry an id, and never erases.
         let stamped = Response::error(ErrorKind::Internal, "x").with_trace_id(Some("t-2".into()));
-        assert_eq!(stamped.trace_id(), Some("t-2"));
+        assert_eq!(trace_id_of(&stamped), Some("t-2"));
         let pong = Response::Pong {
             v: PROTOCOL_VERSION,
         }
         .with_trace_id(Some("ignored".into()));
-        assert_eq!(pong.trace_id(), None);
+        assert_eq!(trace_id_of(&pong), None);
     }
 
     #[test]

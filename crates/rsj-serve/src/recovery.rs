@@ -3,7 +3,7 @@
 //! The sequence mirrors every log-structured store:
 //!
 //! 1. pick the newest *usable* snapshot (falling back one generation if
-//!    the newest is damaged — see [`crate::snapshot`]), insert its
+//!    the newest is damaged — see the `snapshot` module), insert its
 //!    records into the cache;
 //! 2. replay `journal.log` on top — records written after the snapshot
 //!    win by insertion order, and duplicate keys are benign because the
@@ -168,7 +168,7 @@ mod tests {
         assert_eq!(stats.recovered_records, 0);
         assert_eq!(stats.corrupt_records, 0);
         assert!(stats.snapshot_generation.is_none());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,31 +1,24 @@
-//! Client-side resilience: retries with deterministic jitter, retry
-//! budgets, and a circuit breaker.
+//! Client-side retries with deterministic jitter.
 //!
 //! [`RetryPolicy`] computes exponential backoff with *seeded* jitter —
 //! the jitter fraction is a pure function of `(jitter_seed, call, attempt)`
-//! via [`rsj_par::substream_seed`], so a test or bench replays the exact
-//! same retry timeline on every run while a fleet of real clients (each
-//! with its own seed) still decorrelates.
+//! via [`rsj_par::substream_seed`], so a test replays the exact same retry
+//! timeline on every run while clients with different seeds still
+//! decorrelate.
 //!
-//! [`CircuitBreaker`] is the standard three-state machine
-//! (closed → open → half-open → closed) with *injected time*: every
-//! transition takes `now: Instant` from the caller, which makes the state
-//! machine exhaustively testable without sleeping.
-//!
-//! [`ResilientClient`] glues both onto [`Client`]:
-//! reconnect per attempt, retry only what is safe to retry (transport
-//! failures and responses whose [`ErrorKind::is_retryable`](crate::ErrorKind::is_retryable)), stop at the
-//! policy's attempt cap or the cross-call retry budget, and fail fast
-//! with [`ClientError::CircuitOpen`] while the breaker is open.
+//! [`ResilientClient`] puts it onto [`Client`]: reconnect per attempt,
+//! retry only what is safe to retry (transport failures and responses
+//! whose `ErrorKind::is_retryable`), retry a warming server (`not_ready`)
+//! on a constant pause, and stop at the policy's attempt cap.
+//! `rsj request --retries` runs one call of it per process.
 
 use std::net::ToSocketAddrs;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use reservation_strategies::PlanRequest;
 use rsj_par::substream_seed;
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{BatchItem, ErrorKind, Request, Response};
+use crate::protocol::{ErrorKind, Request, Response};
 
 /// Backoff shape and retry limits for [`ResilientClient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +31,6 @@ pub struct RetryPolicy {
     pub max_backoff: Duration,
     /// Seed for the deterministic jitter stream.
     pub jitter_seed: u64,
-    /// Cross-call retry budget: once this many retries have been spent
-    /// over the client's lifetime, calls stop retrying (first attempts
-    /// still run). Guards against retry storms amplifying an outage.
-    pub retry_budget: u32,
 }
 
 impl Default for RetryPolicy {
@@ -51,7 +40,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_secs(2),
             jitter_seed: 0,
-            retry_budget: 64,
         }
     }
 }
@@ -60,7 +48,7 @@ impl RetryPolicy {
     /// The pause before retry number `retry` (0-based) of call `call`:
     /// `base · 2^retry`, capped at `max_backoff`, scaled by a
     /// deterministic jitter factor in `[0.5, 1.0]`.
-    pub fn backoff(&self, call: u64, retry: u32) -> Duration {
+    pub(crate) fn backoff(&self, call: u64, retry: u32) -> Duration {
         let exp = self
             .base_backoff
             .saturating_mul(1u32 << retry.min(16))
@@ -72,158 +60,25 @@ impl RetryPolicy {
     }
 }
 
-/// The observable state of a [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Requests flow; consecutive failures are being counted.
-    Closed,
-    /// Requests fail fast until the cooldown elapses.
-    Open,
-    /// A limited number of probe requests test whether the backend
-    /// recovered.
-    HalfOpen,
-}
-
-/// Thresholds for a [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open before probing.
-    pub cooldown: Duration,
-    /// Probes admitted per half-open episode; one success closes the
-    /// breaker, one failure re-opens it.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 5,
-            cooldown: Duration::from_millis(500),
-            half_open_probes: 1,
-        }
-    }
-}
-
-/// A closed → open → half-open → closed circuit breaker with injected
-/// time: `allow`/`on_success`/`on_failure` all take `now` so tests drive
-/// the clock instead of sleeping through cooldowns.
-#[derive(Debug, Clone)]
-pub struct CircuitBreaker {
-    config: BreakerConfig,
-    state: BreakerState,
-    consecutive_failures: u32,
-    open_until: Option<Instant>,
-    probes_left: u32,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker.
-    pub fn new(config: BreakerConfig) -> Self {
-        Self {
-            config: BreakerConfig {
-                failure_threshold: config.failure_threshold.max(1),
-                half_open_probes: config.half_open_probes.max(1),
-                ..config
-            },
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            open_until: None,
-            probes_left: 0,
-        }
-    }
-
-    /// Current state (after applying any cooldown expiry at `now`).
-    pub fn state(&mut self, now: Instant) -> BreakerState {
-        self.refresh(now);
-        self.state
-    }
-
-    /// Whether a request may proceed at `now`. In half-open, each `true`
-    /// consumes one probe slot.
-    pub fn allow(&mut self, now: Instant) -> bool {
-        self.refresh(now);
-        match self.state {
-            BreakerState::Closed => true,
-            BreakerState::Open => false,
-            BreakerState::HalfOpen => {
-                if self.probes_left > 0 {
-                    self.probes_left -= 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Records a successful request.
-    pub fn on_success(&mut self, now: Instant) {
-        self.refresh(now);
-        self.consecutive_failures = 0;
-        if self.state == BreakerState::HalfOpen {
-            self.state = BreakerState::Closed;
-            self.open_until = None;
-            self.probes_left = 0;
-        }
-    }
-
-    /// Records a failed (or shed) request.
-    pub fn on_failure(&mut self, now: Instant) {
-        self.refresh(now);
-        match self.state {
-            BreakerState::Closed => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.failure_threshold {
-                    self.trip(now);
-                }
-            }
-            // A failed probe re-arms the full cooldown.
-            BreakerState::HalfOpen => self.trip(now),
-            BreakerState::Open => {}
-        }
-    }
-
-    fn trip(&mut self, now: Instant) {
-        self.state = BreakerState::Open;
-        self.open_until = Some(now + self.config.cooldown);
-        self.probes_left = 0;
-    }
-
-    fn refresh(&mut self, now: Instant) {
-        if self.state == BreakerState::Open {
-            if let Some(until) = self.open_until {
-                if now >= until {
-                    self.state = BreakerState::HalfOpen;
-                    self.probes_left = self.config.half_open_probes;
-                }
-            }
-        }
-    }
-}
-
 /// How one attempt's outcome steers the retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryClass {
+pub(crate) enum RetryClass {
     /// A usable answer (success, or a typed error retrying can't fix):
     /// return it.
     Done,
     /// A transient failure (`overloaded`, `internal`, transport): retry
-    /// with exponential backoff, and count it against the breaker — the
-    /// backend is struggling.
+    /// with exponential backoff on a fresh connection.
     Transient,
     /// The server answered `not_ready`: it is up but still warming
-    /// (recovery in progress). Retry on a *constant* base backoff and do
-    /// **not** feed the breaker — a healthy server booting must not trip
-    /// open the circuit that would then refuse it traffic once ready.
+    /// (recovery in progress). Retry on a *constant* base backoff:
+    /// recovery finishes on its own schedule.
     Warming,
 }
 
 /// Classifies one attempt outcome for the retry loop. Transport errors
 /// worth a reconnect are [`RetryClass::Transient`]; a fatal transport
 /// error is not classified here (the caller returns it as-is).
-pub fn classify_response(response: &Response) -> RetryClass {
+pub(crate) fn classify_response(response: &Response) -> RetryClass {
     match response {
         Response::Error {
             kind: ErrorKind::NotReady,
@@ -234,63 +89,42 @@ pub fn classify_response(response: &Response) -> RetryClass {
     }
 }
 
-/// A [`Client`] wrapper that reconnects and retries per
-/// [`RetryPolicy`], gated by a [`CircuitBreaker`].
+/// A [`Client`] wrapper that reconnects and retries per [`RetryPolicy`].
 ///
 /// Retried failures: transport errors (connect/I/O/torn responses) and
-/// typed server errors with [`ErrorKind::is_retryable`] — i.e.
+/// typed server errors whose `ErrorKind::is_retryable` — i.e.
 /// `overloaded`, `not_ready` and `internal`. Everything else (invalid
 /// requests, deadline misses, protocol violations) returns immediately:
 /// retrying cannot change the outcome. `not_ready` is special-cased as
-/// [`RetryClass::Warming`]: retried on a constant base backoff without
-/// counting against the circuit breaker, because a warming server is not
-/// a failing one.
-///
-/// [`ErrorKind::is_retryable`]: crate::ErrorKind::is_retryable
+/// `RetryClass::Warming`: retried on a constant base backoff, because a
+/// warming server is not a failing one.
 pub struct ResilientClient {
     addr: String,
     policy: RetryPolicy,
-    breaker: CircuitBreaker,
     conn: Option<Client>,
     calls: u64,
     retries_spent: u32,
-    last_trace_id: Option<String>,
 }
 
 impl ResilientClient {
     /// A resilient client for `addr` (connections are opened lazily, one
     /// per attempt that needs one).
-    pub fn new(addr: impl Into<String>, policy: RetryPolicy, breaker: BreakerConfig) -> Self {
+    pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> Self {
         Self {
             addr: addr.into(),
             policy: RetryPolicy {
                 max_attempts: policy.max_attempts.max(1),
                 ..policy
             },
-            breaker: CircuitBreaker::new(breaker),
             conn: None,
             calls: 0,
             retries_spent: 0,
-            last_trace_id: None,
         }
     }
 
-    /// Retries spent across the client's lifetime (bounded by the
-    /// policy's `retry_budget`).
+    /// Retries spent across the client's lifetime.
     pub fn retries_spent(&self) -> u32 {
         self.retries_spent
-    }
-
-    /// The trace id the most recent [`call`](Self::call) carried (the
-    /// caller's own, or the one this client minted for an untraced plan
-    /// request). `None` until a traceable request has been sent.
-    pub fn last_trace_id(&self) -> Option<&str> {
-        self.last_trace_id.as_deref()
-    }
-
-    /// The breaker's state at `now` (diagnostic).
-    pub fn breaker_state(&mut self, now: Instant) -> BreakerState {
-        self.breaker.state(now)
     }
 
     /// Sends `request`, retrying per policy. `Ok` carries whatever the
@@ -314,15 +148,9 @@ impl ResilientClient {
             }
             _ => request,
         };
-        if let Some(id) = request.trace_id() {
-            self.last_trace_id = Some(id.to_owned());
-        }
         let trace_id = request.trace_id().unwrap_or("untraced");
         let mut retry: u32 = 0;
         loop {
-            if !self.breaker.allow(Instant::now()) {
-                return Err(ClientError::CircuitOpen);
-            }
             let outcome = self.attempt(request);
             rsj_obs::debug!(
                 "call {call} attempt {}/{} trace_id={trace_id}: {}",
@@ -340,18 +168,12 @@ impl ResilientClient {
                 }
             };
             if class == RetryClass::Done {
-                self.breaker.on_success(Instant::now());
                 return outcome;
             }
             if class == RetryClass::Transient {
-                // Warming is deliberately excluded: a booting server must
-                // not trip the breaker that would refuse it traffic later.
-                self.breaker.on_failure(Instant::now());
                 self.conn = None; // reconnect on the next attempt
             }
-            if retry + 1 >= self.policy.max_attempts
-                || self.retries_spent >= self.policy.retry_budget
-            {
+            if retry + 1 >= self.policy.max_attempts {
                 // A retryable *response* is still a server answer — return
                 // it faithfully. Only transport errors get wrapped, so the
                 // caller learns the trace id and attempt count of a call
@@ -369,189 +191,6 @@ impl ResilientClient {
                 // Constant base pause while warming: recovery finishes on
                 // its own schedule, escalating backoff only delays the
                 // first post-recovery request.
-                RetryClass::Warming => self.policy.backoff(call, 0),
-                _ => self.policy.backoff(call, retry),
-            };
-            std::thread::sleep(pause);
-            retry += 1;
-            self.retries_spent += 1;
-        }
-    }
-
-    /// Solves `items` via the v2 `plan_batch` op with *partial-batch*
-    /// retry: after each attempt, items that came back as plans (or as
-    /// typed errors retrying can't fix) keep their results, and only the
-    /// retryable failures are re-sent as a smaller batch on the next
-    /// attempt. A batch-level shed (`overloaded`, `not_ready`) or a
-    /// transport error re-sends every still-unresolved item; `not_ready`
-    /// follows the same warming rules as [`call`](Self::call) (constant
-    /// backoff, no breaker feed).
-    ///
-    /// Every attempt carries a fresh minted trace id (recorded in
-    /// [`last_trace_id`](Self::last_trace_id)) so each wire exchange
-    /// correlates with exactly one server-side timeline.
-    ///
-    /// `Ok` returns per-item results in input order, faithfully: when
-    /// retries run out, the last typed error each unresolved item saw is
-    /// returned in its slot. `Err` is reserved for failures that left
-    /// some items with *no* server answer at all (transport errors,
-    /// wrapped in [`ClientError::RetriesExhausted`]) and for fail-fast
-    /// conditions ([`ClientError::CircuitOpen`], protocol violations).
-    pub fn plan_batch(
-        &mut self,
-        items: Vec<PlanRequest>,
-        deadline_ms: Option<u64>,
-    ) -> Result<Vec<BatchItem>, ClientError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let call = self.calls;
-        self.calls += 1;
-        // What a non-final attempt leaves behind, to fill unresolved
-        // slots (or wrap) if the attempt turns out to be the last one.
-        enum Leftover {
-            /// The server answered per item; `results` holds everything.
-            Answered,
-            /// A retryable batch-level typed error.
-            BatchError(ErrorKind, String),
-            /// A transient transport failure; no answer for this attempt.
-            Transport(ClientError),
-        }
-        let mut results: Vec<Option<BatchItem>> = (0..items.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..items.len()).collect();
-        let mut retry: u32 = 0;
-        loop {
-            if !self.breaker.allow(Instant::now()) {
-                return Err(ClientError::CircuitOpen);
-            }
-            let trace_id = rsj_obs::TraceContext::generate().trace_id_hex();
-            self.last_trace_id = Some(trace_id.clone());
-            let sub: Vec<PlanRequest> = pending.iter().map(|&i| items[i].clone()).collect();
-            let mut request = Request::plan_batch(sub).with_trace_id(trace_id.clone());
-            if let Some(ms) = deadline_ms {
-                request = request.with_deadline_ms(ms);
-            }
-            let outcome = self.attempt(&request);
-            rsj_obs::debug!(
-                "batch call {call} attempt {}/{} trace_id={trace_id} pending={}: {}",
-                retry + 1,
-                self.policy.max_attempts,
-                pending.len(),
-                describe_outcome(&outcome),
-            );
-            // What this attempt leaves behind for the retry loop (and for
-            // the unresolved slots if this was the last attempt).
-            let (class, leftover) = match outcome {
-                Ok(Response::PlanBatch {
-                    results: answered, ..
-                }) => {
-                    if answered.len() != pending.len() {
-                        return Err(ClientError::Protocol(format!(
-                            "plan_batch answered {} items for a {}-item batch",
-                            answered.len(),
-                            pending.len()
-                        )));
-                    }
-                    // Keep every answer; only retryable per-item errors
-                    // stay pending for the next (smaller) attempt.
-                    let mut still = Vec::new();
-                    for (slot, item) in pending.iter().copied().zip(answered) {
-                        let retryable = item.is_retryable_error();
-                        results[slot] = Some(item);
-                        if retryable {
-                            still.push(slot);
-                        }
-                    }
-                    pending = still;
-                    if pending.is_empty() {
-                        self.breaker.on_success(Instant::now());
-                        return Ok(results
-                            .into_iter()
-                            .map(|r| r.expect("every slot answered"))
-                            .collect());
-                    }
-                    // Partial failure: the backend is struggling, but the
-                    // connection itself answered — keep it open.
-                    self.breaker.on_failure(Instant::now());
-                    (RetryClass::Done, Leftover::Answered)
-                }
-                Ok(Response::Error { kind, message, .. }) => {
-                    match if kind == ErrorKind::NotReady {
-                        RetryClass::Warming
-                    } else if kind.is_retryable() {
-                        RetryClass::Transient
-                    } else {
-                        RetryClass::Done
-                    } {
-                        // A batch-level error retrying can't fix answers
-                        // every unresolved item at once.
-                        RetryClass::Done => {
-                            for &slot in &pending {
-                                results[slot] = Some(BatchItem::error(kind, message.clone()));
-                            }
-                            return Ok(results
-                                .into_iter()
-                                .map(|r| r.expect("every slot answered"))
-                                .collect());
-                        }
-                        class => (class, Leftover::BatchError(kind, message)),
-                    }
-                }
-                Ok(response) => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected plan_batch, got {response:?}"
-                    )))
-                }
-                Err(e) => {
-                    if !is_transient(&e) {
-                        return Err(e);
-                    }
-                    (RetryClass::Transient, Leftover::Transport(e))
-                }
-            };
-            if class == RetryClass::Transient {
-                self.breaker.on_failure(Instant::now());
-                self.conn = None; // reconnect on the next attempt
-            }
-            if retry + 1 >= self.policy.max_attempts
-                || self.retries_spent >= self.policy.retry_budget
-            {
-                // The last answer fills every unresolved slot, faithfully.
-                // A transport failure on the final attempt wraps only if
-                // some item never saw a server answer at all.
-                return match leftover {
-                    Leftover::Answered => Ok(results
-                        .into_iter()
-                        .map(|r| r.expect("every slot answered"))
-                        .collect()),
-                    Leftover::BatchError(kind, message) => {
-                        for &slot in &pending {
-                            results[slot] = Some(BatchItem::error(kind, message.clone()));
-                        }
-                        Ok(results
-                            .into_iter()
-                            .map(|r| r.expect("every slot answered"))
-                            .collect())
-                    }
-                    Leftover::Transport(last) => {
-                        if results.iter().all(Option::is_some) {
-                            // Every item carries the typed error an earlier
-                            // attempt answered with.
-                            Ok(results
-                                .into_iter()
-                                .map(|r| r.expect("every slot answered"))
-                                .collect())
-                        } else {
-                            Err(ClientError::RetriesExhausted {
-                                attempts: retry + 1,
-                                trace_id,
-                                last: Box::new(last),
-                            })
-                        }
-                    }
-                };
-            }
-            let pause = match class {
                 RetryClass::Warming => self.policy.backoff(call, 0),
                 _ => self.policy.backoff(call, retry),
             };
@@ -603,63 +242,6 @@ fn is_transient(e: &ClientError) -> bool {
 mod tests {
     use super::*;
 
-    fn cfg(threshold: u32, cooldown_ms: u64, probes: u32) -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: threshold,
-            cooldown: Duration::from_millis(cooldown_ms),
-            half_open_probes: probes,
-        }
-    }
-
-    #[test]
-    fn breaker_walks_closed_open_half_open_closed() {
-        let t0 = Instant::now();
-        let mut b = CircuitBreaker::new(cfg(3, 100, 1));
-        assert_eq!(b.state(t0), BreakerState::Closed);
-        for _ in 0..2 {
-            b.on_failure(t0);
-        }
-        assert_eq!(b.state(t0), BreakerState::Closed, "below threshold");
-        b.on_failure(t0);
-        assert_eq!(b.state(t0), BreakerState::Open, "threshold trips it");
-        assert!(!b.allow(t0 + Duration::from_millis(99)), "cooldown holds");
-        let probe_time = t0 + Duration::from_millis(100);
-        assert_eq!(b.state(probe_time), BreakerState::HalfOpen);
-        assert!(b.allow(probe_time), "one probe admitted");
-        b.on_success(probe_time);
-        assert_eq!(b.state(probe_time), BreakerState::Closed);
-        // Recovery also reset the failure counter.
-        b.on_failure(probe_time);
-        assert_eq!(b.state(probe_time), BreakerState::Closed);
-    }
-
-    #[test]
-    fn failed_probe_reopens_with_a_fresh_cooldown() {
-        let t0 = Instant::now();
-        let mut b = CircuitBreaker::new(cfg(1, 100, 1));
-        b.on_failure(t0);
-        let probe_time = t0 + Duration::from_millis(100);
-        assert!(b.allow(probe_time));
-        b.on_failure(probe_time);
-        assert_eq!(b.state(probe_time), BreakerState::Open);
-        assert!(
-            !b.allow(probe_time + Duration::from_millis(99)),
-            "cooldown restarted from the failed probe"
-        );
-        assert!(b.allow(probe_time + Duration::from_millis(100)));
-    }
-
-    #[test]
-    fn half_open_admits_only_the_configured_probes() {
-        let t0 = Instant::now();
-        let mut b = CircuitBreaker::new(cfg(1, 50, 2));
-        b.on_failure(t0);
-        let probe_time = t0 + Duration::from_millis(50);
-        assert!(b.allow(probe_time));
-        assert!(b.allow(probe_time));
-        assert!(!b.allow(probe_time), "probe quota exhausted");
-    }
-
     #[test]
     fn not_ready_is_warming_while_overloaded_is_transient() {
         let warming = Response::error(ErrorKind::NotReady, "recovering");
@@ -674,27 +256,6 @@ mod tests {
             classify_response(&Response::Pong { v: 1 }),
             RetryClass::Done
         );
-    }
-
-    #[test]
-    fn retries_exhausted_unwraps_to_its_root_cause() {
-        let wrapped = ClientError::RetriesExhausted {
-            attempts: 4,
-            trace_id: "abc".to_string(),
-            last: Box::new(ClientError::RetriesExhausted {
-                attempts: 2,
-                trace_id: "abc".to_string(),
-                last: Box::new(ClientError::ConnectionClosed),
-            }),
-        };
-        assert!(matches!(
-            wrapped.root_cause(),
-            ClientError::ConnectionClosed
-        ));
-        assert!(matches!(
-            ClientError::CircuitOpen.root_cause(),
-            ClientError::CircuitOpen
-        ));
     }
 
     #[test]

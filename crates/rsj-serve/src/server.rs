@@ -64,7 +64,7 @@ use crate::singleflight::{Flighted, SingleFlight};
 use crate::snapshot::SnapshotStore;
 
 /// Crash-safety settings: where the plan journal lives and how often it
-/// compacts into a snapshot. See [`crate::journal`] / [`crate::snapshot`]
+/// compacts into a snapshot. See [`crate::journal`] / the `snapshot` module
 /// / [`crate::recovery`] for the machinery.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {

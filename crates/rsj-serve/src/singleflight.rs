@@ -29,7 +29,7 @@ struct Flight<V> {
 
 /// How a value came out of [`SingleFlight::run`].
 #[derive(Debug, PartialEq, Eq)]
-pub enum Flighted<V> {
+pub(crate) enum Flighted<V> {
     /// This caller was the leader and computed the value itself.
     Led(V),
     /// This caller coalesced onto another caller's in-flight computation.
@@ -38,25 +38,17 @@ pub enum Flighted<V> {
     TimedOut,
 }
 
-impl<V> Flighted<V> {
-    /// The carried value, if the call did not time out.
-    pub fn into_value(self) -> Option<V> {
-        match self {
-            Flighted::Led(v) | Flighted::Joined(v) => Some(v),
-            Flighted::TimedOut => None,
-        }
-    }
-}
+impl<V> Flighted<V> {}
 
 /// A group of keyed in-flight computations (see module docs).
 #[derive(Debug, Default)]
-pub struct SingleFlight<V> {
+pub(crate) struct SingleFlight<V> {
     flights: Mutex<HashMap<String, Arc<Flight<V>>>>,
 }
 
 impl<V: Clone> SingleFlight<V> {
     /// An empty group.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             flights: Mutex::new(HashMap::new()),
         }
@@ -67,7 +59,7 @@ impl<V: Clone> SingleFlight<V> {
     /// `deadline`, if any) and receive a clone of its result. If the
     /// leader panics, followers receive `abandoned` and the panic
     /// propagates to the leader's caller.
-    pub fn run<F>(
+    pub(crate) fn run<F>(
         &self,
         key: &str,
         deadline: Option<Instant>,
@@ -130,11 +122,6 @@ impl<V: Clone> SingleFlight<V> {
             }
         }
     }
-
-    /// Number of keys currently in flight (test/diagnostic hook).
-    pub fn in_flight(&self) -> usize {
-        self.flights.lock().expect("singleflight lock").len()
-    }
 }
 
 /// Publishes the leader's result (or the `abandoned` fallback on panic)
@@ -172,7 +159,7 @@ mod tests {
     fn solo_caller_leads_and_flight_retires() {
         let sf = SingleFlight::new();
         assert_eq!(sf.run("k", None, 0, || 42), Flighted::Led(42));
-        assert_eq!(sf.in_flight(), 0);
+        assert_eq!(sf.flights.lock().unwrap().len(), 0);
     }
 
     #[test]
@@ -207,7 +194,7 @@ mod tests {
         assert!(results
             .iter()
             .all(|r| matches!(r, Flighted::Led(1) | Flighted::Joined(1))));
-        assert_eq!(sf.in_flight(), 0);
+        assert_eq!(sf.flights.lock().unwrap().len(), 0);
     }
 
     #[test]
@@ -260,6 +247,6 @@ mod tests {
         let follower = sf.run("k", None, -1, || unreachable!());
         assert_eq!(follower, Flighted::Joined(-1));
         assert!(leader.join().is_err(), "panic propagates to the leader");
-        assert_eq!(sf.in_flight(), 0);
+        assert_eq!(sf.flights.lock().unwrap().len(), 0);
     }
 }

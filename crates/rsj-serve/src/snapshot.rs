@@ -19,7 +19,7 @@
 //! one.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::journal::{
     encode_record, read_log_bytes, JournalError, JournalRecord, RecordFault, RecordScanner,
@@ -28,17 +28,17 @@ use crate::journal::{
 /// How many snapshot generations to keep on disk. The newest is the
 /// recovery source; the one before it is the fallback if the newest is
 /// damaged.
-pub const SNAPSHOT_GENERATIONS_KEPT: usize = 2;
+pub(crate) const SNAPSHOT_GENERATIONS_KEPT: usize = 2;
 
 /// Manages the snapshot files inside one journal directory.
 #[derive(Debug, Clone)]
-pub struct SnapshotStore {
+pub(crate) struct SnapshotStore {
     dir: PathBuf,
 }
 
 /// One snapshot file on disk, newest-first in [`SnapshotStore::list`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotFile {
+pub(crate) struct SnapshotFile {
     /// Monotonic snapshot generation (embedded in the file name).
     pub generation: u64,
     /// Full path to the `.snap` file.
@@ -47,15 +47,10 @@ pub struct SnapshotFile {
 
 impl SnapshotStore {
     /// A store over `dir`, creating the directory if needed.
-    pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+    pub(crate) fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(Self { dir })
-    }
-
-    /// The directory this store manages.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn snapshot_path(&self, generation: u64) -> PathBuf {
@@ -65,7 +60,7 @@ impl SnapshotStore {
     /// Writes `records` as generation `generation`: temp file, `sync_all`,
     /// atomic rename, then prune of generations older than the newest
     /// [`SNAPSHOT_GENERATIONS_KEPT`].
-    pub fn write(
+    pub(crate) fn write(
         &self,
         generation: u64,
         records: &[JournalRecord],
@@ -90,7 +85,7 @@ impl SnapshotStore {
 
     /// All snapshot files in the directory, newest generation first.
     /// Unparsable file names are ignored (they are not snapshots).
-    pub fn list(&self) -> std::io::Result<Vec<SnapshotFile>> {
+    pub(crate) fn list(&self) -> std::io::Result<Vec<SnapshotFile>> {
         let mut found = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -114,13 +109,13 @@ impl SnapshotStore {
 
     /// The generation the *next* snapshot should use: one past the newest
     /// on disk, or 1 on a fresh directory.
-    pub fn next_generation(&self) -> std::io::Result<u64> {
+    pub(crate) fn next_generation(&self) -> std::io::Result<u64> {
         Ok(self.list()?.first().map(|s| s.generation + 1).unwrap_or(1))
     }
 
     /// Scans one snapshot file with the shared forensic reader: decoded
     /// records plus every typed fault encountered.
-    pub fn load(
+    pub(crate) fn load(
         &self,
         file: &SnapshotFile,
     ) -> std::io::Result<(Vec<JournalRecord>, Vec<RecordFault>)> {
@@ -184,7 +179,7 @@ mod tests {
         let (loaded, faults) = store.load(&files[0]).unwrap();
         assert_eq!(loaded, records);
         assert!(faults.is_empty());
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
@@ -197,20 +192,20 @@ mod tests {
         let gens: Vec<u64> = files.iter().map(|f| f.generation).collect();
         assert_eq!(gens, vec![4, 3]);
         assert_eq!(store.next_generation().unwrap(), 5);
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
     fn no_tmp_file_survives_a_write() {
         let store = temp_store("tmp");
         store.write(1, &[record("a", &[1.0])]).unwrap();
-        let leftovers: Vec<_> = fs::read_dir(store.dir())
+        let leftovers: Vec<_> = fs::read_dir(&store.dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty());
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
@@ -218,7 +213,7 @@ mod tests {
         let store = temp_store("fresh");
         assert!(store.list().unwrap().is_empty());
         assert_eq!(store.next_generation().unwrap(), 1);
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
@@ -234,6 +229,6 @@ mod tests {
         let (loaded, faults) = store.load(&files[0]).unwrap();
         assert!(!faults.is_empty());
         assert!(loaded.len() < records.len());
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 }

@@ -19,8 +19,8 @@ use rsj_core::{CostModel, DiscretizedDp, SolverSpec, Strategy};
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::chaos::ConnFault;
 use rsj_serve::{
-    BreakerConfig, ChaosPolicy, ChaosProxy, Client, ClientError, Request, ResilientClient,
-    Response, RetryPolicy, Server, ServerConfig,
+    ChaosPolicy, ChaosProxy, Client, ClientError, Request, ResilientClient, Response, RetryPolicy,
+    Server, ServerConfig,
 };
 
 /// Serial connections per suite run; each sends exactly one plan request.
@@ -181,16 +181,9 @@ fn run_resilient() -> (Vec<Outcome>, u32) {
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(50),
         jitter_seed: policy().seed,
-        retry_budget: 2 * CONNS as u32,
-    };
-    // A breaker that never opens: this measures what retries recover
-    // under a known fault rate, not fail-fast behaviour.
-    let breaker = BreakerConfig {
-        failure_threshold: u32::MAX,
-        ..BreakerConfig::default()
     };
     with_chaos(|proxy_addr, _| {
-        let mut client = ResilientClient::new(proxy_addr.to_string(), retry, breaker);
+        let mut client = ResilientClient::new(proxy_addr.to_string(), retry);
         let outcomes = (0..CONNS)
             .map(|i| {
                 let (dist, solver) = request_for(i);

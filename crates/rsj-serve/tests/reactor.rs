@@ -383,148 +383,3 @@ fn plan_batch_round_trips_mixed_ok_and_error_items() {
     }
     stop(handle, join);
 }
-
-/// `ResilientClient::plan_batch` re-sends only the failed items: a fake
-/// server answers the first attempt with one plan and one retryable
-/// error, and must see a 1-item batch (with a fresh trace id) on the
-/// second attempt.
-#[test]
-fn resilient_plan_batch_retries_only_the_failed_items() {
-    use rsj_serve::{decode_request, BreakerConfig, ResilientClient, RetryPolicy};
-
-    let plan = Planner::builder()
-        .distribution(DistSpec::Exponential { lambda: 1.0 })
-        .build()
-        .unwrap()
-        .plan()
-        .unwrap();
-    let provenance = rsj_serve::Provenance {
-        server: "fake/0".to_string(),
-        protocol: 2,
-        solver: "mean_by_mean".to_string(),
-        threads: 1,
-        cached: false,
-        coalesced: false,
-    };
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap();
-    let plan_for_server = plan.clone();
-    let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().expect("accept");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut read_batch = || {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read");
-            match decode_request(line.trim()).expect("decode") {
-                Request::PlanBatch {
-                    items, trace_id, ..
-                } => (items, trace_id.expect("minted trace id")),
-                other => panic!("expected plan_batch, got {other:?}"),
-            }
-        };
-        // Attempt 1: two items → one plan, one retryable error.
-        let (items, trace_a) = read_batch();
-        assert_eq!(items.len(), 2, "first attempt carries the full batch");
-        let first = Response::PlanBatch {
-            v: 2,
-            results: vec![
-                BatchItem::Plan {
-                    plan: plan_for_server.clone(),
-                    provenance: provenance.clone(),
-                },
-                BatchItem::error(ErrorKind::Internal, "injected transient failure"),
-            ],
-            trace_id: None,
-            timeline: None,
-        };
-        writer
-            .write_all(format!("{}\n", encode(&first).unwrap()).as_bytes())
-            .unwrap();
-        // Attempt 2: only the failed item comes back, under a new id.
-        let (items, trace_b) = read_batch();
-        assert_eq!(items.len(), 1, "retry must re-send only the failed item");
-        assert_eq!(
-            items[0].distribution,
-            DistSpec::LogNormal {
-                mu: 3.0,
-                sigma: 0.5
-            },
-            "the retried item is the one that failed"
-        );
-        assert_ne!(trace_a, trace_b, "each attempt carries a fresh trace id");
-        let second = Response::PlanBatch {
-            v: 2,
-            results: vec![BatchItem::Plan {
-                plan: plan_for_server,
-                provenance,
-            }],
-            trace_id: None,
-            timeline: None,
-        };
-        writer
-            .write_all(format!("{}\n", encode(&second).unwrap()).as_bytes())
-            .unwrap();
-    });
-
-    let mut client = ResilientClient::new(
-        addr.to_string(),
-        RetryPolicy {
-            base_backoff: Duration::from_millis(1),
-            ..RetryPolicy::default()
-        },
-        BreakerConfig::default(),
-    );
-    let results = client
-        .plan_batch(
-            vec![
-                PlanRequest::new(DistSpec::Exponential { lambda: 1.0 }),
-                PlanRequest::new(DistSpec::LogNormal {
-                    mu: 3.0,
-                    sigma: 0.5,
-                }),
-            ],
-            None,
-        )
-        .expect("batch with partial retry");
-    server.join().expect("fake server");
-    assert_eq!(results.len(), 2);
-    assert!(results[0].is_ok() && results[1].is_ok(), "{results:?}");
-    assert_eq!(client.retries_spent(), 1, "exactly one retry");
-}
-
-/// A non-retryable per-item error is returned as-is without burning a
-/// retry, and an empty batch never touches the wire.
-#[test]
-fn resilient_plan_batch_does_not_retry_fatal_items() {
-    use rsj_serve::{BreakerConfig, ResilientClient, RetryPolicy};
-
-    let (addr, handle, join) = spawn_server(ServerConfig::default());
-    let mut client = ResilientClient::new(
-        addr.to_string(),
-        RetryPolicy {
-            base_backoff: Duration::from_millis(1),
-            ..RetryPolicy::default()
-        },
-        BreakerConfig::default(),
-    );
-    assert_eq!(client.plan_batch(vec![], None).expect("empty"), vec![]);
-    let results = client
-        .plan_batch(
-            vec![
-                PlanRequest::new(DistSpec::Exponential { lambda: 1.0 }),
-                PlanRequest::new(DistSpec::Exponential { lambda: -1.0 }),
-            ],
-            Some(5_000),
-        )
-        .expect("batch");
-    assert!(results[0].is_ok());
-    assert_eq!(
-        results[1].error_kind(),
-        Some(ErrorKind::InvalidDistribution)
-    );
-    assert_eq!(client.retries_spent(), 0, "fatal items must not retry");
-    assert!(client.last_trace_id().is_some(), "attempts are traced");
-    stop(handle, join);
-}

@@ -18,8 +18,8 @@ use reservation_strategies::plan_digest;
 use rsj_core::{DiscretizedDp, SolverSpec, Strategy};
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::{
-    encode, AdmissionConfig, BatchItem, BreakerConfig, ChaosPolicy, Client, ClientError, ErrorKind,
-    PlanRequest, Request, ResilientClient, Response, RetryPolicy, Server, ServerConfig,
+    encode, AdmissionConfig, BatchItem, ChaosPolicy, Client, ClientError, ErrorKind, PlanRequest,
+    Request, ResilientClient, Response, RetryPolicy, Server, ServerConfig,
 };
 
 fn registry_lock() -> MutexGuard<'static, ()> {
@@ -800,44 +800,10 @@ fn resilient_client_retries_transient_failures_to_success() {
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(20),
         jitter_seed: 3,
-        retry_budget: 16,
     };
-    let mut client = ResilientClient::new(addr.to_string(), policy, BreakerConfig::default());
+    let mut client = ResilientClient::new(addr.to_string(), policy);
     let response = client.call(&Request::ping()).expect("retried to success");
     assert!(matches!(response, Response::Pong { .. }), "{response:?}");
     assert_eq!(client.retries_spent(), 2, "two overloaded rounds retried");
     stub.join().expect("stub thread");
-}
-
-#[test]
-fn resilient_client_opens_the_breaker_on_persistent_failure() {
-    // Bind then drop: the port refuses connections for the whole test.
-    let addr = {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.local_addr().unwrap()
-    };
-    let policy = RetryPolicy {
-        max_attempts: 10,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(2),
-        jitter_seed: 0,
-        retry_budget: 32,
-    };
-    let breaker = BreakerConfig {
-        failure_threshold: 3,
-        cooldown: Duration::from_secs(60),
-        half_open_probes: 1,
-    };
-    let mut client = ResilientClient::new(addr.to_string(), policy, breaker);
-    match client.call(&Request::ping()) {
-        Err(ClientError::CircuitOpen) => {}
-        other => panic!("expected CircuitOpen, got {other:?}"),
-    }
-    // Fail-fast while open: no further connection attempts are made.
-    let started = Instant::now();
-    match client.call(&Request::ping()) {
-        Err(ClientError::CircuitOpen) => {}
-        other => panic!("expected CircuitOpen, got {other:?}"),
-    }
-    assert!(started.elapsed() < Duration::from_millis(50));
 }

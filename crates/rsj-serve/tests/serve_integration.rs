@@ -1,16 +1,17 @@
 //! End-to-end tests: a real server on a loopback port, real TCP clients.
 //!
 //! The process-global metrics registry is shared by every test in this
-//! binary, so tests that assert on counter deltas serialize on
-//! [`registry_lock`]. Each test binds its own server on port 0.
+//! binary, so every test serializes on [`registry_lock`]: some assert on
+//! counter deltas, and the shutdown test waits on a histogram count.
+//! Each test binds its own server on port 0.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use reservation_strategies::plan_digest;
 use rsj_core::{CostModel, DiscretizedDp, SolverSpec, Strategy};
 use rsj_dist::{DiscretizationScheme, DistSpec};
-use rsj_serve::{Client, ErrorKind, Request, Response, Server, ServerConfig};
+use rsj_serve::{ChaosPolicy, Client, ErrorKind, Request, Response, Server, ServerConfig};
 
 fn registry_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -348,40 +349,65 @@ fn per_connection_limits_are_enforced() {
     join.join().expect("server thread").expect("clean exit");
 }
 
+/// Requests dequeued by a worker so far, process-wide: the worker observes
+/// `rsj_serve_queue_wait_seconds` once per request, before it dispatches.
+fn dequeued_requests() -> u64 {
+    rsj_obs::global_registry()
+        .histogram("rsj_serve_queue_wait_seconds")
+        .snapshot()
+        .count()
+}
+
 #[test]
 fn shutdown_drains_in_flight_requests() {
     let _guard = registry_lock();
+    // An injected dispatch delay holds every request in its worker for
+    // 300 ms after the dequeue, whatever the solver or the build profile.
     let (addr, handle, join) = spawn_server(ServerConfig {
         workers: 2,
         read_timeout: Duration::from_secs(2),
+        chaos: Some(ChaosPolicy {
+            delay_every: 1,
+            delay_ms: 300,
+            ..ChaosPolicy::quiet(0)
+        }),
         ..ServerConfig::default()
     });
-
-    // A solver slow enough that the shutdown signal usually lands while
-    // it is still running; the response must arrive regardless.
-    let slow = Request::plan_with(
-        DistSpec::LogNormal {
-            mu: 3.0,
-            sigma: 0.5,
-        },
-        SolverSpec::BruteForce {
-            grid: 600,
-            samples: 400,
-            analytic: false,
-            seed: 11,
-        },
-    );
+    let dist = DistSpec::LogNormal {
+        mu: 3.0,
+        sigma: 0.5,
+    };
+    let request = Request::plan_with(dist.clone(), fast_dp());
+    let dequeued_before = dequeued_requests();
     let in_flight = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .call(&slow)
+            .call(&request)
             .expect("in-flight request must be answered")
     });
-    std::thread::sleep(Duration::from_millis(50));
+
+    // Signal only once a worker holds the request: it has left the
+    // admission queue, and the dispatch delay keeps it in flight.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while dequeued_requests() == dequeued_before {
+        assert!(Instant::now() < deadline, "the request was never dequeued");
+        std::thread::yield_now();
+    }
     handle.signal();
 
     let (plan, _) = expect_plan(in_flight.join().expect("client thread"));
-    assert!(!plan.sequence.is_empty());
+    let offline = DiscretizedDp::new(DiscretizationScheme::EqualProbability, 150, 1e-6)
+        .unwrap()
+        .sequence(
+            dist.build().unwrap().as_ref(),
+            &CostModel::reservation_only(),
+        )
+        .unwrap();
+    assert_eq!(
+        plan.digest,
+        plan_digest(offline.times().iter().copied()),
+        "the drained plan must be bit-identical to the offline DP"
+    );
     join.join().expect("server thread").expect("clean exit");
 
     // The drained server no longer accepts work.
@@ -407,6 +433,7 @@ fn gauge_value(prometheus: &str, name: &str) -> f64 {
 
 #[test]
 fn metrics_publish_eval_cache_gauges() {
+    let _guard = registry_lock();
     let (addr, handle, join) = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
 

@@ -136,7 +136,7 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// Validates every parameter, naming the offending field on failure.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if self.refit_interval == 0 {
             return Err(SimError::InvalidParameter {
                 name: "refit_interval",
@@ -332,7 +332,7 @@ const MIN_PAR_BLOCK: usize = 64;
 /// refit-interval block executes on the ambient [`Parallelism`]: durations
 /// are pre-drawn serially from `rng` (preserving the draw order), each job
 /// gets its fault trace from the per-job substream
-/// [`FaultInjector::for_job`], and accounting, observation collection and
+/// `FaultInjector::for_job_unvalidated`, and accounting, observation collection and
 /// refits stay serial at block boundaries — results are bit-for-bit
 /// identical at any thread count.
 pub fn run_adaptive(

@@ -68,15 +68,6 @@ impl CloudPricing {
         self.reserved_rate * expected_cost_analytic(seq, dist, &res_only)
     }
 
-    /// Whether the reservation strategy beats On-Demand for this job law.
-    pub fn reserved_is_beneficial(
-        &self,
-        seq: &ReservationSequence,
-        dist: &dyn ContinuousDistribution,
-    ) -> bool {
-        self.reserved_expected_cost(seq, dist) <= self.on_demand_expected_cost(dist)
-    }
-
     /// The §5.2 decision quantity: a strategy's normalized expected cost
     /// `Ẽ(S)/E°` compared against the break-even ratio. Returns
     /// `(normalized_cost, break_even, beneficial)`.
@@ -119,7 +110,6 @@ mod tests {
         assert!((ratio - 4.0 / 3.0).abs() < 1e-12);
         assert_eq!(break_even, 4.0);
         assert!(ok);
-        assert!(pricing.reserved_is_beneficial(&seq, &d));
     }
 
     #[test]
@@ -128,7 +118,8 @@ mod tests {
         let d = Uniform::new(10.0, 20.0).unwrap();
         let seq = ReservationSequence::single(20.0).unwrap();
         let pricing = CloudPricing::new(1.0, 1.2).unwrap();
-        assert!(!pricing.reserved_is_beneficial(&seq, &d));
+        let (_, _, ok) = pricing.decision(&seq, &d);
+        assert!(!ok);
     }
 
     #[test]

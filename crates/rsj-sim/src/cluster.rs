@@ -40,12 +40,12 @@ pub fn simulate(config: &ClusterConfig, jobs: &[Job]) -> Vec<JobRecord> {
 
 /// [`simulate`] with fault injection: running jobs can be interrupted by
 /// node crashes, spot preemptions, or jittered walltime kills, which fire
-/// as [`EventKind::NodeFailure`]/[`EventKind::Preemption`] events and mark
+/// as `EventKind::NodeFailure`/`EventKind::Preemption` events and mark
 /// their record's [`JobRecord::fault`].
 ///
 /// Interrupted jobs are *not* resubmitted — every submitted job yields
 /// exactly one record, and retries belong to the reservation executor
-/// ([`crate::resilient`]). With a fault-free configuration the injector
+/// (the `resilient` module). With a fault-free configuration the injector
 /// never draws, so this reproduces [`simulate`] bit-for-bit.
 pub fn simulate_with_faults(
     config: &ClusterConfig,
@@ -392,8 +392,16 @@ mod tests {
         let jobs: Vec<Job> = (0..40)
             .map(|i| job(i, i as f64 * 0.01, 2, 2.0, 3.0))
             .collect();
-        let records =
-            simulate_with_faults(&cfg, &jobs, &FaultConfig::walltime_jitter(0.3, 21)).unwrap();
+        let records = simulate_with_faults(
+            &cfg,
+            &jobs,
+            &FaultConfig {
+                seed: 21,
+                walltime_jitter: Some(0.3),
+                ..FaultConfig::none()
+            },
+        )
+        .unwrap();
         let early: Vec<_> = records
             .iter()
             .filter(|r| r.fault == Some(FaultKind::WalltimeKill))

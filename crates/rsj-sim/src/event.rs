@@ -7,7 +7,7 @@ use std::collections::BinaryHeap;
 
 /// What happens at an event's firing time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A job enters the waiting queue.
     Arrival(JobId),
     /// A running job leaves the machine (completion or walltime kill).
@@ -52,14 +52,14 @@ impl PartialOrd for Entry {
 /// A min-heap of timed events. Events at equal times fire in insertion
 /// order, making simulations reproducible.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Entry>,
     next_seq: u64,
 }
 
 impl EventQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -67,7 +67,7 @@ impl EventQueue {
     ///
     /// # Panics
     /// Panics if `time` is not finite.
-    pub fn push(&mut self, time: Time, kind: EventKind) {
+    pub(crate) fn push(&mut self, time: Time, kind: EventKind) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -75,23 +75,13 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Time, EventKind)> {
+    pub(crate) fn pop(&mut self) -> Option<(Time, EventKind)> {
         self.heap.pop().map(|e| (e.time, e.kind))
     }
 
     /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
+    pub(crate) fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -131,15 +121,5 @@ mod tests {
     fn rejects_non_finite_time() {
         let mut q = EventQueue::new();
         q.push(f64::NAN, EventKind::Arrival(JobId(1)));
-    }
-
-    #[test]
-    fn len_tracks_contents() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(1.0, EventKind::Arrival(JobId(1)));
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
     }
 }

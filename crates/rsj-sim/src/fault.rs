@@ -96,31 +96,13 @@ impl FaultConfig {
         }
     }
 
-    /// Spot preemptions only, with the given interruption rate per hour.
-    pub fn preemptions(rate: f64, seed: u64) -> Self {
-        Self {
-            seed,
-            preemption_rate: Some(rate),
-            ..Self::none()
-        }
-    }
-
-    /// Walltime jitter only: kills arrive up to `jitter`-fraction early.
-    pub fn walltime_jitter(jitter: f64, seed: u64) -> Self {
-        Self {
-            seed,
-            walltime_jitter: Some(jitter),
-            ..Self::none()
-        }
-    }
-
     /// Whether every process is disabled.
     pub fn is_fault_free(&self) -> bool {
         self.mtbf.is_none() && self.preemption_rate.is_none() && self.walltime_jitter.is_none()
     }
 
     /// Validates all parameters, naming the offending field on failure.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if let Some(m) = self.mtbf {
             check_param("mtbf", m, "must be > 0", m > 0.0)?;
         }
@@ -169,13 +151,7 @@ impl FaultInjector {
     /// execution order — so batches can run their jobs in parallel and
     /// still reproduce bit-for-bit at any thread count. Fault-free
     /// configurations never draw, so they are unaffected by the seeding.
-    pub fn for_job(config: &FaultConfig, job_index: u64) -> Result<Self, SimError> {
-        config.validate()?;
-        Ok(Self::for_job_unvalidated(config, job_index))
-    }
-
-    /// [`Self::for_job`] without re-validating `config`; for batch hot
-    /// loops that validated once up front.
+    /// The caller validates `config` once, before its batch loop.
     pub(crate) fn for_job_unvalidated(config: &FaultConfig, job_index: u64) -> Self {
         Self {
             rng: StdRng::seed_from_u64(rsj_par::substream_seed(config.seed, job_index)),
@@ -183,11 +159,6 @@ impl FaultInjector {
             preemption_rate: config.preemption_rate,
             jitter: config.walltime_jitter,
         }
-    }
-
-    /// Whether every process is disabled (no query ever draws).
-    pub fn is_fault_free(&self) -> bool {
-        self.mtbf.is_none() && self.preemption_rate.is_none() && self.jitter.is_none()
     }
 
     /// One exponential variate with the given mean (inverse-CDF method).
@@ -203,7 +174,7 @@ impl FaultInjector {
     /// When a process is enabled its arrival is drawn unconditionally, so
     /// the number of RNG draws per query is independent of `window` — a
     /// prerequisite for trace-stable determinism.
-    pub fn interruption(&mut self, window: f64) -> Option<(f64, FaultKind)> {
+    pub(crate) fn interruption(&mut self, window: f64) -> Option<(f64, FaultKind)> {
         let crash = self.mtbf.map(|m| self.exp_draw(m));
         let preempt = self
             .preemption_rate
@@ -224,7 +195,7 @@ impl FaultInjector {
     /// Effective kill time of a reservation of nominal length `nominal`:
     /// uniformly in `[(1 - jitter)·nominal, nominal]`, or exactly
     /// `nominal` when jitter is disabled (no draw).
-    pub fn effective_walltime(&mut self, nominal: f64) -> f64 {
+    pub(crate) fn effective_walltime(&mut self, nominal: f64) -> f64 {
         match self.jitter {
             None => nominal,
             Some(j) => {
@@ -241,8 +212,8 @@ mod tests {
 
     #[test]
     fn fault_free_never_draws() {
+        assert!(FaultConfig::none().is_fault_free());
         let mut inj = FaultInjector::new(&FaultConfig::none()).unwrap();
-        assert!(inj.is_fault_free());
         assert_eq!(inj.interruption(1e12), None);
         assert_eq!(inj.effective_walltime(5.0), 5.0);
     }
@@ -251,11 +222,19 @@ mod tests {
     fn validation_names_offending_field() {
         let err = FaultConfig::crashes(-1.0, 0).validate().unwrap_err();
         assert!(err.to_string().contains("mtbf"), "{err}");
-        let err = FaultConfig::walltime_jitter(1.5, 0).validate().unwrap_err();
+        let jitter = FaultConfig {
+            walltime_jitter: Some(1.5),
+            ..FaultConfig::none()
+        };
+        let err = jitter.validate().unwrap_err();
         assert!(err.to_string().contains("walltime_jitter"), "{err}");
         let err = FaultConfig::crashes(f64::NAN, 0).validate().unwrap_err();
         assert!(err.to_string().contains("mtbf"), "{err}");
-        assert!(FaultConfig::preemptions(0.0, 0).validate().is_ok());
+        let no_preemptions = FaultConfig {
+            preemption_rate: Some(0.0),
+            ..FaultConfig::none()
+        };
+        assert!(no_preemptions.validate().is_ok());
     }
 
     #[test]
@@ -284,17 +263,15 @@ mod tests {
             walltime_jitter: Some(0.1),
         };
         // Same (seed, job) → identical trace.
-        let mut a = FaultInjector::for_job(&cfg, 7).unwrap();
-        let mut b = FaultInjector::for_job(&cfg, 7).unwrap();
+        let mut a = FaultInjector::for_job_unvalidated(&cfg, 7);
+        let mut b = FaultInjector::for_job_unvalidated(&cfg, 7);
         let trace_a: Vec<_> = (0..50).map(|_| a.interruption(2.0)).collect();
         let trace_b: Vec<_> = (0..50).map(|_| b.interruption(2.0)).collect();
         assert_eq!(trace_a, trace_b);
         // Different job index → different trace.
-        let mut c = FaultInjector::for_job(&cfg, 8).unwrap();
+        let mut c = FaultInjector::for_job_unvalidated(&cfg, 8);
         let trace_c: Vec<_> = (0..50).map(|_| c.interruption(2.0)).collect();
         assert_ne!(trace_a, trace_c);
-        // Invalid configs still rejected.
-        assert!(FaultInjector::for_job(&FaultConfig::crashes(-1.0, 0), 0).is_err());
     }
 
     #[test]
@@ -340,7 +317,12 @@ mod tests {
 
     #[test]
     fn jitter_bounds_hold() {
-        let mut inj = FaultInjector::new(&FaultConfig::walltime_jitter(0.25, 11)).unwrap();
+        let mut inj = FaultInjector::new(&FaultConfig {
+            seed: 11,
+            walltime_jitter: Some(0.25),
+            ..FaultConfig::none()
+        })
+        .unwrap();
         for _ in 0..500 {
             let w = inj.effective_walltime(8.0);
             assert!(

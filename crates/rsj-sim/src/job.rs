@@ -37,7 +37,7 @@ impl Job {
     }
 
     /// Whether the job will be killed by the walltime limit.
-    pub fn will_be_killed(&self) -> bool {
+    pub(crate) fn will_be_killed(&self) -> bool {
         self.actual > self.requested
     }
 }

@@ -3,18 +3,18 @@
 //! Systems S9–S11 of `DESIGN.md`: everything the paper's evaluation needed
 //! from real platforms, rebuilt as simulators:
 //!
-//! * [`event`] / [`job`] / [`scheduler`] / [`cluster`] — a deterministic
+//! * `event` / `job` / `scheduler` / `cluster` — a deterministic
 //!   discrete-event batch-queue simulator with FCFS and EASY-backfilling
 //!   policies, standing in for the Intrepid logs behind Figure 2;
-//! * [`workload`] — synthetic job streams (Poisson arrivals, weighted job
+//! * `workload` — synthetic job streams (Poisson arrivals, weighted job
 //!   widths, walltime over-estimation);
-//! * [`wait_time`] — the 20-group wait-vs-request analysis and affine fit
+//! * `wait_time` — the 20-group wait-vs-request analysis and affine fit
 //!   of Figure 2;
-//! * [`cloud`] — Reserved-Instance vs On-Demand pricing and the §5.2
+//! * `cloud` — Reserved-Instance vs On-Demand pricing and the §5.2
 //!   break-even analysis;
-//! * [`runner`] — batch execution of reservation strategies with Eq. 2
+//! * `runner` — batch execution of reservation strategies with Eq. 2
 //!   accounting, and the queue-fit → NeuroHPC cost-model bridge;
-//! * [`fault`] / [`resilient`] — seed-reproducible failure processes
+//! * `fault` / `resilient` — seed-reproducible failure processes
 //!   (exponential-MTBF crashes, spot preemptions, walltime jitter) and the
 //!   resilient reservation executor with checkpoint-restart and retry
 //!   policies (system S18);
@@ -51,49 +51,38 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod adaptive;
-pub mod cloud;
-pub mod cluster;
-pub mod error;
-pub mod event;
-pub mod fault;
-pub mod job;
-pub mod resilient;
-pub mod runner;
-pub mod scheduler;
-pub mod wait_time;
-pub mod workload;
+pub(crate) mod cloud;
+pub(crate) mod cluster;
+pub(crate) mod error;
+pub(crate) mod event;
+pub(crate) mod fault;
+pub(crate) mod job;
+pub(crate) mod resilient;
+pub(crate) mod runner;
+pub(crate) mod scheduler;
+pub(crate) mod wait_time;
+pub(crate) mod workload;
 
-pub use adaptive::{
-    run_adaptive, AdaptiveConfig, AdaptiveJob, AdaptiveReport, ModelFamily, RefitRecord,
-};
+pub use adaptive::{run_adaptive, AdaptiveConfig, AdaptiveReport, ModelFamily};
 pub use cloud::CloudPricing;
-pub use cluster::{simulate, simulate_with_faults, summarize, ClusterConfig, SimSummary};
+pub use cluster::{simulate, simulate_with_faults, summarize, ClusterConfig};
 pub use error::SimError;
-pub use fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind};
-pub use job::{Job, JobId, JobRecord, Time};
-pub use resilient::{
-    run_batch_resilient, run_batch_resilient_seeded, run_job_resilient, ResilienceConfig,
-    ResilientOutcome, RetryPolicy,
-};
+pub use fault::{FaultConfig, FaultInjector};
+pub use job::{Job, JobRecord, Time};
+pub use resilient::{run_batch_resilient, run_job_resilient, ResilienceConfig, RetryPolicy};
 pub use runner::{aggregate, cost_model_from_queue, run_batch, run_batch_seeded, BatchStats};
-pub use scheduler::{PriorityConfig, SchedulerPolicy, SchedulerState};
-pub use wait_time::{analyze_wait_times, WaitGroup, WaitTimeAnalysis};
-pub use workload::{
-    generate_workload, generate_workload_with_pattern, ArrivalPattern, WorkloadConfig,
-};
+pub use scheduler::{PriorityConfig, SchedulerPolicy};
+pub use wait_time::{analyze_wait_times, WaitTimeAnalysis};
+pub use workload::{generate_workload, WorkloadConfig};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveReport, ModelFamily};
+    pub use crate::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveReport};
     pub use crate::cloud::CloudPricing;
-    pub use crate::cluster::{
-        simulate, simulate_with_faults, summarize, ClusterConfig, SimSummary,
-    };
-    pub use crate::fault::{FaultConfig, FaultKind};
-    pub use crate::job::{Job, JobId, JobRecord};
-    pub use crate::resilient::{
-        run_batch_resilient, run_batch_resilient_seeded, ResilienceConfig, RetryPolicy,
-    };
+    pub use crate::cluster::{simulate, simulate_with_faults, summarize, ClusterConfig};
+    pub use crate::fault::FaultConfig;
+    pub use crate::job::Job;
+    pub use crate::resilient::{run_batch_resilient, ResilienceConfig, RetryPolicy};
     pub use crate::runner::{cost_model_from_queue, run_batch, run_batch_seeded, BatchStats};
     pub use crate::scheduler::SchedulerPolicy;
     pub use crate::wait_time::{analyze_wait_times, WaitTimeAnalysis};

@@ -28,12 +28,11 @@
 use crate::error::{check_param, SimError};
 use crate::fault::{FaultConfig, FaultEvent, FaultInjector};
 use crate::runner::{aggregate, BatchStats};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use rsj_core::extensions::CheckpointConfig;
 use rsj_core::{CostModel, ReservationSequence, RunOutcome};
 use rsj_dist::ContinuousDistribution;
-use rsj_par::{substream_seed, Parallelism};
+use rsj_par::Parallelism;
 use serde::{Deserialize, Serialize};
 
 /// What the executor requests after a fault interrupts a reservation.
@@ -98,7 +97,7 @@ impl ResilienceConfig {
     }
 
     /// Validates every parameter, naming the offending field on failure.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         self.faults.validate()?;
         if let RetryPolicy::ExponentialBackoff { factor } = self.retry {
             check_param("factor", factor, "must be >= 1", factor >= 1.0)?;
@@ -138,7 +137,7 @@ pub struct ResilientOutcome {
 /// The caller owns the [`FaultInjector`] so one deterministic fault
 /// stream spans a whole batch. Panics (like [`rsj_core::run_job`]) if `t`
 /// is not finite; configuration errors are caught by
-/// [`ResilienceConfig::validate`] in [`run_batch_resilient`].
+/// `ResilienceConfig::validate` in [`run_batch_resilient`].
 pub fn run_job_resilient(
     seq: &ReservationSequence,
     cost: &CostModel,
@@ -255,7 +254,7 @@ pub fn run_job_resilient(
 /// Job durations come from `rng` exactly as in
 /// [`crate::runner::run_batch`] — one serial draw per job, in order —
 /// while fault times come from a **per-job substream** of the dedicated
-/// fault seed ([`FaultInjector::for_job`]), making each job's fault trace
+/// fault seed (`FaultInjector::for_job_unvalidated`), making each job's fault trace
 /// a function of `(config.faults.seed, job_index)` alone. Jobs therefore
 /// execute on the ambient [`Parallelism`] with bit-for-bit identical
 /// statistics at any thread count, and a fault-free configuration still
@@ -280,42 +279,6 @@ pub fn run_batch_resilient(
             let mut injector = FaultInjector::for_job_unvalidated(&config.faults, i as u64);
             run_job_resilient(seq, cost, config, t, &mut injector)
         })?;
-    aggregate_resilient(&results)
-}
-
-/// Resilient counterpart of [`crate::runner::run_batch_seeded`]: job `i`
-/// draws its duration from the substream `(seed, i)` and its fault trace
-/// from the substream `(config.faults.seed, i)`, so the whole batch is a
-/// pure function of the two seeds — independent of execution order and
-/// thread count. A non-finite or negative draw is a typed
-/// [`SimError::NonFiniteSample`] naming the lowest offending job index.
-pub fn run_batch_resilient_seeded(
-    seq: &ReservationSequence,
-    dist: &dyn ContinuousDistribution,
-    cost: &CostModel,
-    n: usize,
-    seed: u64,
-    config: &ResilienceConfig,
-    par: &Parallelism,
-) -> Result<BatchStats, SimError> {
-    if n == 0 {
-        return Err(SimError::EmptyBatch);
-    }
-    config.validate()?;
-    let _span = rsj_obs::span!(
-        "sim.run_batch_resilient_seeded",
-        "rsj_sim_batch_wall_seconds"
-    );
-    let results: Vec<Result<ResilientOutcome, SimError>> = par.try_par_run(n, |i| {
-        let mut rng = StdRng::seed_from_u64(substream_seed(seed, i as u64));
-        let t = dist.sample(&mut rng);
-        if !t.is_finite() || t < 0.0 {
-            return Err(SimError::NonFiniteSample { index: i, value: t });
-        }
-        let mut injector = FaultInjector::for_job_unvalidated(&config.faults, i as u64);
-        Ok(run_job_resilient(seq, cost, config, t, &mut injector))
-    })?;
-    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     aggregate_resilient(&results)
 }
 
@@ -514,7 +477,11 @@ mod tests {
     #[test]
     fn config_json_round_trip() {
         let cfg = ResilienceConfig {
-            faults: FaultConfig::preemptions(0.3, 2),
+            faults: FaultConfig {
+                seed: 2,
+                preemption_rate: Some(0.3),
+                ..FaultConfig::none()
+            },
             retry: RetryPolicy::ExponentialBackoff { factor: 1.5 },
             max_failures: 5,
             checkpoint: Some(CheckpointConfig::new(0.1, 0.2).unwrap()),

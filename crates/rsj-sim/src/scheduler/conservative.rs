@@ -91,7 +91,7 @@ impl Profile {
 }
 
 /// One conservative-backfilling pass at time `now`; returns jobs started.
-pub fn schedule_conservative(state: &mut SchedulerState, now: Time) -> Vec<Running> {
+pub(crate) fn schedule_conservative(state: &mut SchedulerState, now: Time) -> Vec<Running> {
     // Drop impossible jobs so they cannot wedge the queue.
     state
         .waiting

@@ -42,7 +42,7 @@ fn shadow(state: &SchedulerState, head_procs: usize, now: Time) -> (Time, usize)
 }
 
 /// One EASY scheduling pass at time `now`; returns the jobs started.
-pub fn schedule_easy(state: &mut SchedulerState, now: Time) -> Vec<Running> {
+pub(crate) fn schedule_easy(state: &mut SchedulerState, now: Time) -> Vec<Running> {
     let mut started = state.schedule_fcfs(now);
     if state.waiting.is_empty() {
         return started;

@@ -15,9 +15,10 @@ mod conservative;
 mod easy;
 mod priority;
 
-pub use conservative::schedule_conservative;
-pub use easy::schedule_easy;
-pub use priority::{schedule_priority, PriorityConfig};
+pub(crate) use conservative::schedule_conservative;
+pub(crate) use easy::schedule_easy;
+pub(crate) use priority::schedule_priority;
+pub use priority::PriorityConfig;
 
 use crate::job::{Job, JobId, Time};
 use serde::{Deserialize, Serialize};
@@ -53,7 +54,7 @@ pub struct Running {
 /// Scheduler state shared by the policies: the waiting queue (FIFO order)
 /// and the set of running jobs.
 #[derive(Debug, Default)]
-pub struct SchedulerState {
+pub(crate) struct SchedulerState {
     /// Waiting queue in arrival order.
     pub waiting: VecDeque<Job>,
     /// Jobs currently on the machine.
@@ -64,7 +65,7 @@ pub struct SchedulerState {
 
 impl SchedulerState {
     /// Creates an empty state for a cluster of `total_processors`.
-    pub fn new(total_processors: usize) -> Self {
+    pub(crate) fn new(total_processors: usize) -> Self {
         assert!(total_processors > 0, "cluster must have processors");
         Self {
             waiting: VecDeque::new(),
@@ -74,7 +75,7 @@ impl SchedulerState {
     }
 
     /// Processors not currently allocated.
-    pub fn free_processors(&self) -> usize {
+    pub(crate) fn free_processors(&self) -> usize {
         let used: usize = self.running.iter().map(|r| r.job.processors).sum();
         self.total_processors
             .checked_sub(used)
@@ -82,7 +83,7 @@ impl SchedulerState {
     }
 
     /// Starts `job` at `now`, returning the new running entry.
-    pub fn start_job(&mut self, job: Job, now: Time) -> Running {
+    pub(crate) fn start_job(&mut self, job: Job, now: Time) -> Running {
         debug_assert!(job.processors <= self.free_processors());
         let running = Running {
             job,
@@ -95,14 +96,14 @@ impl SchedulerState {
     }
 
     /// Removes a finished job from the running set.
-    pub fn remove_running(&mut self, id: JobId) -> Option<Running> {
+    pub(crate) fn remove_running(&mut self, id: JobId) -> Option<Running> {
         let idx = self.running.iter().position(|r| r.job.id == id)?;
         Some(self.running.swap_remove(idx))
     }
 
     /// Strict FCFS pass: starts queue-head jobs while they fit; returns the
     /// jobs started (in order).
-    pub fn schedule_fcfs(&mut self, now: Time) -> Vec<Running> {
+    pub(crate) fn schedule_fcfs(&mut self, now: Time) -> Vec<Running> {
         let mut started = Vec::new();
         while let Some(head) = self.waiting.front() {
             if head.processors <= self.free_processors() {
@@ -116,7 +117,7 @@ impl SchedulerState {
     }
 
     /// Runs the configured policy; returns jobs started at `now`.
-    pub fn schedule(&mut self, policy: SchedulerPolicy, now: Time) -> Vec<Running> {
+    pub(crate) fn schedule(&mut self, policy: SchedulerPolicy, now: Time) -> Vec<Running> {
         match policy {
             SchedulerPolicy::Fcfs => self.schedule_fcfs(now),
             SchedulerPolicy::EasyBackfill => schedule_easy(self, now),

@@ -27,7 +27,7 @@ pub struct PriorityConfig {
 
 impl PriorityConfig {
     /// Whether `job` is (currently) high-priority at time `now`.
-    pub fn is_high_priority(&self, job: &Job, now: Time) -> bool {
+    pub(crate) fn is_high_priority(&self, job: &Job, now: Time) -> bool {
         let proc_hours = job.processors as f64 * job.requested;
         proc_hours >= self.high_priority_proc_hours || now - job.arrival >= self.upgrade_after
     }
@@ -35,7 +35,7 @@ impl PriorityConfig {
 
 /// One Slurm-like pass: reorder by priority class (stable within a class,
 /// preserving arrival order), then EASY-backfill.
-pub fn schedule_priority(
+pub(crate) fn schedule_priority(
     state: &mut SchedulerState,
     config: &PriorityConfig,
     now: Time,

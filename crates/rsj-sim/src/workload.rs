@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// [`ArrivalPattern::SeasonEnd`] variant models exactly that with a
 /// piecewise-homogeneous Poisson process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ArrivalPattern {
+pub(crate) enum ArrivalPattern {
     /// Homogeneous Poisson arrivals.
     Poisson,
     /// Seasonal arrivals: within each season of `season_length` hours, the
@@ -61,7 +61,7 @@ impl ArrivalPattern {
     }
 
     /// Instantaneous rate multiplier at time `t` (mean 1 over a season).
-    pub fn intensity(&self, t: Time) -> f64 {
+    pub(crate) fn intensity(&self, t: Time) -> f64 {
         match *self {
             ArrivalPattern::Poisson => 1.0,
             ArrivalPattern::SeasonEnd {
@@ -141,7 +141,7 @@ pub fn generate_workload(
 
 /// Generates a job stream with a configurable arrival pattern
 /// (non-homogeneous arrivals are produced by Lewis–Shedler thinning).
-pub fn generate_workload_with_pattern(
+pub(crate) fn generate_workload_with_pattern(
     config: &WorkloadConfig,
     pattern: ArrivalPattern,
     runtime: &dyn ContinuousDistribution,

@@ -7,12 +7,12 @@
 //! generating process matches the published fits and provides the identical
 //! fit → schedule pipeline:
 //!
-//! * [`mod@format`] — trace records + CSV codec;
-//! * [`synth`] — synthetic fMRIQA / VBMQA archives (optionally
+//! * `mod@format` — trace records + CSV codec;
+//! * `synth` — synthetic fMRIQA / VBMQA archives (optionally
 //!   contaminated);
-//! * [`pipeline`] — LogNormal MLE per application with KS goodness checks
+//! * `pipeline` — LogNormal MLE per application with KS goodness checks
 //!   (the Figure 1 procedure);
-//! * [`neurohpc`] — the §5.3 scenario: VBMQA law in hours under the
+//! * `neurohpc` — the §5.3 scenario: VBMQA law in hours under the
 //!   Intrepid waiting-time cost model `CostModel(0.95, 1.0, 1.05)`, plus
 //!   the Figure 4 moment-scaling sweep.
 //!
@@ -33,21 +33,19 @@
 // out-of-range values; clippy's partial_cmp suggestion obscures that.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod format;
-pub mod io;
-pub mod neurohpc;
-pub mod pipeline;
-pub mod synth;
+pub(crate) mod format;
+pub(crate) mod neurohpc;
+pub(crate) mod pipeline;
+pub(crate) mod synth;
 
-pub use format::{TraceArchive, TraceRecord};
-pub use io::{load_csv, load_json, save_csv, save_json};
+pub use format::TraceArchive;
 pub use neurohpc::NeuroHpcScenario;
 pub use pipeline::{fit_archive, FitReport};
 pub use synth::{figure1_archive, synthesize, SynthConfig};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::format::{TraceArchive, TraceRecord};
+    pub use crate::format::TraceArchive;
     pub use crate::neurohpc::NeuroHpcScenario;
     pub use crate::pipeline::{fit_archive, FitReport};
     pub use crate::synth::{figure1_archive, synthesize, SynthConfig};

@@ -11,13 +11,13 @@ use rsj_core::CostModel;
 use rsj_dist::LogNormal;
 
 /// Seconds per hour, for converting the trace fits.
-pub const SECS_PER_HOUR: f64 = 3600.0;
+pub(crate) const SECS_PER_HOUR: f64 = 3600.0;
 
 /// The paper's base NeuroHPC moments in hours: mean ≈ 0.348 h,
 /// std ≈ 0.072 h.
-pub const BASE_MEAN_HOURS: f64 = 1253.37 / SECS_PER_HOUR;
+pub(crate) const BASE_MEAN_HOURS: f64 = 1253.37 / SECS_PER_HOUR;
 /// Base standard deviation in hours.
-pub const BASE_STD_HOURS: f64 = 258.261 / SECS_PER_HOUR;
+pub(crate) const BASE_STD_HOURS: f64 = 258.261 / SECS_PER_HOUR;
 
 /// A fully-instantiated NeuroHPC experiment: job law (hours) + cost model.
 #[derive(Debug, Clone)]

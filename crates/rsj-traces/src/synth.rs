@@ -16,15 +16,15 @@ use rand::RngCore;
 use rsj_dist::{ContinuousDistribution, LogNormal};
 
 /// VBMQA's published log-space location (seconds).
-pub const VBMQA_MU: f64 = 7.1128;
+pub(crate) const VBMQA_MU: f64 = 7.1128;
 /// VBMQA's published log-space scale.
-pub const VBMQA_SIGMA: f64 = 0.2039;
+pub(crate) const VBMQA_SIGMA: f64 = 0.2039;
 /// fMRIQA synthetic log-space location (plausible instance; see module docs).
-pub const FMRIQA_MU: f64 = 7.60;
+pub(crate) const FMRIQA_MU: f64 = 7.60;
 /// fMRIQA synthetic log-space scale.
-pub const FMRIQA_SIGMA: f64 = 0.35;
+pub(crate) const FMRIQA_SIGMA: f64 = 0.35;
 /// Archive span in days (July 2013 – October 2016).
-pub const ARCHIVE_SPAN_DAYS: f64 = 1200.0;
+pub(crate) const ARCHIVE_SPAN_DAYS: f64 = 1200.0;
 
 /// Generator configuration for one application's synthetic archive.
 #[derive(Debug, Clone)]
@@ -53,7 +53,7 @@ impl SynthConfig {
     }
 
     /// fMRIQA with the plausible synthetic parameters.
-    pub fn fmriqa(runs: usize) -> Self {
+    pub(crate) fn fmriqa(runs: usize) -> Self {
         Self {
             app: "fMRIQA".into(),
             law: LogNormal::new(FMRIQA_MU, FMRIQA_SIGMA).expect("parameters are valid"),

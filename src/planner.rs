@@ -692,7 +692,9 @@ mod tests {
             );
             assert!(plan_with(&expired).is_err());
             // A live token changes nothing: bit-identical to plan().
-            let live = CancelToken::with_timeout(std::time::Duration::from_secs(3600));
+            let live = CancelToken::with_deadline(
+                std::time::Instant::now() + std::time::Duration::from_secs(3600),
+            );
             let a = plan_with(&live).unwrap();
             let b = planner.plan().unwrap();
             assert_eq!(a.digest, b.digest);

@@ -119,7 +119,7 @@ fn dp_optimality_against_heuristic_projections() {
     let discrete =
         rsj_dist::discretize(&d, DiscretizationScheme::EqualProbability, 60, 1e-6).unwrap();
     let sol = optimal_discrete(&discrete, &c).unwrap();
-    let n = discrete.len();
+    let n = discrete.values().len();
 
     // Project a few hand-built ladders onto the support and compare.
     let ladders: Vec<Vec<usize>> = vec![
