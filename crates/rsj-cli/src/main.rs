@@ -3,6 +3,7 @@
 use rsj_cli::{run_evaluate, run_fit, run_plan, run_simulate, USAGE};
 use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Argv-level mistake: the user asked for something the CLI doesn't
 /// have, so show them what it does have.
@@ -51,6 +52,57 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Parses `--flag <n>`: `Ok(None)` when the flag is absent, an error
+/// naming the flag when its value is not a number.
+fn number_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    flag_value(args, flag)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid {flag}: expected a number"))
+        })
+        .transpose()
+}
+
+/// `rsj serve`'s options, read from its flags.
+fn serve_options(args: &[String]) -> Result<rsj_cli::ServeOptions, String> {
+    Ok(rsj_cli::ServeOptions {
+        addr: flag_value(args, "--addr").unwrap_or(rsj_cli::ServeOptions::default().addr),
+        workers: number_flag(args, "--workers")?,
+        cache: number_flag(args, "--cache")?,
+        queue: number_flag(args, "--queue")?,
+        queue_high: number_flag(args, "--queue-high")?,
+        queue_low: number_flag(args, "--queue-low")?,
+        journal_dir: flag_value(args, "--journal-dir"),
+        snapshot_every: number_flag(args, "--snapshot-every")?,
+        trace_buffer: number_flag(args, "--trace-buffer")?,
+        slow_ms: number_flag(args, "--slow-ms")?,
+    })
+}
+
+/// `rsj request`'s options, read from its flags.
+fn request_options(args: &[String]) -> Result<rsj_cli::RequestOptions, String> {
+    let deadline_ms = number_flag(args, "--deadline-ms")?;
+    // A call makes `retries + 1` attempts, so that count must fit.
+    let retries = number_flag(args, "--retries")?;
+    if retries == Some(u32::MAX) {
+        return Err("invalid --retries: at most 4294967294".to_string());
+    }
+    Ok(rsj_cli::RequestOptions {
+        deadline_ms,
+        retries,
+        trace: args.iter().any(|a| a == "--trace"),
+    })
+}
+
+/// `rsj trace export`'s options, read from its flags.
+fn trace_options(args: &[String]) -> Result<rsj_cli::TraceExportOptions, String> {
+    Ok(rsj_cli::TraceExportOptions {
+        out: flag_value(args, "--out").ok_or("missing --out <trace.json>")?,
+        last: number_flag(args, "--last")?,
+        min_ms: number_flag(args, "--min-ms")?,
+    })
 }
 
 /// The flags a command accepts: those that take a value, and switches.
@@ -221,47 +273,10 @@ fn main() -> ExitCode {
             }
         }
         "serve" => {
-            let mut opts = rsj_cli::ServeOptions::default();
-            if let Some(addr) = flag_value(&args, "--addr") {
-                opts.addr = addr;
-            }
-            match flag_value(&args, "--workers").map(|w| w.parse::<usize>()) {
-                Some(Ok(workers)) => opts.workers = Some(workers),
-                Some(Err(_)) => return fail("invalid --workers: expected a number"),
-                None => {}
-            }
-            match flag_value(&args, "--cache").map(|c| c.parse::<usize>()) {
-                Some(Ok(cache)) => opts.cache = Some(cache),
-                Some(Err(_)) => return fail("invalid --cache: expected a number"),
-                None => {}
-            }
-            for (flag, slot) in [
-                ("--queue", &mut opts.queue),
-                ("--queue-high", &mut opts.queue_high),
-                ("--queue-low", &mut opts.queue_low),
-            ] {
-                match flag_value(&args, flag).map(|v| v.parse::<usize>()) {
-                    Some(Ok(n)) => *slot = Some(n),
-                    Some(Err(_)) => return fail(&format!("invalid {flag}: expected a number")),
-                    None => {}
-                }
-            }
-            opts.journal_dir = flag_value(&args, "--journal-dir");
-            match flag_value(&args, "--snapshot-every").map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => opts.snapshot_every = Some(n),
-                Some(Err(_)) => return fail("invalid --snapshot-every: expected a number"),
-                None => {}
-            }
-            match flag_value(&args, "--trace-buffer").map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => opts.trace_buffer = Some(n),
-                Some(Err(_)) => return fail("invalid --trace-buffer: expected a number"),
-                None => {}
-            }
-            match flag_value(&args, "--slow-ms").map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => opts.slow_ms = Some(n),
-                Some(Err(_)) => return fail("invalid --slow-ms: expected a number"),
-                None => {}
-            }
+            let opts = match serve_options(&args) {
+                Ok(opts) => opts,
+                Err(msg) => return fail(&msg),
+            };
             return match rsj_cli::run_serve(&opts) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(msg) => fail_runtime(&msg),
@@ -295,43 +310,20 @@ fn main() -> ExitCode {
                     "request needs one of --config/--ping/--metrics/--health/--ready/--shutdown",
                 );
             };
-            let mut opts = rsj_cli::RequestOptions::default();
-            match flag_value(&args, "--deadline-ms").map(|v| v.parse::<u64>()) {
-                Some(Ok(ms)) => opts.deadline_ms = Some(ms),
-                Some(Err(_)) => return fail("invalid --deadline-ms: expected a number"),
-                None => {}
-            }
-            // A call makes `retries + 1` attempts, so that count must fit.
-            match flag_value(&args, "--retries").map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) if n < u32::MAX => opts.retries = Some(n),
-                Some(Ok(_)) => return fail("invalid --retries: at most 4294967294"),
-                Some(Err(_)) => return fail("invalid --retries: expected a number"),
-                None => {}
-            }
-            opts.trace = args.iter().any(|a| a == "--trace");
+            let opts = match request_options(&args) {
+                Ok(opts) => opts,
+                Err(msg) => return fail(&msg),
+            };
             rsj_cli::run_request(&addr, &action, json, opts)
         }
         "trace" => {
             let Some(addr) = flag_value(&args, "--addr") else {
                 return fail("missing --addr <host:port>");
             };
-            let mut opts = rsj_cli::TraceExportOptions {
-                out: match flag_value(&args, "--out") {
-                    Some(out) => out,
-                    None => return fail("missing --out <trace.json>"),
-                },
-                ..rsj_cli::TraceExportOptions::default()
+            let opts = match trace_options(&args) {
+                Ok(opts) => opts,
+                Err(msg) => return fail(&msg),
             };
-            match flag_value(&args, "--last").map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => opts.last = Some(n),
-                Some(Err(_)) => return fail("invalid --last: expected a number"),
-                None => {}
-            }
-            match flag_value(&args, "--min-ms").map(|v| v.parse::<f64>()) {
-                Some(Ok(x)) => opts.min_ms = Some(x),
-                Some(Err(_)) => return fail("invalid --min-ms: expected a number"),
-                None => {}
-            }
             rsj_cli::run_trace_export(&addr, &opts)
         }
         other => return fail(&format!("unknown command: {other}")),

@@ -33,12 +33,6 @@ use crate::sequence::ReservationSequence;
 use rsj_dist::{
     discretize_eval, ContinuousDistribution, DiscreteDistribution, DiscretizationScheme,
 };
-use rsj_par::Parallelism;
-
-/// Minimum inner-loop span before the per-state minimization fans out to
-/// the worker pool. Below this the spawn overhead dwarfs the arithmetic;
-/// the paper's `n = 1000` grids always stay serial.
-const DP_PAR_MIN_SPAN: usize = 4096;
 
 /// States of the backward pass between cancellation polls (shared with
 /// the monotone fast path so both react on the same cadence).
@@ -86,25 +80,20 @@ pub struct DpSolution {
     pub path: DpPath,
 }
 
-/// Solves STOCHASTIC exactly for a discrete distribution (Theorem 5),
-/// using the process-wide [`Parallelism::current`] pool for large grids.
+/// Solves STOCHASTIC exactly for a discrete distribution (Theorem 5).
 /// Dispatches to the `O(n log n)` monotone fast path when its gate
 /// accepts (the common case), falling back to the exact `O(n²)` pass
 /// otherwise; either way the result is the same bits.
 pub fn optimal_discrete(dist: &DiscreteDistribution, cost: &CostModel) -> Result<DpSolution> {
-    optimal_discrete_cancellable(dist, cost, &Parallelism::current(), &CancelToken::none())
+    optimal_discrete_cancellable(dist, cost, &CancelToken::none())
 }
 
-/// [`optimal_discrete`] with an explicit worker pool (used only by the
-/// exact fallback — the envelope pass is inherently sequential and needs
-/// no workers, which also makes it trivially thread-count-deterministic)
-/// and cooperative cancellation, polled every `DP_CANCEL_STRIDE` states of
-/// the backward pass. An uncancelled run is bit-for-bit identical to
-/// [`optimal_discrete`].
+/// [`optimal_discrete`] with cooperative cancellation, polled every
+/// `DP_CANCEL_STRIDE` states of the backward pass. An uncancelled run is
+/// bit-for-bit identical to [`optimal_discrete`].
 pub(crate) fn optimal_discrete_cancellable(
     dist: &DiscreteDistribution,
     cost: &CostModel,
-    par: &Parallelism,
     cancel: &CancelToken,
 ) -> Result<DpSolution> {
     let _span = rsj_obs::span!("dp.optimal_discrete", "rsj_core_dp_wall_seconds");
@@ -112,31 +101,14 @@ pub(crate) fn optimal_discrete_cancellable(
     let f = dist.probs();
     let s = dist.suffix_masses();
     let a = prefix_weighted_values(v, f);
-    if let Some(m) = dp_monotone::try_solve(v, f, &s, &a, cost, cancel)? {
-        if rsj_obs::metrics_enabled() {
-            let reg = rsj_obs::global_registry();
-            reg.counter("rsj_core_dp_solves_total").inc();
-            reg.counter("rsj_core_dp_states_total").add(v.len() as u64);
-            reg.counter("rsj_core_dp_monotone_solves_total").inc();
-            reg.counter("rsj_core_dp_monotone_evals_total").add(m.evals);
-        }
-        rsj_obs::debug!(
-            "dp monotone fast path solved {} states in {} candidate evals",
-            v.len(),
-            m.evals
-        );
-        return solution_from(&m.w, &m.choice, v, &s, DpPath::Monotone);
-    }
-    if rsj_obs::metrics_enabled() {
-        rsj_obs::global_registry()
-            .counter("rsj_core_dp_monotone_declined_total")
-            .inc();
+    if let Some(solution) = try_monotone(v, f, &s, &a, cost, cancel)? {
+        return Ok(solution);
     }
     rsj_obs::debug!(
         "dp monotone gate declined on {} states; running exact O(n²) pass",
         v.len()
     );
-    exact_pass(v, &s, &a, cost, par, cancel, DpPath::ExactDeclined)
+    exact_pass(v, &s, &a, cost, cancel, DpPath::ExactDeclined)
 }
 
 /// The exact `O(n²)` Theorem 5 pass, bypassing the monotone gate. This is
@@ -144,22 +116,13 @@ pub(crate) fn optimal_discrete_cancellable(
 /// keep it for A/B runs (`SolverSpec::Dp { monotone: false, .. }`), for
 /// the equivalence suite, and as the fallback when the gate declines.
 pub fn optimal_discrete_exact(dist: &DiscreteDistribution, cost: &CostModel) -> Result<DpSolution> {
-    optimal_discrete_exact_cancellable(dist, cost, &Parallelism::current(), &CancelToken::none())
+    optimal_discrete_exact_cancellable(dist, cost, &CancelToken::none())
 }
 
-/// [`optimal_discrete_exact`] with an explicit worker pool and cooperative
-/// cancellation.
-///
-/// The per-state minimization over `j ∈ [i, n)` evaluates a pure
-/// function of precomputed prefix arrays, so it fans out as a chunked
-/// min-reduction once the span exceeds `DP_PAR_MIN_SPAN`. Ties keep
-/// the smallest `j` (serial scan used strict `<`; the reduction keeps
-/// the left operand on ties and chunks are combined in index order), so
-/// the solution is bit-for-bit identical at any thread count.
+/// [`optimal_discrete_exact`] with cooperative cancellation.
 pub(crate) fn optimal_discrete_exact_cancellable(
     dist: &DiscreteDistribution,
     cost: &CostModel,
-    par: &Parallelism,
     cancel: &CancelToken,
 ) -> Result<DpSolution> {
     let _span = rsj_obs::span!("dp.optimal_discrete_exact", "rsj_core_dp_wall_seconds");
@@ -167,7 +130,7 @@ pub(crate) fn optimal_discrete_exact_cancellable(
     let f = dist.probs();
     let s = dist.suffix_masses();
     let a = prefix_weighted_values(v, f);
-    exact_pass(v, &s, &a, cost, par, cancel, DpPath::ExactForced)
+    exact_pass(v, &s, &a, cost, cancel, DpPath::ExactForced)
 }
 
 /// Attempts the monotone fast path *without* the exact fallback:
@@ -185,26 +148,41 @@ pub fn optimal_discrete_monotone(
     let f = dist.probs();
     let s = dist.suffix_masses();
     let a = prefix_weighted_values(v, f);
-    match dp_monotone::try_solve(v, f, &s, &a, cost, cancel)? {
-        Some(m) => {
-            if rsj_obs::metrics_enabled() {
-                let reg = rsj_obs::global_registry();
-                reg.counter("rsj_core_dp_solves_total").inc();
-                reg.counter("rsj_core_dp_states_total").add(v.len() as u64);
-                reg.counter("rsj_core_dp_monotone_solves_total").inc();
-                reg.counter("rsj_core_dp_monotone_evals_total").add(m.evals);
-            }
-            solution_from(&m.w, &m.choice, v, &s, DpPath::Monotone).map(Some)
+    try_monotone(v, f, &s, &a, cost, cancel)
+}
+
+/// One attempt at the monotone envelope pass with its `rsj_core_dp_*`
+/// counters: `Ok(None)`, counted as declined, when the gate declines or
+/// the pass aborts.
+fn try_monotone(
+    v: &[f64],
+    f: &[f64],
+    s: &[f64],
+    a: &[f64],
+    cost: &CostModel,
+    cancel: &CancelToken,
+) -> Result<Option<DpSolution>> {
+    let Some(m) = dp_monotone::try_solve(v, f, s, a, cost, cancel)? else {
+        if rsj_obs::metrics_enabled() {
+            rsj_obs::global_registry()
+                .counter("rsj_core_dp_monotone_declined_total")
+                .inc();
         }
-        None => {
-            if rsj_obs::metrics_enabled() {
-                rsj_obs::global_registry()
-                    .counter("rsj_core_dp_monotone_declined_total")
-                    .inc();
-            }
-            Ok(None)
-        }
+        return Ok(None);
+    };
+    if rsj_obs::metrics_enabled() {
+        let reg = rsj_obs::global_registry();
+        reg.counter("rsj_core_dp_solves_total").inc();
+        reg.counter("rsj_core_dp_states_total").add(v.len() as u64);
+        reg.counter("rsj_core_dp_monotone_solves_total").inc();
+        reg.counter("rsj_core_dp_monotone_evals_total").add(m.evals);
     }
+    rsj_obs::debug!(
+        "dp monotone fast path solved {} states in {} candidate evals",
+        v.len(),
+        m.evals
+    );
+    solution_from(&m.w, &m.choice, v, s, DpPath::Monotone).map(Some)
 }
 
 /// Prefix sums of `fₖ·vₖ`: `a[i] = Σ_{k<i} fₖ·vₖ`. Together with the
@@ -222,13 +200,14 @@ pub(super) fn prefix_weighted_values(v: &[f64], f: &[f64]) -> Vec<f64> {
 }
 
 /// The exact `O(n²)` backward pass over precomputed arrays; `path` says
-/// why it ran.
+/// why it ran. Each state scans `j ∈ [i, n)` in order and keeps a
+/// candidate only when it is strictly below the best so far, so ties go
+/// to the smallest `j` and a NaN candidate never wins.
 fn exact_pass(
     v: &[f64],
     s: &[f64],
     a: &[f64],
     cost: &CostModel,
-    par: &Parallelism,
     cancel: &CancelToken,
     path: DpPath,
 ) -> Result<DpSolution> {
@@ -243,48 +222,18 @@ fn exact_pass(
         if (n - i).is_multiple_of(DP_CANCEL_STRIDE) {
             cancel.check()?;
         }
-        let span = n - i;
-        let cand_at = |j: usize| {
-            (cost.alpha * v[j] + cost.gamma) * s[i]
+        let mut best = f64::INFINITY;
+        let mut best_j = i;
+        for j in i..n {
+            let cand = (cost.alpha * v[j] + cost.gamma) * s[i]
                 + cost.beta * (a[j + 1] - a[i])
                 + cost.beta * v[j] * s[j + 1]
-                + w[j + 1]
-        };
-        // Branch on the span alone — never the thread count — so even
-        // degenerate inputs (NaN candidates) reduce identically at any
-        // parallelism: the pool's single-thread path uses the same chunked
-        // fold as its multi-thread path. The range-based reduction shares
-        // the slice variant's chunk shape and association exactly, so
-        // dropping the per-state index vector changed no output bits.
-        let (best, best_j) = if span >= DP_PAR_MIN_SPAN {
-            par.try_par_reduce_range(
-                span,
-                |k| {
-                    let j = i + k;
-                    (cand_at(j), j)
-                },
-                |a, b| if b.0 < a.0 { b } else { a },
-            )
-            .map_err(|e| CoreError::InvalidHeuristicParameter {
-                name: "parallelism",
-                reason: match e {
-                    rsj_par::ParError::WorkerPanicked { .. } => "worker panicked in DP inner loop",
-                    _ => "invalid worker-pool configuration",
-                },
-            })?
-            .expect("span >= 1")
-        } else {
-            let mut best = f64::INFINITY;
-            let mut best_j = i;
-            for j in i..n {
-                let cand = cand_at(j);
-                if cand < best {
-                    best = cand;
-                    best_j = j;
-                }
+                + w[j + 1];
+            if cand < best {
+                best = cand;
+                best_j = j;
             }
-            (best, best_j)
-        };
+        }
         w[i] = best;
         choice[i] = best_j;
     }
@@ -452,14 +401,9 @@ impl Strategy for DiscretizedDp {
         // (dist, scheme, n, ε) skip every quantile/cdf call.
         let (eval, source) = discretize_eval(dist, self.scheme, self.n, self.epsilon)?;
         let solution = if self.monotone {
-            optimal_discrete_cancellable(&eval.discrete, cost, &Parallelism::current(), cancel)?
+            optimal_discrete_cancellable(&eval.discrete, cost, cancel)?
         } else {
-            optimal_discrete_exact_cancellable(
-                &eval.discrete,
-                cost,
-                &Parallelism::current(),
-                cancel,
-            )?
+            optimal_discrete_exact_cancellable(&eval.discrete, cost, cancel)?
         };
         let solved = |sequence| Solve {
             sequence,
@@ -619,7 +563,7 @@ mod tests {
     }
 
     /// The pre-EvalTable reference implementation of
-    /// [`DiscretizedDp::sequence`]: fresh discretization, serial DP, and
+    /// [`DiscretizedDp::sequence`]: fresh discretization, a direct DP, and
     /// direct `survival`/`conditional_mean_above` calls in the tail
     /// extension. Kept in tests as the before/after oracle for the
     /// grid-hoisting change.
@@ -629,13 +573,7 @@ mod tests {
         cost: &CostModel,
     ) -> ReservationSequence {
         let discrete = rsj_dist::discretize(dist, dp.scheme, dp.n, 1e-7).unwrap();
-        let solution = optimal_discrete_cancellable(
-            &discrete,
-            cost,
-            &rsj_par::Parallelism::serial(),
-            &CancelToken::none(),
-        )
-        .unwrap();
+        let solution = optimal_discrete(&discrete, cost).unwrap();
         let mut times = solution.values;
         if dist.support().is_bounded() {
             return ReservationSequence::new(times, true).unwrap();
@@ -695,39 +633,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dp_matches_serial_bit_for_bit() {
-        // Large enough that inner spans exceed DP_PAR_MIN_SPAN and the
-        // chunked min-reduction actually runs multi-threaded. Forces the
-        // exact pass: the monotone fast path never uses the pool.
-        let d = rsj_dist::discretize(
-            &Exponential::new(1.0).unwrap(),
-            DiscretizationScheme::EqualProbability,
-            6000,
-            1e-7,
-        )
-        .unwrap();
-        let c = CostModel::new(0.95, 1.0, 1.05).unwrap();
-        let exact = |par: rsj_par::Parallelism| {
-            optimal_discrete_exact_cancellable(&d, &c, &par, &CancelToken::none()).unwrap()
-        };
-        let serial = exact(rsj_par::Parallelism::serial());
-        for threads in [2, 4] {
-            let par = exact(rsj_par::Parallelism::new(threads).unwrap());
-            assert_eq!(serial.indices, par.indices, "{threads} threads");
-            assert_eq!(
-                serial.expected_cost.to_bits(),
-                par.expected_cost.to_bits(),
-                "{threads} threads"
-            );
-            for (a, b) in serial.values.iter().zip(&par.values) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
-            }
-        }
-        // The auto-dispatch path (which takes the monotone branch here)
-        // produces the very same bits.
-        let auto = optimal_discrete(&d, &c).unwrap();
-        assert_eq!(auto.indices, serial.indices);
-        assert_eq!(auto.expected_cost.to_bits(), serial.expected_cost.to_bits());
+    fn nan_candidates_never_win_however_wide_the_state() {
+        // Each weight of 2⁻¹⁰⁷⁴ normalizes to a zero probability, so every
+        // state past the first has zero suffix mass, and α·v overflows on
+        // the huge values: every candidate of those states is ∞·0 = NaN.
+        // The scan keeps none of them (w = +∞, j = i), also in states that
+        // span more than 4096 candidates, so the cost reads +∞, not NaN.
+        let n = 5000;
+        let mut values = vec![1.0];
+        values.extend((1..n).map(|k| 1e308 * (1.0 + k as f64 * 1e-15)));
+        let mut weights = vec![2.0];
+        weights.resize(n, f64::from_bits(1));
+        let d = DiscreteDistribution::new(values, weights).unwrap();
+        let c = CostModel::new(2.0, 0.0, 0.0).unwrap();
+        let sol = optimal_discrete(&d, &c).unwrap();
+        assert_eq!(sol.path, DpPath::ExactDeclined);
+        assert_eq!(sol.expected_cost, f64::INFINITY);
+        assert_eq!(sol.indices, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -524,8 +524,8 @@ mod tests {
             .unwrap()
             .expect("the fast path fires");
 
-        // The exact pass's serial scan (`dp::exact_pass` below
-        // `DP_PAR_MIN_SPAN`), verbatim.
+        // A copy of `dp::exact_pass`'s scan: the same candidate
+        // arithmetic, in the same order.
         let n = v.len();
         let mut w = vec![0.0; n + 1];
         let mut choice = vec![0usize; n];

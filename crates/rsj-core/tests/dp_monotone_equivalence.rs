@@ -280,8 +280,7 @@ fn table1_near_ties_at_n10000_take_the_fast_path() {
 
 #[test]
 fn large_grid_is_bit_identical() {
-    // One deep grid per scheme so the suite also covers spans where the
-    // exact pass goes parallel (n > DP_PAR_MIN_SPAN).
+    // One deep grid per scheme, at six times the paper's n = 1000.
     let dist = DistSpec::LogNormal {
         mu: 3.0,
         sigma: 0.5,

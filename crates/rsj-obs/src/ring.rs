@@ -1,87 +1,53 @@
 //! A fixed-capacity ring buffer of completed request timelines.
 //!
-//! Writers claim a slot with one `fetch_add` on the shared cursor and
-//! then swap the record in under that slot's own mutex — the lock guards
-//! two word-sized stores, is never held across allocation or I/O, and is
-//! only ever contended when two writers are a full lap apart on the same
-//! slot. Slots are *versioned* by their claiming ticket: a writer that
-//! stalls between claiming and storing long enough to be lapped finds a
-//! newer ticket in the slot and drops its stale record instead of
-//! clobbering a fresher one. Readers lock each slot just long enough to
-//! clone the `Arc`.
+//! One mutex guards a queue of at most `capacity` records: `push` evicts
+//! the oldest once full, and `recent` clones the newest `Arc`s. A server
+//! has one writer (the reactor thread, once a response is flushed) and
+//! one occasional reader (the `trace` op), and neither holds the lock
+//! across I/O, so the lock is rarely contended.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::timeline::TimelineRecord;
 
-/// One versioned slot: the cursor ticket that installed the record
-/// (meaningless while `record` is `None`, when `seq` is 0 and any ticket
-/// wins).
-#[derive(Debug, Default)]
-struct Slot {
-    seq: u64,
-    record: Option<Arc<TimelineRecord>>,
-}
-
-/// A bounded, concurrently writable buffer of the most recent
-/// [`TimelineRecord`]s. See the module docs for the locking discipline.
+/// A bounded buffer of the most recent [`TimelineRecord`]s, safe to
+/// share between threads.
 #[derive(Debug)]
 pub struct TraceRing {
-    slots: Box<[Mutex<Slot>]>,
-    /// Total records ever pushed; `cursor % capacity` is the next slot.
-    cursor: AtomicU64,
+    capacity: usize,
+    /// Oldest record at the front, newest at the back.
+    records: Mutex<VecDeque<Arc<TimelineRecord>>>,
 }
 
 impl TraceRing {
     /// A ring holding the last `capacity` records (`capacity >= 1`).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            slots: (0..capacity).map(|_| Mutex::new(Slot::default())).collect(),
-            cursor: AtomicU64::new(0),
+            capacity: capacity.max(1),
+            records: Mutex::new(VecDeque::new()),
         }
     }
 
     /// How many records the ring retains.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Stores `record`, evicting the oldest entry once full.
     pub fn push(&self, record: TimelineRecord) {
-        let ticket = self.cursor.fetch_add(1, Ordering::AcqRel);
-        self.store(ticket, Arc::new(record));
-    }
-
-    /// Installs `record` under `ticket` unless the slot already holds a
-    /// newer one: a writer lapped between claiming its ticket and
-    /// storing loses to the fresher occupants rather than overwriting
-    /// them (last-ticket-wins, not last-locker-wins).
-    fn store(&self, ticket: u64, record: Arc<TimelineRecord>) {
-        let slot = (ticket % self.capacity() as u64) as usize;
-        let mut slot = self.slots[slot].lock().expect("trace ring slot poisoned");
-        if ticket >= slot.seq {
-            slot.seq = ticket;
-            slot.record = Some(record);
+        let record = Arc::new(record);
+        let mut records = self.records.lock().expect("trace ring poisoned");
+        if records.len() == self.capacity {
+            records.pop_front();
         }
+        records.push_back(record);
     }
 
-    /// The most recent `n` records, newest first. Under concurrent
-    /// writers this is a best-effort snapshot: each slot is read
-    /// atomically, but a racing lap may reorder neighbours.
+    /// The most recent `n` records, newest first.
     pub fn recent(&self, n: usize) -> Vec<Arc<TimelineRecord>> {
-        let cursor = self.cursor.load(Ordering::Acquire);
-        let take = n.min(self.capacity()).min(cursor as usize);
-        let mut out = Vec::with_capacity(take);
-        for back in 1..=take as u64 {
-            let slot = ((cursor - back) % self.capacity() as u64) as usize;
-            let slot = self.slots[slot].lock().expect("trace ring slot poisoned");
-            if let Some(record) = &slot.record {
-                out.push(Arc::clone(record));
-            }
-        }
-        out
+        let records = self.records.lock().expect("trace ring poisoned");
+        records.iter().rev().take(n).cloned().collect()
     }
 }
 
@@ -119,19 +85,6 @@ mod tests {
         }
         let got: Vec<u64> = ring.recent(10).iter().map(|r| r.total_us).collect();
         assert_eq!(got, vec![9, 8, 7]);
-    }
-
-    #[test]
-    fn lapped_stale_writer_cannot_clobber_newer_records() {
-        let ring = TraceRing::new(3);
-        for i in 0..4 {
-            ring.push(record(i)); // slot 0 now holds ticket 3
-        }
-        // A writer that claimed ticket 0, then stalled for a full lap,
-        // finally stores: it must lose to slot 0's newer occupant.
-        ring.store(0, Arc::new(record(99)));
-        let got: Vec<u64> = ring.recent(10).iter().map(|r| r.total_us).collect();
-        assert_eq!(got, vec![3, 2, 1]);
     }
 
     #[test]

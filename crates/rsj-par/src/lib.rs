@@ -2,21 +2,21 @@
 //!
 //! A std-only parallel execution layer for the reservation-strategies
 //! workspace: a scoped worker pool ([`Parallelism`]) with chunked work
-//! distribution, [`Parallelism::par_map`] / [`Parallelism::try_par_reduce_range`]
-//! entry points whose results are **bit-for-bit identical to serial
-//! execution at any thread count**, typed panic propagation
-//! ([`ParError::WorkerPanicked`]), and an `RSJ_THREADS` environment
-//! override (plus `--threads` on the CLI via
+//! distribution, [`Parallelism::par_map`] / [`Parallelism::try_par_map`] /
+//! [`Parallelism::try_par_run`] entry points whose results are
+//! **bit-for-bit identical to serial execution at any thread count**,
+//! typed panic propagation ([`ParError::WorkerPanicked`]), and an
+//! `RSJ_THREADS` environment override (plus `--threads` on the CLI via
 //! [`Parallelism::install_global`]).
 //!
 //! ## Why not rayon
 //!
 //! The vendoring policy forbids external crates, and — more importantly —
 //! work-stealing libraries make no cross-thread-count reproducibility
-//! promise for reductions. Here the chunk shape is a pure function of the
-//! input length and reductions use one fixed association (see the
-//! [`Parallelism`] docs), so `RSJ_THREADS=1` and `RSJ_THREADS=64` produce
-//! the same bytes. The paper's Monte-Carlo tables (Eq. 13 estimates with
+//! promise for reductions. Here every entry point returns its per-index
+//! results in index order and callers fold them serially (see the `pool`
+//! module docs), so `RSJ_THREADS=1` and `RSJ_THREADS=64` produce the same
+//! bytes. The paper's Monte-Carlo tables (Eq. 13 estimates with
 //! common random numbers) stay exactly reproducible while the hot loops
 //! scale with the hardware.
 //!
@@ -64,70 +64,11 @@ mod tests {
     }
 
     #[test]
-    fn float_reduction_is_identical_across_thread_counts() {
-        // Non-associative f64 sums: equality holds because the chunked
-        // association is fixed by the input length, not the thread count.
-        let items: Vec<f64> = (0..10_000)
-            .map(|i| 1.0 / (1.0 + i as f64).powi(2))
-            .collect();
-        let reference = Parallelism::serial()
-            .try_par_reduce_range(items.len(), |i| items[i], |a, b| a + b)
-            .unwrap()
-            .unwrap();
-        for threads in [2, 4, 7] {
-            let sum = Parallelism::new(threads)
-                .unwrap()
-                .try_par_reduce_range(items.len(), |i| items[i], |a, b| a + b)
-                .unwrap()
-                .unwrap();
-            assert_eq!(
-                reference.to_bits(),
-                sum.to_bits(),
-                "thread count {threads} changed the reduction"
-            );
-        }
-    }
-
-    #[test]
-    fn min_reduction_matches_plain_serial_scan() {
-        // Min with leftmost-index tie-breaking (the DP's shape) is truly
-        // associative, so the chunked reduction must equal the naive serial
-        // fold exactly.
-        let items: Vec<f64> = (0..5000)
-            .map(|i| ((i as f64) * 0.7919).sin().abs())
-            .collect();
-        let naive = items
-            .iter()
-            .enumerate()
-            .fold(None::<(usize, f64)>, |best, (i, &v)| match best {
-                Some((_, bv)) if bv <= v => best,
-                _ => Some((i, v)),
-            })
-            .unwrap();
-        let chunked = Parallelism::new(4)
-            .unwrap()
-            .try_par_reduce_range(
-                items.len(),
-                |i| (i, items[i]),
-                |a, b| if b.1 < a.1 { b } else { a },
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(naive, chunked);
-    }
-
-    #[test]
     fn empty_inputs_are_fine() {
         let empty: Vec<u32> = Vec::new();
         assert_eq!(
             Parallelism::new(4).unwrap().try_par_map(&empty, |_, x| *x),
             Ok(Vec::new())
-        );
-        assert_eq!(
-            Parallelism::new(4)
-                .unwrap()
-                .try_par_reduce_range(0, |i| i, |a, _| a),
-            Ok(None)
         );
     }
 

@@ -6,13 +6,11 @@
 //! Every entry point partitions its input into chunks whose boundaries
 //! depend **only on the input length** — never on the thread count, the
 //! claim order, or timing. Chunk results are written back keyed by chunk
-//! index and recombined in chunk order, and reductions fold left-to-right
-//! within each chunk and then left-to-right across chunk partials. The
-//! single-thread path uses the *same* chunk shape, so for a deterministic
-//! per-index task function the output is bit-for-bit identical at any
-//! thread count. (For floating-point reductions this fixes one specific
-//! association; callers get cross-thread-count reproducibility without
-//! needing true associativity.)
+//! index and recombined in chunk order, and the single-thread path uses
+//! the *same* chunk shape, so for a deterministic per-index task function
+//! the output is bit-for-bit identical at any thread count. The pool does
+//! no reductions: a caller that folds the results (a floating-point sum,
+//! say) does so serially, in index order, so the association is fixed.
 //!
 //! Work is distributed dynamically: workers claim chunk indices from a
 //! shared atomic counter, so an expensive chunk does not stall the rest
@@ -173,39 +171,6 @@ impl Parallelism {
             Ok(out) => out,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Maps `f` over `0..len` and reduces with `reduce` using the fixed
-    /// chunked association described in the module docs: left-to-right
-    /// within each chunk, then left-to-right across chunk partials.
-    /// Returns `None` for an empty range.
-    pub fn try_par_reduce_range<R, F, G>(
-        &self,
-        len: usize,
-        map: F,
-        reduce: G,
-    ) -> Result<Option<R>, ParError>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-        G: Fn(R, R) -> R + Sync,
-    {
-        if len == 0 {
-            return Ok(None);
-        }
-        let chunk = chunk_size(len);
-        let n_chunks = len.div_ceil(chunk);
-        let partials = self.run_chunks(n_chunks, |c| {
-            let start = c * chunk;
-            let end = (start + chunk).min(len);
-            let mut acc = map(start);
-            for i in start + 1..end {
-                acc = reduce(acc, map(i));
-            }
-            acc
-        })?;
-        record_tasks(len);
-        Ok(partials.into_iter().reduce(reduce))
     }
 
     /// Executes `f` once per chunk index and returns the chunk results in

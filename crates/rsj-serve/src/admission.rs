@@ -1,24 +1,25 @@
 //! Admission control: a bounded queue with watermark hysteresis between
-//! the accept loop and the worker pool.
+//! the reactor thread and the worker pool.
 //!
 //! Load shedding happens at admission, not after latency has already
 //! collapsed: once the queue depth crosses the **high watermark** the
-//! queue enters *shedding* mode and rejects every new item until depth
+//! queue enters *shedding* mode and rejects every new request until depth
 //! drains back to the **low watermark**. The hard `capacity` is a final
-//! backstop above the high watermark. Rejected connections get a typed
-//! [`ErrorKind::Overloaded`](crate::ErrorKind::Overloaded) line written
-//! by a dedicated shed helper (the accept loop only enqueues the refused
-//! stream — a few microseconds, no peer-facing syscalls) instead of
-//! parking in an unbounded backlog.
+//! backstop above the high watermark. The reactor answers a rejected
+//! request inline with a typed
+//! [`ErrorKind::Overloaded`](crate::ErrorKind::Overloaded) line instead of
+//! parking it in an unbounded backlog.
 //!
 //! The hysteresis band (high → low) prevents shed/admit flapping right
 //! at the threshold: once overloaded, the server keeps shedding until it
 //! has genuinely caught up, which is what keeps p99 of the *admitted*
 //! requests bounded under saturation.
+//!
+//! Workers block in [`AdmissionQueue::pop`] until there is work:
+//! `try_admit` wakes one of them, and `close` wakes them all.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Sizing of an `AdmissionQueue`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,21 +64,10 @@ struct State<T> {
     closed: bool,
 }
 
-/// Outcome of a [`AdmissionQueue::pop`] call.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Pop<T> {
-    /// An admitted item, in FIFO order.
-    Item(T),
-    /// The wait timed out with the queue still open and empty.
-    TimedOut,
-    /// The queue is closed and fully drained; the worker should exit.
-    Closed,
-}
-
 /// A bounded MPMC queue with watermark-hysteresis shedding. `try_admit`
-/// is the producer side (the accept loop); `pop` is the consumer side
+/// is the producer side (the reactor thread); `pop` is the consumer side
 /// (workers). Closing the queue lets consumers drain what was already
-/// admitted, then observe `Pop::Closed`.
+/// admitted, then see `None`.
 #[derive(Debug)]
 pub(crate) struct AdmissionQueue<T> {
     config: AdmissionConfig,
@@ -129,31 +119,24 @@ impl<T> AdmissionQueue<T> {
         Ok(())
     }
 
-    /// Waits up to `timeout` for an item. Items admitted before
+    /// Blocks until an item is available. Items admitted before
     /// [`close`](Self::close) keep being returned after it (drain);
-    /// [`Pop::Closed`] only appears once the queue is closed *and* empty.
-    pub(crate) fn pop(&self, timeout: Duration) -> Pop<T> {
+    /// `None` only appears once the queue is closed *and* empty.
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("admission lock");
         loop {
             if let Some(item) = state.queue.pop_front() {
-                return Pop::Item(item);
+                return Some(item);
             }
             if state.closed {
-                return Pop::Closed;
+                return None;
             }
-            let (next, wait) = self
-                .not_empty
-                .wait_timeout(state, timeout)
-                .expect("admission lock");
-            state = next;
-            if wait.timed_out() && state.queue.is_empty() && !state.closed {
-                return Pop::TimedOut;
-            }
+            state = self.not_empty.wait(state).expect("admission lock");
         }
     }
 
     /// Closes the queue: future admissions shed, consumers drain the
-    /// backlog then observe [`Pop::Closed`]. Idempotent.
+    /// backlog then see `None`. Idempotent.
     pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("admission lock");
         state.closed = true;
@@ -170,6 +153,7 @@ impl<T> AdmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn cfg(capacity: usize, high: usize, low: usize) -> AdmissionConfig {
         AdmissionConfig {
@@ -188,10 +172,10 @@ mod tests {
         // Depth 4 = high watermark: shedding begins.
         assert_eq!(q.try_admit(99), Err(99));
         // Draining to 3 (> low) keeps shedding on.
-        assert_eq!(q.pop(Duration::ZERO), Pop::Item(0));
+        assert_eq!(q.pop(), Some(0));
         assert_eq!(q.try_admit(99), Err(99));
         // Draining to 2 (= low) re-opens admission.
-        assert_eq!(q.pop(Duration::ZERO), Pop::Item(1));
+        assert_eq!(q.pop(), Some(1));
         q.try_admit(100).expect("below low watermark again");
     }
 
@@ -212,28 +196,25 @@ mod tests {
         q.close();
         q.close(); // idempotent
         assert_eq!(q.try_admit(3), Err(3), "closed queue sheds");
-        assert_eq!(q.pop(Duration::ZERO), Pop::Item(1));
-        assert_eq!(q.pop(Duration::ZERO), Pop::Item(2));
-        assert_eq!(q.pop(Duration::ZERO), Pop::Closed);
-        assert_eq!(q.pop(Duration::ZERO), Pop::Closed);
-    }
-
-    #[test]
-    fn pop_times_out_on_an_open_empty_queue() {
-        let q = AdmissionQueue::<u32>::new(AdmissionConfig::default());
-        assert_eq!(q.pop(Duration::from_millis(1)), Pop::TimedOut);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn close_wakes_blocked_consumers() {
         let q = std::sync::Arc::new(AdmissionQueue::<u32>::new(AdmissionConfig::default()));
+        let (tx, rx) = std::sync::mpsc::channel();
         let consumer = {
             let q = std::sync::Arc::clone(&q);
-            std::thread::spawn(move || q.pop(Duration::from_secs(30)))
+            std::thread::spawn(move || tx.send(q.pop()).unwrap())
         };
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert_eq!(consumer.join().unwrap(), Pop::Closed);
+        // A missed wake-up fails here instead of hanging the suite.
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(None));
+        consumer.join().unwrap();
     }
 
     #[test]

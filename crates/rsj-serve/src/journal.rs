@@ -709,31 +709,38 @@ mod tests {
 
     #[test]
     fn writer_appends_flushes_and_resets() {
-        let dir = std::env::temp_dir().join(format!("rsj_journal_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(JOURNAL_FILE);
-        let _ = std::fs::remove_file(&path);
+        // With `fsync` the same calls also run `sync_data` per append and
+        // `sync_all` on reset; the bytes read back must not change.
+        for fsync in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "rsj_journal_test_{}_fsync_{fsync}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(JOURNAL_FILE);
+            let _ = std::fs::remove_file(&path);
 
-        let mut writer = JournalWriter::open(&path, false).unwrap();
-        let a = record("a", &[1.0]);
-        let b = record("b", &[2.0]);
-        writer.append(&a).unwrap();
-        writer.append(&b).unwrap();
+            let mut writer = JournalWriter::open(&path, fsync).unwrap();
+            let a = record("a", &[1.0]);
+            let b = record("b", &[2.0]);
+            writer.append(&a).unwrap();
+            writer.append(&b).unwrap();
 
-        // Readable while the writer handle is still live (flushed per append).
-        let bytes = read_log_bytes(&path).unwrap();
-        let decoded: Vec<_> = RecordScanner::new(&bytes).map(|r| r.unwrap().1).collect();
-        assert_eq!(decoded, vec![a, b.clone()]);
+            // Readable while the writer handle is still live (flushed per append).
+            let bytes = read_log_bytes(&path).unwrap();
+            let decoded: Vec<_> = RecordScanner::new(&bytes).map(|r| r.unwrap().1).collect();
+            assert_eq!(decoded, vec![a, b.clone()], "fsync {fsync}");
 
-        // Reset empties the file; appends keep working afterwards.
-        writer.reset().unwrap();
-        assert!(read_log_bytes(&path).unwrap().is_empty());
-        writer.append(&b).unwrap();
-        let bytes = read_log_bytes(&path).unwrap();
-        let decoded: Vec<_> = RecordScanner::new(&bytes).map(|r| r.unwrap().1).collect();
-        assert_eq!(decoded, vec![b]);
+            // Reset empties the file; appends keep working afterwards.
+            writer.reset().unwrap();
+            assert!(read_log_bytes(&path).unwrap().is_empty(), "fsync {fsync}");
+            writer.append(&b).unwrap();
+            let bytes = read_log_bytes(&path).unwrap();
+            let decoded: Vec<_> = RecordScanner::new(&bytes).map(|r| r.unwrap().1).collect();
+            assert_eq!(decoded, vec![b], "fsync {fsync}");
 
-        let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use reservation_strategies::{CancelToken, Plan, PlanRequest, Planner, RsjError, SimulateOptions};
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, Pop};
+use crate::admission::{AdmissionConfig, AdmissionQueue};
 use crate::cache::PlanCache;
 use crate::chaos::ChaosPolicy;
 use crate::journal::{JournalRecord, JournalWriter, JOURNAL_FILE};
@@ -508,10 +508,6 @@ const PENDING_LINE_CAP: usize = 128;
 /// How long a drain waits for in-flight requests and unflushed responses
 /// before force-closing what remains.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
-
-/// How often a blocked worker `pop` wakes up to check the queue state;
-/// bounds how long a drain can wait on idle workers.
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Read chunk size for connection sockets.
 const READ_CHUNK: usize = 16 * 1024;
@@ -1185,15 +1181,9 @@ fn open_journal(durability: &DurabilityConfig) -> std::io::Result<JournalState> 
 /// handler panics so a poisoned request (or an injected chaos panic)
 /// never shrinks the pool.
 fn worker_loop(shared: &Shared) {
-    loop {
-        match shared.admission.pop(READ_POLL) {
-            Pop::Item(item) => {
-                queue_depth_gauge(shared);
-                process_item(shared, item);
-            }
-            Pop::TimedOut => {}
-            Pop::Closed => break,
-        }
+    while let Some(item) = shared.admission.pop() {
+        queue_depth_gauge(shared);
+        process_item(shared, item);
     }
 }
 

@@ -38,8 +38,6 @@ pub(crate) enum Flighted<V> {
     TimedOut,
 }
 
-impl<V> Flighted<V> {}
-
 /// A group of keyed in-flight computations (see module docs).
 #[derive(Debug, Default)]
 pub(crate) struct SingleFlight<V> {
