@@ -46,7 +46,7 @@ USAGE:
                                           [--workers <n>] handler threads, an
                                           LRU plan cache of [--cache <n>] entries
                                           and an admission queue of [--queue <n>]
-                                          connections (shedding between
+                                          requests (shedding between
                                           [--queue-high <n>] and [--queue-low <n>]).
                                           [--journal-dir <dir>] makes solved plans
                                           durable (journal + snapshots; a restart

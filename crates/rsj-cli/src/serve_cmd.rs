@@ -23,9 +23,10 @@ pub struct ServeOptions {
     pub workers: Option<usize>,
     /// Plan-cache capacity (`--cache`, 0 disables caching).
     pub cache: Option<usize>,
-    /// Admission-queue hard capacity (`--queue`).
+    /// Admission-queue size N (`--queue`, default 256): shedding starts
+    /// at 3N/4 and stops at N/4 unless overridden.
     pub queue: Option<usize>,
-    /// Shedding starts at this queue depth (`--queue-high`).
+    /// Shedding starts at this queue depth (`--queue-high`, capped at N).
     pub queue_high: Option<usize>,
     /// Shedding stops once depth drains to this (`--queue-low`).
     pub queue_low: Option<usize>,
@@ -61,6 +62,10 @@ impl Default for ServeOptions {
     }
 }
 
+/// `--queue` when the flag is absent: the default watermarks (192 and
+/// 64) are 3N/4 and N/4 of it, and `--queue-high` is capped at it.
+const DEFAULT_QUEUE: usize = 256;
+
 /// `rsj serve`: run the planning server in the foreground. Prints the
 /// bound address on stdout (scripts bind port 0 and read it back), then
 /// blocks until a graceful shutdown drains the last request.
@@ -82,13 +87,12 @@ pub fn run_serve(opts: &ServeOptions) -> Result<(), String> {
         if queue == 0 {
             return Err("--queue must be >= 1".to_string());
         }
-        config.admission.capacity = queue;
         // Keep the watermarks proportional unless overridden below.
         config.admission.high_watermark = queue * 3 / 4;
         config.admission.low_watermark = queue / 4;
     }
     if let Some(high) = opts.queue_high {
-        config.admission.high_watermark = high;
+        config.admission.high_watermark = high.min(opts.queue.unwrap_or(DEFAULT_QUEUE));
     }
     if let Some(low) = opts.queue_low {
         config.admission.low_watermark = low;

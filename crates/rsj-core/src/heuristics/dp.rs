@@ -256,7 +256,8 @@ fn exact_pass(
 
 /// Backtracks the chosen reservations and packages the solution — shared
 /// verbatim by both passes so the output shape (and the `w[0] / s[0]`
-/// normalization) is computed identically.
+/// normalization) is computed identically. An optimum that is not a
+/// finite cost (every candidate overflowed) is a typed error, not a plan.
 fn solution_from(
     w: &[f64],
     choice: &[usize],
@@ -264,6 +265,13 @@ fn solution_from(
     s: &[f64],
     path: DpPath,
 ) -> Result<DpSolution> {
+    let expected_cost = w[0] / s[0];
+    if !expected_cost.is_finite() {
+        return Err(CoreError::DegenerateEvaluation {
+            what: "optimal expected cost",
+            value: expected_cost,
+        });
+    }
     let n = v.len();
     let mut indices = Vec::new();
     let mut i = 0;
@@ -277,7 +285,7 @@ fn solution_from(
         return Err(CoreError::EmptySequence);
     }
     Ok(DpSolution {
-        expected_cost: w[0] / s[0],
+        expected_cost,
         values,
         indices,
         path,
@@ -634,22 +642,44 @@ mod tests {
 
     #[test]
     fn nan_candidates_never_win_however_wide_the_state() {
-        // Each weight of 2⁻¹⁰⁷⁴ normalizes to a zero probability, so every
-        // state past the first has zero suffix mass, and α·v overflows on
-        // the huge values: every candidate of those states is ∞·0 = NaN.
-        // The scan keeps none of them (w = +∞, j = i), also in states that
-        // span more than 4096 candidates, so the cost reads +∞, not NaN.
+        // Raw slices, since a `DiscreteDistribution` keeps no zero-mass
+        // point: every state past the first has zero suffix mass, and α·v
+        // overflows on the huge values, so every candidate of those states
+        // is ∞·0 = NaN. The scan keeps none of them (w = +∞), also in
+        // states that span thousands of candidates, so the optimum reads
+        // +∞, not NaN — and +∞ is a typed error, not a plan.
         let n = 5000;
-        let mut values = vec![1.0];
-        values.extend((1..n).map(|k| 1e308 * (1.0 + k as f64 * 1e-15)));
-        let mut weights = vec![2.0];
-        weights.resize(n, f64::from_bits(1));
-        let d = DiscreteDistribution::new(values, weights).unwrap();
+        let mut v = vec![1.0];
+        v.extend((1..n).map(|k| 1e308 * (1.0 + k as f64 * 1e-15)));
+        let mut f = vec![0.0; n];
+        f[0] = 1.0;
+        let mut s = vec![0.0; n + 1];
+        s[0] = 1.0;
+        let a = prefix_weighted_values(&v, &f);
         let c = CostModel::new(2.0, 0.0, 0.0).unwrap();
-        let sol = optimal_discrete(&d, &c).unwrap();
-        assert_eq!(sol.path, DpPath::ExactDeclined);
-        assert_eq!(sol.expected_cost, f64::INFINITY);
-        assert_eq!(sol.indices, (0..n).collect::<Vec<_>>());
+        let solved = exact_pass(&v, &s, &a, &c, &CancelToken::none(), DpPath::ExactDeclined);
+        match solved {
+            Err(CoreError::DegenerateEvaluation { value, .. }) => {
+                assert_eq!(value, f64::INFINITY);
+            }
+            other => panic!("expected a degenerate optimum, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_overflowing_optimum_is_a_typed_error() {
+        // α·v overflows at every support point: every candidate is +∞, so
+        // no reservation ladder has a finite cost.
+        let d = DiscreteDistribution::new(vec![1e308, 1.5e308], vec![1.0, 1.0]).unwrap();
+        let c = CostModel::new(2.0, 0.0, 0.0).unwrap();
+        for solved in [optimal_discrete(&d, &c), optimal_discrete_exact(&d, &c)] {
+            match solved {
+                Err(CoreError::DegenerateEvaluation { value, .. }) => {
+                    assert_eq!(value, f64::INFINITY);
+                }
+                other => panic!("expected a degenerate optimum, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -85,8 +85,9 @@ impl DiscreteDistribution {
     /// Builds a discrete distribution from `(value, weight)` pairs.
     ///
     /// Values must be finite, strictly increasing and nonnegative; weights
-    /// must be nonnegative with a positive sum. Zero-weight entries are
-    /// dropped.
+    /// must be nonnegative with a positive, finite sum. Points whose
+    /// normalized probability is 0 are dropped: zero weights, and positive
+    /// weights too small against the total to survive the division.
     pub fn new(values: Vec<f64>, weights: Vec<f64>) -> Result<Self> {
         if values.len() != weights.len() {
             return Err(DistError::DegenerateSample {
@@ -98,8 +99,6 @@ impl DiscreteDistribution {
                 reason: "empty discrete distribution",
             });
         }
-        let mut v = Vec::with_capacity(values.len());
-        let mut p = Vec::with_capacity(values.len());
         let mut prev = f64::NEG_INFINITY;
         let mut total = 0.0;
         for (&x, &w) in values.iter().zip(&weights) {
@@ -125,19 +124,28 @@ impl DiscreteDistribution {
                 });
             }
             prev = x;
-            if w > 0.0 {
-                v.push(x);
-                p.push(w);
-                total += w;
-            }
+            total += w;
         }
-        if total <= 0.0 || v.is_empty() {
+        if total <= 0.0 {
             return Err(DistError::DegenerateSample {
                 reason: "all weights are zero",
             });
         }
-        for w in &mut p {
-            *w /= total;
+        if total == f64::INFINITY {
+            return Err(DistError::DegenerateSample {
+                reason: "the weights sum to infinity",
+            });
+        }
+        // The largest weight is at least `total / n`, so one point always
+        // keeps a positive probability.
+        let mut v = Vec::with_capacity(values.len());
+        let mut p = Vec::with_capacity(values.len());
+        for (&x, &w) in values.iter().zip(&weights) {
+            let prob = w / total;
+            if prob > 0.0 {
+                v.push(x);
+                p.push(prob);
+            }
         }
         Ok(Self {
             values: v,
@@ -307,6 +315,7 @@ mod tests {
         assert!(DiscreteDistribution::new(vec![2.0, 1.0], vec![0.5, 0.5]).is_err());
         assert!(DiscreteDistribution::new(vec![1.0], vec![-1.0]).is_err());
         assert!(DiscreteDistribution::new(vec![1.0], vec![0.0]).is_err());
+        assert!(DiscreteDistribution::new(vec![1.0, 2.0], vec![f64::MAX, f64::MAX]).is_err());
     }
 
     #[test]
@@ -322,6 +331,17 @@ mod tests {
         let d = DiscreteDistribution::new(vec![1.0, 2.0, 3.0], vec![0.5, 0.0, 0.5]).unwrap();
         assert_eq!(d.len(), 2);
         assert_eq!(d.values(), &[1.0, 3.0]);
+    }
+
+    #[test]
+    fn drops_points_whose_probability_rounds_to_zero() {
+        // 2⁻¹⁰⁷⁴ / 2 = 2⁻¹⁰⁷⁵ rounds to 0: the point carries no mass, so
+        // it is not part of the support, and every suffix mass is positive.
+        let d = DiscreteDistribution::new(vec![1.0, 2.0], vec![2.0, f64::from_bits(1)]).unwrap();
+        assert_eq!(d.values(), &[1.0]);
+        assert_eq!(d.probs(), &[1.0]);
+        assert_eq!(d.raw_mass, 2.0);
+        assert_eq!(d.suffix_masses(), vec![1.0, 0.0]);
     }
 
     #[test]

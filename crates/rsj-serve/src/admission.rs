@@ -4,9 +4,9 @@
 //! Load shedding happens at admission, not after latency has already
 //! collapsed: once the queue depth crosses the **high watermark** the
 //! queue enters *shedding* mode and rejects every new request until depth
-//! drains back to the **low watermark**. The hard `capacity` is a final
-//! backstop above the high watermark. The reactor answers a rejected
-//! request inline with a typed
+//! drains back to the **low watermark**, so the high watermark is also
+//! the queue's bound. The reactor answers a rejected request inline with
+//! a typed
 //! [`ErrorKind::Overloaded`](crate::ErrorKind::Overloaded) line instead of
 //! parking it in an unbounded backlog.
 //!
@@ -24,9 +24,8 @@ use std::sync::{Condvar, Mutex};
 /// Sizing of an `AdmissionQueue`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// Hard bound on queued items; admission above it always sheds.
-    pub capacity: usize,
-    /// Depth at which shedding mode begins.
+    /// Depth at which shedding mode begins: no item is admitted at or
+    /// above it.
     pub high_watermark: usize,
     /// Depth at which shedding mode ends (must be ≤ `high_watermark`).
     pub low_watermark: usize,
@@ -35,7 +34,6 @@ pub struct AdmissionConfig {
 impl Default for AdmissionConfig {
     fn default() -> Self {
         Self {
-            capacity: 256,
             high_watermark: 192,
             low_watermark: 64,
         }
@@ -43,16 +41,13 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// Clamps the watermarks into a usable shape: `low ≤ high ≤ capacity`,
-    /// capacity at least 1.
+    /// Clamps the watermarks into a usable shape: `low ≤ high`, high at
+    /// least 1.
     pub(crate) fn normalized(self) -> Self {
-        let capacity = self.capacity.max(1);
-        let high = self.high_watermark.min(capacity).max(1);
-        let low = self.low_watermark.min(high);
+        let high = self.high_watermark.max(1);
         Self {
-            capacity,
             high_watermark: high,
-            low_watermark: low,
+            low_watermark: self.low_watermark.min(high),
         }
     }
 }
@@ -97,7 +92,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Admits `item` or hands it back for shedding. Rejection reasons:
     /// shedding mode (entered at the high watermark, left at the low
-    /// one), hard capacity, or a closed queue.
+    /// one) or a closed queue.
     pub(crate) fn try_admit(&self, item: T) -> Result<(), T> {
         let mut state = self.state.lock().expect("admission lock");
         if state.closed {
@@ -110,7 +105,7 @@ impl<T> AdmissionQueue<T> {
         if !state.shedding && depth >= self.config.high_watermark {
             state.shedding = true;
         }
-        if state.shedding || depth >= self.config.capacity {
+        if state.shedding {
             return Err(item);
         }
         state.queue.push_back(item);
@@ -155,9 +150,8 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn cfg(capacity: usize, high: usize, low: usize) -> AdmissionConfig {
+    fn cfg(high: usize, low: usize) -> AdmissionConfig {
         AdmissionConfig {
-            capacity,
             high_watermark: high,
             low_watermark: low,
         }
@@ -165,7 +159,7 @@ mod tests {
 
     #[test]
     fn admits_until_high_watermark_then_sheds_until_low() {
-        let q = AdmissionQueue::new(cfg(10, 4, 2));
+        let q = AdmissionQueue::new(cfg(4, 2));
         for i in 0..4 {
             q.try_admit(i).unwrap_or_else(|_| panic!("admit {i}"));
         }
@@ -181,8 +175,8 @@ mod tests {
 
     #[test]
     fn hard_capacity_sheds_even_without_watermark_transition() {
-        // high == capacity: no hysteresis band, pure bounded queue.
-        let q = AdmissionQueue::new(cfg(2, 2, 2));
+        // high == low: no hysteresis band, pure bounded queue.
+        let q = AdmissionQueue::new(cfg(2, 2));
         q.try_admit(1).unwrap();
         q.try_admit(2).unwrap();
         assert_eq!(q.try_admit(3), Err(3));
@@ -219,11 +213,10 @@ mod tests {
 
     #[test]
     fn degenerate_configs_are_normalized() {
-        let c = cfg(0, 0, 9).normalized();
-        assert_eq!(c.capacity, 1);
+        let c = cfg(0, 9).normalized();
         assert_eq!(c.high_watermark, 1);
         assert_eq!(c.low_watermark, 1);
-        let c = cfg(8, 100, 100).normalized();
+        let c = cfg(8, 100).normalized();
         assert_eq!(c.high_watermark, 8);
         assert_eq!(c.low_watermark, 8);
     }

@@ -11,7 +11,7 @@
 //!
 //! The CRC-32 (IEEE, the zlib/PNG polynomial) covers the payload bytes, so
 //! any single-byte corruption of a frame — header or body — is detected.
-//! Snapshot files (see the `snapshot` module) reuse the identical framing:
+//! Snapshot files (see the `durable` module) reuse the identical framing:
 //! one codec, one recovery reader.
 //!
 //! Decoding is *forensic*, never trusting: the [`RecordScanner`] walks a
@@ -33,7 +33,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use reservation_strategies::{plan_digest, Plan};
@@ -109,39 +109,6 @@ pub struct JournalRecord {
     pub key: String,
     /// The solved plan, digest included.
     pub plan: Plan,
-}
-
-/// Why the journal could not be written.
-#[derive(Debug)]
-pub enum JournalError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// The record did not serialize (a bug, not an operational fault).
-    Encode(String),
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
-            JournalError::Encode(m) => write!(f, "journal encode error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            JournalError::Io(e) => Some(e),
-            JournalError::Encode(_) => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
-    }
 }
 
 /// A typed decoding fault: one damaged frame, located by byte offset.
@@ -231,18 +198,23 @@ const FRAME_CAPACITY: usize = RECORD_HEADER_BYTES + 1024;
 
 /// Encodes one record as a complete frame (header + payload): the
 /// payload streams into the frame buffer behind a placeholder header,
-/// whose length and CRC are then filled in.
-pub fn encode_record(record: &JournalRecord) -> Result<Vec<u8>, JournalError> {
+/// whose length and CRC are then filled in. A record that does not
+/// serialize, or outgrows `MAX_RECORD_BYTES`, is an `InvalidData` error.
+pub fn encode_record(record: &JournalRecord) -> io::Result<Vec<u8>> {
     let mut frame = Vec::with_capacity(FRAME_CAPACITY);
     frame.extend_from_slice(&RECORD_MAGIC);
     frame.resize(RECORD_HEADER_BYTES, 0);
-    serde_json::to_writer(&mut frame, record).map_err(|e| JournalError::Encode(e.to_string()))?;
+    serde_json::to_writer(&mut frame, record)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let (header, payload) = frame.split_at_mut(RECORD_HEADER_BYTES);
     if payload.len() > MAX_RECORD_BYTES {
-        return Err(JournalError::Encode(format!(
-            "record payload {} bytes exceeds MAX_RECORD_BYTES",
-            payload.len()
-        )));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "record payload {} bytes exceeds MAX_RECORD_BYTES",
+                payload.len()
+            ),
+        ));
     }
     header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
@@ -417,7 +389,7 @@ impl JournalWriter {
     /// Opens (creating if needed) the journal at `path` for appending.
     /// `fsync` additionally issues `sync_data` per append, extending the
     /// durability guarantee from process death to machine death.
-    pub fn open(path: impl Into<PathBuf>, fsync: bool) -> Result<Self, JournalError> {
+    pub fn open(path: impl Into<PathBuf>, fsync: bool) -> io::Result<Self> {
         let path = path.into();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
@@ -429,7 +401,7 @@ impl JournalWriter {
 
     /// Appends one record and flushes it to the OS; returns the frame
     /// size in bytes. After `Ok`, the record survives `kill -9`.
-    pub fn append(&mut self, record: &JournalRecord) -> Result<usize, JournalError> {
+    pub fn append(&mut self, record: &JournalRecord) -> io::Result<usize> {
         let frame = encode_record(record)?;
         self.file.write_all(&frame)?;
         self.file.flush()?;
@@ -442,7 +414,7 @@ impl JournalWriter {
     /// Empties the journal — called right after a snapshot compaction has
     /// durably captured everything the journal held. The file is
     /// truncated in place and the handle reopened for appending.
-    pub(crate) fn reset(&mut self) -> Result<(), JournalError> {
+    pub(crate) fn reset(&mut self) -> io::Result<()> {
         self.file.flush()?;
         let file = OpenOptions::new()
             .create(true)
@@ -460,7 +432,7 @@ impl JournalWriter {
 
     /// Forces everything buffered out to disk (`sync_data`), regardless
     /// of the per-append `fsync` setting.
-    pub(crate) fn sync(&mut self) -> Result<(), JournalError> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         self.file.flush()?;
         self.file.get_ref().sync_data()?;
         Ok(())
@@ -470,39 +442,53 @@ impl JournalWriter {
 /// Reads a journal (or snapshot) file fully into memory for scanning. A
 /// missing file is an empty journal, not an error — the first boot of a
 /// fresh `--journal-dir` has nothing to replay.
-pub fn read_log_bytes(path: &Path) -> std::io::Result<Vec<u8>> {
+pub fn read_log_bytes(path: &Path) -> io::Result<Vec<u8>> {
     match std::fs::read(path) {
         Ok(bytes) => Ok(bytes),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
         Err(e) => Err(e),
+    }
+}
+
+/// Records and scratch directories shared by the journal and durability
+/// unit tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::*;
+
+    /// A digest-consistent record keyed `key-{tag}`.
+    pub(crate) fn record(tag: &str, seq: &[f64]) -> JournalRecord {
+        JournalRecord {
+            key: format!("key-{tag}"),
+            plan: Plan {
+                distribution: format!("dist-{tag}"),
+                solver: "mean_by_mean".to_string(),
+                sequence: seq.to_vec(),
+                complete: true,
+                expected_cost: 2.5,
+                omniscient_cost: 1.25,
+                normalized_cost: 2.0,
+                coverage_gap: 0.0,
+                digest: plan_digest(seq.iter().copied()),
+                simulation: None,
+            },
+        }
+    }
+
+    /// A fresh, empty directory under the system temp dir, unique to
+    /// `tag` and this process.
+    pub(crate) fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rsj_unit_{}_{}", tag, std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::fixtures::{record, temp_dir};
     use super::*;
-
-    pub(crate) fn test_plan(tag: &str, seq: &[f64]) -> Plan {
-        Plan {
-            distribution: format!("dist-{tag}"),
-            solver: "mean_by_mean".to_string(),
-            sequence: seq.to_vec(),
-            complete: true,
-            expected_cost: 2.5,
-            omniscient_cost: 1.25,
-            normalized_cost: 2.0,
-            coverage_gap: 0.0,
-            digest: plan_digest(seq.iter().copied()),
-            simulation: None,
-        }
-    }
-
-    pub(crate) fn record(tag: &str, seq: &[f64]) -> JournalRecord {
-        JournalRecord {
-            key: format!("key-{tag}"),
-            plan: test_plan(tag, seq),
-        }
-    }
 
     fn stream(records: &[JournalRecord]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -712,13 +698,8 @@ mod tests {
         // With `fsync` the same calls also run `sync_data` per append and
         // `sync_all` on reset; the bytes read back must not change.
         for fsync in [false, true] {
-            let dir = std::env::temp_dir().join(format!(
-                "rsj_journal_test_{}_fsync_{fsync}",
-                std::process::id()
-            ));
-            std::fs::create_dir_all(&dir).unwrap();
+            let dir = temp_dir(&format!("journal_fsync_{fsync}"));
             let path = dir.join(JOURNAL_FILE);
-            let _ = std::fs::remove_file(&path);
 
             let mut writer = JournalWriter::open(&path, fsync).unwrap();
             let a = record("a", &[1.0]);

@@ -47,13 +47,15 @@
 //! * **Chaos** ([`chaos`]) — a seed-reproducible fault-injection policy
 //!   and TCP proxy for the hardening tests, plus a seeded
 //!   journal-[`CorruptionPolicy`] for recovery testing.
-//! * **Durability** ([`journal`] / `snapshot` / [`recovery`]) — a
-//!   CRC32-framed append-only plan journal with periodic atomically-renamed
-//!   snapshot compactions, and a startup recovery path that warm-fills the
-//!   cache, skipping torn or bit-flipped records with typed faults and
-//!   re-verifying every recovered plan's FNV-1a digest. `health`/`ready`
-//!   protocol ops expose the recovery posture; `plan` requests are shed
-//!   with a typed `not_ready` until recovery completes.
+//! * **Durability** ([`journal`] / `durable`) — a CRC32-framed
+//!   append-only plan journal (`journal`: the frame format and the
+//!   forensic scanner) behind one handle (`durable`) that recovers the
+//!   cache at startup ([`recover`]: newest usable snapshot plus the
+//!   journal tail, torn or bit-flipped records skipped with typed faults,
+//!   every recovered digest re-verified), appends before each response,
+//!   compacts into an atomically renamed snapshot and syncs at drain.
+//!   `health`/`ready` protocol ops expose the recovery posture; `plan`
+//!   requests are shed with a typed `not_ready` until recovery completes.
 //!
 //! ```no_run
 //! use rsj_serve::{Client, Request, Server, ServerConfig};
@@ -75,25 +77,24 @@ pub(crate) mod admission;
 pub(crate) mod cache;
 pub mod chaos;
 pub(crate) mod client;
+pub(crate) mod durable;
 pub mod journal;
 pub(crate) mod poll;
 pub(crate) mod protocol;
-pub mod recovery;
 pub(crate) mod retry;
 pub(crate) mod server;
 pub(crate) mod singleflight;
-pub(crate) mod snapshot;
 
 pub use admission::AdmissionConfig;
 pub use cache::PlanCache;
 pub use chaos::{ChaosPolicy, ChaosProxy, CorruptionPolicy};
 pub use client::{Client, ClientError};
+pub use durable::{recover, DurabilityConfig, RecoveryStats};
 pub use journal::{JournalRecord, JournalWriter};
 pub use protocol::{
     decode_request, encode, BatchItem, ErrorKind, HealthInfo, Provenance, Request, Response,
     Timings, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
-pub use recovery::recover;
 pub use reservation_strategies::PlanRequest;
 pub use retry::{ResilientClient, RetryPolicy};
-pub use server::{DurabilityConfig, Server, ServerConfig, ShutdownHandle};
+pub use server::{Server, ServerConfig, ShutdownHandle};

@@ -31,7 +31,7 @@ use rsj_core::{CostModel, SolverSpec};
 use rsj_dist::DistSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::recovery::RecoveryStats;
+use crate::durable::RecoveryStats;
 
 /// The baseline protocol version, and the default when a frame omits `v`
 /// — so every bare-`op` one-liner and every pre-v2 client keeps working

@@ -43,7 +43,6 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -53,50 +52,13 @@ use reservation_strategies::{CancelToken, Plan, PlanRequest, Planner, RsjError, 
 use crate::admission::{AdmissionConfig, AdmissionQueue};
 use crate::cache::PlanCache;
 use crate::chaos::ChaosPolicy;
-use crate::journal::{JournalRecord, JournalWriter, JOURNAL_FILE};
+use crate::durable::{DurabilityConfig, Journal, RecoveryStats};
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
     classify, decode_request, encode, sanitize_trace_id, BatchItem, ErrorKind, HealthInfo,
     Provenance, Request, Response, Timings, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
-use crate::recovery::{recover, RecoveryStats};
 use crate::singleflight::{Flighted, SingleFlight};
-use crate::snapshot::SnapshotStore;
-
-/// Crash-safety settings: where the plan journal lives and how often it
-/// compacts into a snapshot. See [`crate::journal`] / the `snapshot` module
-/// / [`crate::recovery`] for the machinery.
-#[derive(Debug, Clone)]
-pub struct DurabilityConfig {
-    /// Directory holding `journal.log` and `snapshot-*.snap`; created if
-    /// missing. Restarting against the same directory warm-fills the
-    /// cache.
-    pub dir: PathBuf,
-    /// Compact the journal into a snapshot every this many appends
-    /// (0 disables snapshots; the journal then grows unboundedly until
-    /// restart).
-    pub snapshot_every: u64,
-    /// `sync_data` per append: extends the durability guarantee from
-    /// process death (`kill -9`) to machine death, at a large per-append
-    /// cost. Off by default.
-    pub fsync: bool,
-    /// Test-only: stall recovery by this long before it starts, to make
-    /// the not-ready window observable. `None` in production.
-    pub recovery_delay: Option<Duration>,
-}
-
-impl DurabilityConfig {
-    /// Durability rooted at `dir` with the default snapshot cadence
-    /// (every 64 appends) and no per-append fsync.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            snapshot_every: 64,
-            fsync: false,
-            recovery_delay: None,
-        }
-    }
-}
 
 /// Lock shards of the plan cache.
 const CACHE_SHARDS: usize = 8;
@@ -120,7 +82,7 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Longest accepted request line, in bytes.
     pub max_line_bytes: usize,
-    /// Admission-queue sizing (capacity and shed watermarks).
+    /// Admission-queue sizing (the shed watermarks).
     pub admission: AdmissionConfig,
     /// Fault-injection schedule; `None` in production.
     pub chaos: Option<ChaosPolicy>,
@@ -239,13 +201,12 @@ impl Outbox {
     }
 }
 
-/// The journal's write-side state, installed once recovery completes.
-struct JournalState {
-    writer: JournalWriter,
-    store: SnapshotStore,
-    appends_since_snapshot: u64,
-    next_generation: u64,
-    snapshot_every: u64,
+/// What startup publishes, once: recovery's stats and the journal. Both
+/// are `None` on a memory-only server, and either is `None` when its half
+/// of a durable start failed.
+struct Startup {
+    recovery: Option<RecoveryStats>,
+    journal: Option<Mutex<Journal>>,
 }
 
 struct Shared {
@@ -255,14 +216,9 @@ struct Shared {
     admission: AdmissionQueue<WorkItem>,
     outbox: Outbox,
     shutdown: Arc<AtomicBool>,
-    /// Raised once startup recovery (if any) has finished; `plan`
-    /// requests are shed with a typed `not_ready` until then.
-    recovered: AtomicBool,
-    /// What recovery found, for the `health` op.
-    recovery: Mutex<Option<RecoveryStats>>,
-    /// The journal writer; `None` until recovery installs it (and always
-    /// `None` without a [`DurabilityConfig`]).
-    journal: Mutex<Option<JournalState>>,
+    /// Set once startup recovery (if any) has finished; `plan` requests
+    /// are shed with a typed `not_ready` until then.
+    startup: OnceLock<Startup>,
     /// Completed request timelines, served by the `trace` op; `None`
     /// when the server runs without `--trace-buffer`.
     trace: Option<rsj_obs::TraceRing>,
@@ -274,7 +230,11 @@ impl Shared {
     }
 
     fn is_recovered(&self) -> bool {
-        self.recovered.load(Ordering::SeqCst)
+        self.startup.get().is_some()
+    }
+
+    fn journal(&self) -> Option<&Mutex<Journal>> {
+        self.startup.get()?.journal.as_ref()
     }
 
     /// Readiness: recovered, not draining, and the queue below its shed
@@ -292,71 +252,18 @@ impl Shared {
             draining: self.shutting_down(),
             queue_depth: self.admission.depth(),
             cache_entries: self.cache.len(),
-            recovery: self
-                .recovery
-                .lock()
-                .expect("recovery lock poisoned")
-                .clone(),
+            recovery: self.startup.get().and_then(|s| s.recovery.clone()),
         }
     }
 
     /// Journals one solved plan (append-before-response, so anything a
-    /// client heard back survives `kill -9`), compacting into a snapshot
-    /// every `snapshot_every` appends. Journal failures are logged and
-    /// counted, never propagated: serving degrades to memory-only rather
-    /// than failing requests over a full disk.
+    /// client heard back survives `kill -9`); a no-op without a journal.
     fn journal_append(&self, key: &str, plan: &Plan) {
-        let mut guard = self.journal.lock().expect("journal lock poisoned");
-        let Some(state) = guard.as_mut() else { return };
-        let record = JournalRecord {
-            key: key.to_string(),
-            plan: plan.clone(),
-        };
-        match state.writer.append(&record) {
-            Ok(_) => counter("rsj_serve_journal_appends_total").inc(),
-            Err(e) => {
-                counter("rsj_serve_journal_errors_total").inc();
-                rsj_obs::warn!("journal append failed (serving continues memory-only): {e}");
-                return;
-            }
-        }
-        rsj_obs::global_registry()
-            .gauge("rsj_serve_cache_entries")
-            .set(self.cache.len() as f64);
-        state.appends_since_snapshot += 1;
-        if state.snapshot_every > 0 && state.appends_since_snapshot >= state.snapshot_every {
-            let entries = self.cache.entries();
-            let records: Vec<JournalRecord> = entries
-                .into_iter()
-                .map(|(key, plan)| JournalRecord {
-                    key,
-                    plan: (*plan).clone(),
-                })
-                .collect();
-            match state.store.write(state.next_generation, &records) {
-                Ok(path) => {
-                    counter("rsj_serve_snapshots_total").inc();
-                    rsj_obs::info!(
-                        "snapshot generation {} written ({} records) to {}",
-                        state.next_generation,
-                        records.len(),
-                        path.display()
-                    );
-                    state.next_generation += 1;
-                    state.appends_since_snapshot = 0;
-                    // The snapshot durably holds everything; the journal
-                    // restarts empty. Order matters: truncating *before*
-                    // the rename lands would open a loss window.
-                    if let Err(e) = state.writer.reset() {
-                        counter("rsj_serve_journal_errors_total").inc();
-                        rsj_obs::warn!("journal truncate after snapshot failed: {e}");
-                    }
-                }
-                Err(e) => {
-                    counter("rsj_serve_journal_errors_total").inc();
-                    rsj_obs::warn!("snapshot write failed (journal keeps growing): {e}");
-                }
-            }
+        if let Some(journal) = self.journal() {
+            journal
+                .lock()
+                .expect("journal lock poisoned")
+                .append(key, plan, &self.cache);
         }
     }
 }
@@ -384,9 +291,7 @@ impl Server {
             admission,
             outbox: Outbox::new(),
             shutdown: Arc::new(AtomicBool::new(false)),
-            recovered: AtomicBool::new(false),
-            recovery: Mutex::new(None),
-            journal: Mutex::new(None),
+            startup: OnceLock::new(),
             trace,
         });
         Ok(Self {
@@ -426,13 +331,23 @@ impl Server {
                 Some(
                     std::thread::Builder::new()
                         .name("rsj-serve-recovery".to_string())
-                        .spawn(move || run_recovery(&shared, &durability))
+                        .spawn(move || {
+                            let (journal, recovery) = Journal::open(&durability, &shared.cache);
+                            let _ = shared.startup.set(Startup {
+                                recovery,
+                                journal: journal.map(Mutex::new),
+                            });
+                            rsj_obs::info!("rsj-serve ready ({} plans warm)", shared.cache.len());
+                        })
                         .expect("spawn recovery thread"),
                 )
             }
             None => {
                 // Nothing to recover: ready as soon as we listen.
-                shared.recovered.store(true, Ordering::SeqCst);
+                let _ = shared.startup.set(Startup {
+                    recovery: None,
+                    journal: None,
+                });
                 None
             }
         };
@@ -476,17 +391,9 @@ impl Server {
         if let Some(t) = recovery_thread {
             let _ = t.join();
         }
-        // Force the journal tail to disk on a clean exit: a graceful
-        // drain should leave nothing for the OS page cache to lose.
-        if let Some(state) = shared
-            .journal
-            .lock()
-            .expect("journal lock poisoned")
-            .as_mut()
-        {
-            if let Err(e) = state.writer.sync() {
-                rsj_obs::warn!("journal sync on drain failed: {e}");
-            }
+        // A graceful drain leaves nothing for the OS page cache to lose.
+        if let Some(journal) = shared.journal() {
+            journal.lock().expect("journal lock poisoned").sync();
         }
         rsj_obs::info!("rsj-serve stopped");
         result
@@ -909,7 +816,6 @@ impl Reactor {
         };
         match shared.admission.try_admit(item) {
             Ok(()) => {
-                queue_depth_gauge(&shared);
                 if let Some(Some(conn)) = self.conns.get_mut(token) {
                     conn.in_flight = true;
                 }
@@ -1128,61 +1034,11 @@ impl Reactor {
     }
 }
 
-/// The recovery thread body: warm the cache from disk, install the
-/// journal writer, flip `recovered`. An unusable journal directory is
-/// downgraded to memory-only serving with a warning — the server still
-/// becomes ready (an operator losing durability beats an operator losing
-/// serving).
-fn run_recovery(shared: &Shared, durability: &DurabilityConfig) {
-    if let Some(delay) = durability.recovery_delay {
-        std::thread::sleep(delay);
-    }
-    match recover(&durability.dir, &shared.cache) {
-        Ok(stats) => {
-            *shared.recovery.lock().expect("recovery lock poisoned") = Some(stats);
-        }
-        Err(e) => {
-            rsj_obs::warn!(
-                "recovery failed for {}; serving memory-only: {e}",
-                durability.dir.display()
-            );
-        }
-    }
-    match open_journal(durability) {
-        Ok(state) => {
-            *shared.journal.lock().expect("journal lock poisoned") = Some(state);
-        }
-        Err(e) => {
-            rsj_obs::warn!(
-                "cannot open journal in {}; serving memory-only: {e}",
-                durability.dir.display()
-            );
-        }
-    }
-    shared.recovered.store(true, Ordering::SeqCst);
-    rsj_obs::info!("rsj-serve ready ({} plans warm)", shared.cache.len());
-}
-
-fn open_journal(durability: &DurabilityConfig) -> std::io::Result<JournalState> {
-    let store = SnapshotStore::open(&durability.dir)?;
-    let next_generation = store.next_generation()?;
-    let writer = JournalWriter::open(durability.dir.join(JOURNAL_FILE), durability.fsync)
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    Ok(JournalState {
-        writer,
-        store,
-        appends_since_snapshot: 0,
-        next_generation,
-        snapshot_every: durability.snapshot_every,
-    })
-}
-
 /// One worker: dequeue one request at a time and handle it, absorbing
 /// handler panics so a poisoned request (or an injected chaos panic)
 /// never shrinks the pool.
 fn worker_loop(shared: &Shared) {
     while let Some(item) = shared.admission.pop() {
-        queue_depth_gauge(shared);
         process_item(shared, item);
     }
 }
@@ -1298,18 +1154,15 @@ fn counter(name: &str) -> rsj_obs::Counter {
     rsj_obs::global_registry().counter(name)
 }
 
-fn queue_depth_gauge(shared: &Shared) {
-    rsj_obs::global_registry()
-        .gauge("rsj_serve_queue_depth")
-        .set(shared.admission.depth() as f64);
-}
-
-/// Copies the discretization memo's counters into gauges at scrape time,
-/// so the solve path does no work for them.
-fn publish_eval_cache_gauges() {
+/// Sets every state gauge at scrape time — the admission queue's depth,
+/// the plan cache's size and the discretization memo's counters — so
+/// the request path does no work for them.
+fn publish_state_gauges(shared: &Shared) {
     let stats = rsj_dist::eval_cache_stats();
     let registry = rsj_obs::global_registry();
     for (name, value) in [
+        ("rsj_serve_queue_depth", shared.admission.depth() as f64),
+        ("rsj_serve_cache_entries", shared.cache.len() as f64),
         ("rsj_dist_eval_cache_hits", stats.hits as f64),
         ("rsj_dist_eval_cache_misses", stats.misses as f64),
         ("rsj_dist_eval_cache_evictions", stats.evictions as f64),
@@ -1450,7 +1303,7 @@ fn dispatch(
             false,
         ),
         Request::Metrics { .. } => {
-            publish_eval_cache_gauges();
+            publish_state_gauges(shared);
             (
                 Response::Metrics {
                     v: PROTOCOL_VERSION,

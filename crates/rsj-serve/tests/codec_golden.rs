@@ -14,10 +14,9 @@ use rsj_core::{CostModel, SolverSpec};
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_obs::{StageRecord, TimelineRecord};
 use rsj_serve::journal::JournalRecord;
-use rsj_serve::recovery::RecoveryStats;
 use rsj_serve::{
-    decode_request, encode, BatchItem, ErrorKind, HealthInfo, Provenance, Request, Response,
-    Timings, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
+    decode_request, encode, BatchItem, ErrorKind, HealthInfo, Provenance, RecoveryStats, Request,
+    Response, Timings, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
 use serde_json::{json, Value};
 

@@ -9,25 +9,13 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use reservation_strategies::{PlanRequest, Planner};
-use rsj_core::SolverSpec;
-use rsj_dist::{DiscretizationScheme, DistSpec};
+use rsj_dist::DistSpec;
 use rsj_serve::{
-    encode, AdmissionConfig, BatchItem, Client, ErrorKind, Request, Response, Server, ServerConfig,
+    encode, AdmissionConfig, BatchItem, Client, ErrorKind, Request, Response, ServerConfig,
 };
 
-fn spawn_server(
-    config: ServerConfig,
-) -> (
-    SocketAddr,
-    rsj_serve::ShutdownHandle,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
-}
+mod common;
+use common::{fast_dp, spawn_server};
 
 fn stop(handle: rsj_serve::ShutdownHandle, join: std::thread::JoinHandle<std::io::Result<()>>) {
     handle.signal();
@@ -43,15 +31,6 @@ fn raw_round_trip(addr: SocketAddr, line: &str) -> String {
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("read");
     reply
-}
-
-fn fast_dp() -> SolverSpec {
-    SolverSpec::Dp {
-        scheme: DiscretizationScheme::EqualProbability,
-        n: 150,
-        epsilon: 1e-6,
-        monotone: true,
-    }
 }
 
 /// The reactor assembles a frame no matter where the peer's writes split
@@ -217,7 +196,6 @@ fn five_hundred_twelve_connections_get_offline_identical_digests() {
     let (addr, handle, join) = spawn_server(ServerConfig {
         workers: 4,
         admission: AdmissionConfig {
-            capacity: 2048,
             high_watermark: 2048,
             low_watermark: 512,
         },

@@ -14,8 +14,7 @@
 //! [`registry_lock`].
 
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use reservation_strategies::{plan_digest, PlanRequest, Planner, SOLVER_REVISION};
@@ -27,19 +26,8 @@ use rsj_serve::{
     Request, Response, Server, ServerConfig,
 };
 
-fn registry_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rsj_recovery_{}_{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::{registry_lock, spawn_server, temp_dir};
 
 /// A distinct, fast DP request per index — deterministic, cacheable, and
 /// reproducible offline for digest comparison.
@@ -95,11 +83,7 @@ fn spawn_durable_server(
         }),
         ..ServerConfig::default()
     };
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
+    spawn_server(config)
 }
 
 fn wait_until_ready(addr: SocketAddr, timeout: Duration) {
@@ -168,7 +152,7 @@ fn child_server_process() {
 #[test]
 fn kill_neg9_mid_load_then_warm_restart() {
     let _guard = registry_lock();
-    let dir = temp_dir("kill9");
+    let dir = temp_dir("recovery", "kill9");
 
     // Re-exec this test binary at the child entry point.
     let exe = std::env::current_exe().expect("current exe");
@@ -303,7 +287,7 @@ fn kill_neg9_mid_load_then_warm_restart() {
 #[test]
 fn seeded_corruption_is_skipped_counted_and_survivors_recovered() {
     let _guard = registry_lock();
-    let dir = temp_dir("corrupt");
+    let dir = temp_dir("recovery", "corrupt");
 
     // Build a journal by serving plans, then drain cleanly.
     const PLANS: usize = 6;
@@ -376,7 +360,7 @@ fn seeded_corruption_is_skipped_counted_and_survivors_recovered() {
 #[test]
 fn snapshot_compaction_bounds_the_journal_and_recovers() {
     let _guard = registry_lock();
-    let dir = temp_dir("compact");
+    let dir = temp_dir("recovery", "compact");
 
     const PLANS: usize = 10;
     {
@@ -440,7 +424,7 @@ fn snapshot_compaction_bounds_the_journal_and_recovers() {
 #[test]
 fn plan_requests_are_shed_with_not_ready_until_recovery_completes() {
     let _guard = registry_lock();
-    let dir = temp_dir("notready");
+    let dir = temp_dir("recovery", "notready");
 
     let (addr, handle, join) = spawn_durable_server(&dir, 64, Some(Duration::from_millis(600)));
 
@@ -503,7 +487,7 @@ fn marker_plan(i: usize) -> reservation_strategies::Plan {
 #[test]
 fn records_of_an_older_solver_revision_are_recovered_but_never_served() {
     let _guard = registry_lock();
-    let dir = temp_dir("revision");
+    let dir = temp_dir("recovery", "revision");
     {
         let mut journal = JournalWriter::open(dir.join(JOURNAL_FILE), false).expect("journal");
         for (i, revision) in [(0, SOLVER_REVISION - 1), (1, SOLVER_REVISION)] {

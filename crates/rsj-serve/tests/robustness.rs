@@ -11,7 +11,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::ops::Range;
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use reservation_strategies::plan_digest;
@@ -19,37 +19,11 @@ use rsj_core::{DiscretizedDp, SolverSpec, Strategy};
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::{
     encode, AdmissionConfig, BatchItem, ChaosPolicy, Client, ClientError, ErrorKind, PlanRequest,
-    Request, ResilientClient, Response, RetryPolicy, Server, ServerConfig,
+    Request, ResilientClient, Response, RetryPolicy, ServerConfig,
 };
 
-fn registry_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-fn spawn_server(
-    config: ServerConfig,
-) -> (
-    std::net::SocketAddr,
-    rsj_serve::ShutdownHandle,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
-}
-
-fn counter_value(prometheus: &str, name: &str) -> u64 {
-    prometheus
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{name} ")))
-        .map(|v| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
-}
+mod common;
+use common::{counter_value, registry_lock, spawn_server};
 
 /// A brute-force Monte-Carlo plan slow enough (~2s in debug builds,
 /// ~0.4s in release) to hold a worker while the test probes the server's
@@ -143,14 +117,13 @@ fn burst(addr: SocketAddr, requests: Vec<Request>) -> Vec<Result<Response, Clien
 #[test]
 fn bursts_within_the_high_watermark_are_served_and_past_it_get_typed_sheds() {
     let _guard = registry_lock();
-    // One worker, a queue whose capacity and high watermark are both H,
+    // One worker, a queue whose high watermark is H,
     // and a chaos delay on every dispatch: the worker holds each request
     // for 150 ms whatever the solver or the build profile.
     const H: usize = 4;
     let (addr, handle, join) = spawn_server(ServerConfig {
         workers: 1,
         admission: AdmissionConfig {
-            capacity: H,
             high_watermark: H,
             low_watermark: 0,
         },

@@ -5,54 +5,15 @@
 //! counter deltas, and the shutdown test waits on a histogram count.
 //! Each test binds its own server on port 0.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use reservation_strategies::plan_digest;
 use rsj_core::{CostModel, DiscretizedDp, SolverSpec, Strategy};
 use rsj_dist::{DiscretizationScheme, DistSpec};
-use rsj_serve::{ChaosPolicy, Client, ErrorKind, Request, Response, Server, ServerConfig};
+use rsj_serve::{ChaosPolicy, Client, ErrorKind, Request, Response, ServerConfig};
 
-fn registry_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Binds a server, runs it on a background thread, returns the address
-/// plus a join handle resolving to `run()`'s result.
-fn spawn_server(
-    config: ServerConfig,
-) -> (
-    std::net::SocketAddr,
-    rsj_serve::ShutdownHandle,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
-}
-
-/// A cheap DP solver spec (fast enough to run nine times in a test).
-fn fast_dp() -> SolverSpec {
-    SolverSpec::Dp {
-        scheme: DiscretizationScheme::EqualProbability,
-        n: 150,
-        epsilon: 1e-6,
-        monotone: true,
-    }
-}
-
-fn counter_value(prometheus: &str, name: &str) -> u64 {
-    prometheus
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{name} ")))
-        .map(|v| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
-}
+mod common;
+use common::{counter_value, fast_dp, registry_lock, spawn_server};
 
 fn expect_plan(response: Response) -> (reservation_strategies::Plan, bool) {
     match response {
@@ -455,6 +416,27 @@ fn metrics_publish_eval_cache_gauges() {
     for name in ["rsj_dist_eval_cache_hits", "rsj_dist_eval_cache_evictions"] {
         assert!(gauge_value(&prometheus, name) >= 0.0);
     }
+
+    handle.signal();
+    drop(client);
+    join.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn metrics_publish_queue_and_cache_gauges_at_scrape() {
+    let _guard = registry_lock();
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    for mu in [2.23, 2.29] {
+        let request = Request::plan_with(DistSpec::LogNormal { mu, sigma: 0.61 }, fast_dp());
+        expect_plan(client.call(&request).expect("plan"));
+    }
+
+    // Read from the server's state by the scrape itself: the plan cache
+    // holds the two plans, and nothing else is queued.
+    let prometheus = client.metrics().expect("metrics");
+    assert_eq!(gauge_value(&prometheus, "rsj_serve_cache_entries"), 2.0);
+    assert_eq!(gauge_value(&prometheus, "rsj_serve_queue_depth"), 0.0);
 
     handle.signal();
     drop(client);

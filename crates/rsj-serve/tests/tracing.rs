@@ -6,41 +6,22 @@
 //! The process-global metrics registry is shared by every test in this
 //! binary, so all tests serialize on [`registry_lock`].
 
-use std::path::PathBuf;
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use reservation_strategies::{PlanRequest, Planner};
 use rsj_core::SolverSpec;
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::{
-    AdmissionConfig, ChaosPolicy, Client, DurabilityConfig, ErrorKind, Request, Response, Server,
+    AdmissionConfig, ChaosPolicy, Client, DurabilityConfig, ErrorKind, Request, Response,
     ServerConfig,
 };
 
+mod common;
+use common::{fast_dp, registry_lock, spawn_server, temp_dir};
+
 /// A valid 128-bit trace id in the canonical 32-hex form.
 const TRACE_ID: &str = "00000000000000000000000000c0ffee";
-
-fn registry_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-fn spawn_server(
-    config: ServerConfig,
-) -> (
-    std::net::SocketAddr,
-    rsj_serve::ShutdownHandle,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
-}
 
 /// Signals shutdown and unblocks the accept loop with a throwaway
 /// connection so `run()` returns.
@@ -62,16 +43,6 @@ fn traced_config(buffer: usize) -> ServerConfig {
     }
 }
 
-/// A cheap DP solver spec.
-fn fast_dp() -> SolverSpec {
-    SolverSpec::Dp {
-        scheme: DiscretizationScheme::EqualProbability,
-        n: 150,
-        epsilon: 1e-6,
-        monotone: true,
-    }
-}
-
 /// A solver heavy enough that the `solve` stage dominates the request —
 /// what the stage-coverage assertion needs.
 fn heavy_dp() -> SolverSpec {
@@ -81,13 +52,6 @@ fn heavy_dp() -> SolverSpec {
         epsilon: 1e-6,
         monotone: true,
     }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rsj_tracing_{}_{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// The `{name}_count` sample from a Prometheus exposition, 0 if absent.
@@ -151,7 +115,7 @@ fn error_responses_echo_the_client_trace_id_even_untraced() {
 #[test]
 fn not_ready_sheds_echo_the_client_trace_id() {
     let _guard = registry_lock();
-    let dir = temp_dir("notready");
+    let dir = temp_dir("tracing", "notready");
     let (addr, handle, join) = spawn_server(ServerConfig {
         durability: Some(DurabilityConfig {
             recovery_delay: Some(Duration::from_millis(800)),
@@ -186,7 +150,6 @@ fn overload_sheds_echo_the_client_trace_id() {
     let (addr, handle, join) = spawn_server(ServerConfig {
         workers: 1,
         admission: AdmissionConfig {
-            capacity: 1,
             high_watermark: 1,
             low_watermark: 0,
         },
