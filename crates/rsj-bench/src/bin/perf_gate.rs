@@ -24,6 +24,13 @@
 //! Each deep case also records the exact pass's `n(n+1)/2` transitions,
 //! so the log shows the fast path's work ratio on live data every run.
 //!
+//! Cold Beta and Gamma tables and simulated Beta and Gamma jobs spend
+//! their time in quantiles, each a Newton loop on an incomplete beta or
+//! gamma function. The gate counts those evaluations
+//! ([`rsj_dist::special::evaluations`]) for four cases: Table 1's Beta and
+//! Gamma equal-probability tables at `n = 1000`, and a 20,000-job
+//! `run_batch_seeded` of each law on one thread.
+//!
 //! Modes:
 //!
 //! * no arguments — run the workload and (re)write
@@ -31,15 +38,18 @@
 //! * `--check` — run the workload and compare against the committed
 //!   baseline: any digest mismatch, any case whose gate stops firing, a
 //!   total evaluation count over the 18 cases or over the near-tie cases
-//!   more than 10% above baseline, or a deep case whose count is more than
-//!   10% above its own baseline fails with exit code 1. Deep and near-tie
+//!   more than 10% above baseline, a deep case whose count is more than
+//!   10% above its own baseline, or a special-function count more than 10%
+//!   above its own baseline fails with exit code 1. Deep and near-tie
 //!   cases must always take the fast path.
 
 use rsj_bench::perf::{digest_f64s, PERF_SCHEMA_VERSION};
 use rsj_bench::report;
 use rsj_core::heuristics::{optimal_discrete, optimal_discrete_exact};
-use rsj_core::CostModel;
+use rsj_core::{CostModel, MeanDoubling, Strategy};
+use rsj_dist::special::evaluations;
 use rsj_dist::{discretize, DiscreteDistribution, DiscretizationScheme, DistSpec};
+use rsj_par::Parallelism;
 use serde::{Deserialize, Serialize};
 
 /// Discretization size of the gate workload — fixed (not fidelity-scaled)
@@ -54,6 +64,13 @@ const TOLERANCE: f64 = 0.10;
 const DEEP_N: usize = 10_000;
 /// Discretization size of the pinned near-tie instances.
 const NEAR_TIE_N: usize = 5000;
+/// Discretization size of the special-function table cases.
+const SPECIAL_TABLE_N: usize = 1000;
+/// Jobs of each special-function simulate case, as many as a simulated
+/// `offline_plan` call draws.
+const SPECIAL_JOBS: usize = 20_000;
+/// Seed of the simulated jobs.
+const SPECIAL_SEED: u64 = 2019;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct GateCase {
@@ -84,6 +101,18 @@ struct NearTieCase {
     case: GateCase,
 }
 
+/// Incomplete beta and gamma evaluations of one piece of quantile work on
+/// a Table 1 law.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct SpecialCase {
+    distribution: String,
+    /// `equal_probability` (a cold table) or `run_batch_seeded`.
+    work: String,
+    /// Table points or simulated jobs.
+    points: usize,
+    evaluations: u64,
+}
+
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct GateBaseline {
     schema_version: u32,
@@ -97,6 +126,8 @@ struct GateBaseline {
     /// Sum of `monotone_evals` over the near-tie cases, gated the same way.
     near_tie_monotone_evals: u64,
     near_ties: Vec<NearTieCase>,
+    /// Special-function evaluations, each case gated on its own.
+    special: Vec<SpecialCase>,
 }
 
 /// Solves `d` through the auto-dispatch entry point and records it.
@@ -201,6 +232,53 @@ fn near_tie_instances() -> Vec<(DistSpec, DiscretizationScheme, CostModel)> {
     ]
 }
 
+/// The special-function cases: Table 1's Beta and Gamma laws, each as a
+/// cold equal-probability table and as a simulated batch on this thread.
+fn special_cases() -> Vec<SpecialCase> {
+    let cost = CostModel::reservation_only();
+    let mut cases = Vec::new();
+    for (name, spec) in DistSpec::paper_table1() {
+        if !matches!(name, "Beta" | "Gamma") {
+            continue;
+        }
+        let dist = spec.build().expect("Table 1 specs build");
+        let before = evaluations();
+        discretize(
+            dist.as_ref(),
+            DiscretizationScheme::EqualProbability,
+            SPECIAL_TABLE_N,
+            GATE_EPSILON,
+        )
+        .expect("Table 1 discretizations succeed");
+        cases.push(SpecialCase {
+            distribution: name.to_string(),
+            work: "equal_probability".to_string(),
+            points: SPECIAL_TABLE_N,
+            evaluations: evaluations() - before,
+        });
+        let seq = MeanDoubling::default()
+            .sequence(dist.as_ref(), &cost)
+            .expect("mean doubling plans Table 1 laws");
+        let before = evaluations();
+        rsj_sim::run_batch_seeded(
+            &seq,
+            dist.as_ref(),
+            &cost,
+            SPECIAL_JOBS,
+            SPECIAL_SEED,
+            &Parallelism::serial(),
+        )
+        .expect("the batch runs");
+        cases.push(SpecialCase {
+            distribution: name.to_string(),
+            work: "run_batch_seeded".to_string(),
+            points: SPECIAL_JOBS,
+            evaluations: evaluations() - before,
+        });
+    }
+    cases
+}
+
 fn run_workload() -> GateBaseline {
     let cost = CostModel::reservation_only();
     let mut cases = Vec::new();
@@ -253,6 +331,7 @@ fn run_workload() -> GateBaseline {
         near_tie_n: NEAR_TIE_N,
         near_tie_monotone_evals: near_ties.iter().map(|c| c.case.monotone_evals).sum(),
         near_ties,
+        special: special_cases(),
     }
 }
 
@@ -288,10 +367,18 @@ fn compare_count(label: &str, base: u64, cur: u64, failures: &mut Vec<String>) {
     let limit = eval_limit(base);
     if cur > limit {
         failures.push(format!(
-            "{label}: monotone evaluations regressed >{:.0}%: {base} -> {cur} (limit {limit})",
+            "{label}: evaluations regressed >{:.0}%: {base} -> {cur} (limit {limit})",
             TOLERANCE * 100.0
         ));
     }
+}
+
+/// The current run's special-function case of `base`'s law and work.
+fn find_special<'a>(current: &'a GateBaseline, base: &SpecialCase) -> Option<&'a SpecialCase> {
+    current
+        .special
+        .iter()
+        .find(|c| c.distribution == base.distribution && c.work == base.work)
 }
 
 /// Matches each baseline case to the current run's case of the same
@@ -331,11 +418,12 @@ fn check(current: &GateBaseline) -> Result<(), String> {
         serde_json::from_str(&body).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
     let shape = |g: &GateBaseline| {
         let deep: Vec<usize> = g.deep.iter().map(|d| d.n).collect();
-        (g.n, deep, g.near_tie_n, g.epsilon)
+        let special: Vec<usize> = g.special.iter().map(|c| c.points).collect();
+        (g.n, deep, g.near_tie_n, special, g.epsilon)
     };
     if shape(&baseline) != shape(current) {
         return Err(format!(
-            "workload shape changed (baseline n, deep n, near-tie n, ε = {:?}, current {:?}); regenerate the baseline",
+            "workload shape changed (baseline n, deep n, near-tie n, special-function points, ε = {:?}, current {:?}); regenerate the baseline",
             shape(&baseline),
             shape(current)
         ));
@@ -378,6 +466,13 @@ fn check(current: &GateBaseline) -> Result<(), String> {
         current.near_tie_monotone_evals,
         &mut failures,
     );
+    for base in &baseline.special {
+        let label = format!("special {}/{}", base.distribution, base.work);
+        match find_special(current, base) {
+            Some(cur) => compare_count(&label, base.evaluations, cur.evaluations, &mut failures),
+            None => failures.push(format!("{label}: case missing from current run")),
+        }
+    }
     if !failures.is_empty() {
         return Err(failures.join("\n"));
     }
@@ -413,6 +508,20 @@ fn check(current: &GateBaseline) -> Result<(), String> {
         baseline.near_tie_monotone_evals,
         eval_limit(baseline.near_tie_monotone_evals)
     );
+    for base in &baseline.special {
+        let cur = find_special(current, base).expect("matched above");
+        println!(
+            "perf gate OK: special {}/{} over {} points: {} incomplete-function evaluations, \
+             {:.2} per point (baseline {}, limit {})",
+            cur.distribution,
+            cur.work,
+            cur.points,
+            cur.evaluations,
+            cur.evaluations as f64 / cur.points as f64,
+            base.evaluations,
+            eval_limit(base.evaluations)
+        );
+    }
     Ok(())
 }
 

@@ -83,6 +83,10 @@ impl ContinuousDistribution for BetaDist {
         self.ibeta.inverse(p)
     }
 
+    fn quantiles(&self, ps: &[f64]) -> Vec<f64> {
+        self.ibeta.inverses(ps)
+    }
+
     fn mean(&self) -> f64 {
         self.alpha / (self.alpha + self.beta)
     }

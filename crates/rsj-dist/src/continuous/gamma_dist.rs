@@ -82,6 +82,11 @@ impl ContinuousDistribution for GammaDist {
         self.igamma.inverse_p(p) / self.rate
     }
 
+    fn quantiles(&self, ps: &[f64]) -> Vec<f64> {
+        let xs = self.igamma.inverses_p(ps);
+        xs.into_iter().map(|x| x / self.rate).collect()
+    }
+
     fn mean(&self) -> f64 {
         self.shape / self.rate
     }

@@ -201,7 +201,10 @@ impl DiscreteDistribution {
 /// For unbounded supports, the upper bound is `b = Q(1 - epsilon)`; for
 /// bounded supports, the distribution's own upper endpoint is used and
 /// `epsilon` is ignored. `n` is the number of sampled points (the paper
-/// uses `n = 1000`, `ε = 1e-7`).
+/// uses `n = 1000`, `ε = 1e-7`). The equal-probability scheme inverts its
+/// `n` increasing probabilities as one
+/// [`quantiles`](ContinuousDistribution::quantiles) sweep and never needs
+/// `b` itself.
 pub fn discretize(
     dist: &dyn ContinuousDistribution,
     scheme: DiscretizationScheme,
@@ -224,25 +227,26 @@ pub fn discretize(
     }
     let support = dist.support();
     let a = support.lower();
-    let (b, fb) = match support.upper() {
-        Some(b) => (b, 1.0),
-        None => (dist.quantile(1.0 - epsilon), 1.0 - epsilon),
+    // The mass F(b) kept below the upper bound b.
+    let fb = if support.is_bounded() {
+        1.0
+    } else {
+        1.0 - epsilon
     };
 
-    let (mut values, mut weights) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    match scheme {
+    let (values, weights) = match scheme {
         DiscretizationScheme::EqualProbability => {
             let step = fb / n as f64;
-            for i in 1..=n {
-                // Clamp: i·(fb/n) can exceed fb by a rounding ulp at i = n,
-                // which steep heavy-tailed quantiles amplify past b.
-                let p = (i as f64 * step).min(fb);
-                values.push(dist.quantile(p));
-                weights.push(step);
-            }
+            // Clamp: i·(fb/n) can exceed fb by a rounding ulp at i = n,
+            // which steep heavy-tailed quantiles amplify past b. The
+            // probabilities increase, so the quantiles are one sweep.
+            let ps: Vec<f64> = (1..=n).map(|i| (i as f64 * step).min(fb)).collect();
+            (dist.quantiles(&ps), vec![step; n])
         }
         DiscretizationScheme::EqualTime => {
+            let b = support.upper().unwrap_or_else(|| dist.quantile(fb));
             let step = (b - a) / n as f64;
+            let (mut values, mut weights) = (Vec::with_capacity(n), Vec::with_capacity(n));
             let mut prev_cdf = dist.cdf(a);
             for i in 1..=n {
                 let v = a + i as f64 * step;
@@ -251,8 +255,9 @@ pub fn discretize(
                 weights.push((c - prev_cdf).max(0.0));
                 prev_cdf = c;
             }
+            (values, weights)
         }
-    }
+    };
 
     // Quantile plateaus can produce duplicate values (e.g. coarse grids on
     // spiky densities); merge them, keeping the combined mass.

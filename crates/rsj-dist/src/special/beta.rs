@@ -7,6 +7,7 @@
 //! seeded by the Abramowitz & Stegun 26.5.22 approximation.
 
 use super::gamma::ln_gamma;
+use super::LastPoint;
 
 /// Natural log of the complete beta function `ln B(a, b)`.
 pub fn ln_beta(a: f64, b: f64) -> f64 {
@@ -25,6 +26,7 @@ const FPMIN: f64 = f64::MIN_POSITIVE / EPS;
 
 /// Continued fraction for the incomplete beta function (Lentz's method).
 fn betacf(a: f64, b: f64, x: f64) -> f64 {
+    super::count_evaluation();
     let qab = a + b;
     let qap = a + 1.0;
     let qam = a - 1.0;
@@ -145,26 +147,27 @@ impl IncBeta {
     }
 
     /// Inverse of `I_·(a, b)`: the `x` with `I_x(a, b) = p`, for
-    /// `p ∈ [0, 1]`. Each Newton step takes `ln x` and `ln(1 − x)` once,
-    /// for both `I_x` and the density.
+    /// `p ∈ [0, 1]`, as a one-point sweep.
     ///
     /// # Panics
     /// Panics if `p` is outside `[0, 1]`.
     pub(crate) fn inverse(&self, p: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "inverse_beta_inc: p must be in [0, 1], got {p}"
-        );
-        if p == 0.0 {
-            return 0.0;
-        }
-        if p == 1.0 {
-            return 1.0;
-        }
-        let (a, b) = (self.a, self.b);
+        self.solve(p, None).0
+    }
 
-        // A&S 26.5.22 initial guess.
-        let mut x;
+    /// [`inverse`](Self::inverse) at each `p` of a sweep: in a
+    /// nondecreasing sweep each root starts from the point its predecessor
+    /// evaluated last (see [`super::sweep`]).
+    ///
+    /// # Panics
+    /// Panics if a `p` is outside `[0, 1]`.
+    pub(crate) fn inverses(&self, ps: &[f64]) -> Vec<f64> {
+        super::sweep(ps, |p, from| self.solve(p, from))
+    }
+
+    /// The A&S 26.5.22 initial guess for the root of `I_x(a, b) = p`.
+    fn cold_start(&self, p: f64) -> f64 {
+        let (a, b) = (self.a, self.b);
         if a >= 1.0 && b >= 1.0 {
             let pp = if p < 0.5 { p } else { 1.0 - p };
             let t = (-2.0 * pp.ln()).sqrt();
@@ -177,38 +180,66 @@ impl IncBeta {
             let ww = w * (al + h).sqrt() / h
                 - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
                     * (al + 5.0 / 6.0 - 2.0 / (3.0 * h));
-            x = a / (a + b * (2.0 * ww).exp());
+            a / (a + b * (2.0 * ww).exp())
         } else {
             let lna = (a / (a + b)).ln();
             let lnb = (b / (a + b)).ln();
             let t = (a * lna).exp() / a;
             let u = (b * lnb).exp() / b;
             let w = t + u;
-            x = if p < t / w {
+            if p < t / w {
                 (a * w * p).powf(1.0 / a)
             } else {
                 1.0 - (b * w * (1.0 - p)).powf(1.0 / b)
-            };
+            }
         }
+    }
+
+    /// The root of `I_x(a, b) = p` and the last point its loop evaluated.
+    /// It starts from the Taylor step off `from` when that lands inside
+    /// (0, 1), from the A&S guess otherwise. Each Newton step takes `ln x`
+    /// and `ln(1 − x)` once, for both `I_x` and the density.
+    fn solve(&self, p: f64, from: Option<LastPoint>) -> (f64, Option<LastPoint>) {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "inverse_beta_inc: p must be in [0, 1], got {p}"
+        );
+        if p == 0.0 {
+            return (0.0, None);
+        }
+        if p == 1.0 {
+            return (1.0, None);
+        }
+        let afac = -self.ln_b;
+        let a1 = self.a - 1.0;
+        let b1 = self.b - 1.0;
+        // f′/f = (a − 1)/x − (b − 1)/(1 − x).
+        let warm = from
+            .and_then(|last| last.taylor_start(p, a1 / last.x - b1 / (1.0 - last.x)))
+            .filter(|&x| x > 0.0 && x < 1.0);
+        let mut x = warm.unwrap_or_else(|| {
+            let x = self.cold_start(p);
+            if !x.is_finite() || x <= 0.0 || x >= 1.0 {
+                0.5
+            } else {
+                x
+            }
+        });
 
         // Bracketed Newton on (0, 1): bisection whenever the Newton step
         // leaves the bracket or the density degenerates. It stops on an
         // exact hit, once a Newton step moves `x` by at most 2 ulp, or when
         // the bracket collapses.
-        let afac = -self.ln_b;
-        let a1 = a - 1.0;
-        let b1 = b - 1.0;
         let mut lo = 0.0;
         let mut hi = 1.0;
-        if !x.is_finite() || x <= 0.0 || x >= 1.0 {
-            x = 0.5;
-        }
+        let mut last = None;
         for _ in 0..200 {
-            #[cfg(test)]
-            super::count_newton_step();
             let ln_x = x.ln();
             let ln_1mx = (1.0 - x).ln();
-            let err = self.regularized_ln(x, ln_x, ln_1mx) - p;
+            let value = self.regularized_ln(x, ln_x, ln_1mx);
+            let pdf = (a1 * ln_x + b1 * ln_1mx + afac).exp();
+            last = Some(LastPoint { x, value, pdf });
+            let err = value - p;
             if err == 0.0 {
                 break;
             }
@@ -217,7 +248,6 @@ impl IncBeta {
             } else {
                 lo = x;
             }
-            let pdf = (a1 * ln_x + b1 * ln_1mx + afac).exp();
             let mut xn = if pdf > 0.0 && pdf.is_finite() {
                 x - err / pdf
             } else {
@@ -232,7 +262,7 @@ impl IncBeta {
                 break;
             }
         }
-        x
+        (x, last)
     }
 }
 
@@ -357,17 +387,17 @@ mod tests {
         }
     }
 
-    /// About 10% above the measured counts: 4,842, 4,605 and 10,273 (4.8,
-    /// 4.6 and 10.3 per point). A loop that files an exact hit as below
-    /// the root and stops only below one ulp takes 12.9–16.9 per point on
-    /// these grids; either defect alone fails the first grid.
+    /// About 10% above the measured counts of the sweep `discretize` runs:
+    /// 2,515, 2,640 and 5,758 evaluations (2.5, 2.6 and 5.8 per point).
+    /// Starting every point cold, as the loop did before sweeps, takes
+    /// 4,842, 4,605 and 10,273 and fails each grid.
     #[test]
     fn equal_probability_grids_take_few_newton_steps() {
-        for (a, b, bound) in [(2.0, 2.0, 5_330), (2.3, 2.9, 5_070), (5.0, 1.2, 11_300)] {
-            let steps = super::super::grid_newton_steps(&crate::BetaDist::new(a, b).unwrap());
+        for (a, b, bound) in [(2.0, 2.0, 2_770), (2.3, 2.9, 2_900), (5.0, 1.2, 6_330)] {
+            let evals = super::super::grid_evaluations(&crate::BetaDist::new(a, b).unwrap());
             assert!(
-                steps <= bound,
-                "Beta({a}, {b}): {steps} Newton steps over 1000 points, bound {bound}"
+                evals <= bound,
+                "Beta({a}, {b}): {evals} evaluations over 1000 points, bound {bound}"
             );
         }
     }

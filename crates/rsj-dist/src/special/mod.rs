@@ -18,25 +18,80 @@ pub use erf::{erf, erfc};
 pub use gamma::{gamma, gamma_p, gamma_q, inverse_gamma_p, ln_gamma, upper_incomplete_gamma};
 pub use normal::{norm_cdf, norm_pdf, norm_quantile, norm_sf};
 
-#[cfg(test)]
 thread_local! {
-    /// Iterations of the bracketed Newton loops in [`beta`] and [`gamma`]
-    /// on this thread, so unit tests can count the steps a grid takes.
-    static NEWTON_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Incomplete beta and gamma evaluations on this thread.
+    static EVALUATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Counts one iteration of a bracketed Newton loop (test builds only).
-#[cfg(test)]
-fn count_newton_step() {
-    NEWTON_STEPS.with(|steps| steps.set(steps.get() + 1));
+/// Counts one evaluation of `I_x(a, b)`, `P(a, x)` or `Q(a, x)`: one
+/// continued fraction or series, the work a quantile's Newton step costs.
+fn count_evaluation() {
+    EVALUATIONS.with(|n| n.set(n.get() + 1));
 }
 
-/// Newton iterations over the n = 1000 equal-probability grid of `dist`,
-/// as `discretize` builds it (for an unbounded law, its upper bound
-/// `Q(1 − ε)` included).
+/// Incomplete beta and gamma evaluations this thread has made so far. A
+/// caller reads it before and after a piece of work and takes the
+/// difference: `perf_gate` gates it for cold tables and simulated jobs.
+pub fn evaluations() -> u64 {
+    EVALUATIONS.with(std::cell::Cell::get)
+}
+
+/// The last point a quantile loop evaluated: `x`, the function's value
+/// there and its density. The next root of a sweep starts from it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LastPoint {
+    pub(crate) x: f64,
+    pub(crate) value: f64,
+    pub(crate) pdf: f64,
+}
+
+impl LastPoint {
+    /// The second-order Taylor step of the quantile function from this
+    /// point to probability `p`: `x + d − ½·c·d²` with
+    /// `d = (p − value)/pdf` and `c = f′/f` at `x` (`log_slope`). `None`
+    /// when the second-order term would outgrow the first (`|c·d| > 2`):
+    /// the series then does not describe the quantile at `p`, as when `p`
+    /// lies orders of magnitude past `value` in a steep tail, and a start
+    /// that far off can leave the loop short of the root after its 200
+    /// iterations.
+    pub(crate) fn taylor_start(&self, p: f64, log_slope: f64) -> Option<f64> {
+        let d = (p - self.value) / self.pdf;
+        ((log_slope * d).abs() <= 2.0).then_some(self.x + d - 0.5 * log_slope * d * d)
+    }
+}
+
+/// Inverts one sweep: `solve(p, from)` returns the root of `p` and the
+/// last point its loop evaluated, starting from `from` when it is given
+/// and its [`LastPoint::taylor_start`] is trusted. Each `p` above its
+/// predecessor gets the predecessor's last point, and one below it starts
+/// cold, so any order gives correct values and only a nondecreasing one
+/// is fast. A repeated `p` reuses its predecessor's root.
+pub(crate) fn sweep(
+    ps: &[f64],
+    mut solve: impl FnMut(f64, Option<LastPoint>) -> (f64, Option<LastPoint>),
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(ps.len());
+    let mut prev: Option<(f64, f64, Option<LastPoint>)> = None;
+    for &p in ps {
+        let x = match prev {
+            Some((p0, x0, _)) if p == p0 => x0,
+            _ => {
+                let from = prev.and_then(|(p0, _, last)| last.filter(|_| p > p0));
+                let (x, last) = solve(p, from);
+                prev = Some((p, x, last));
+                x
+            }
+        };
+        out.push(x);
+    }
+    out
+}
+
+/// Incomplete-function evaluations over the n = 1000 equal-probability
+/// grid of `dist`, as `discretize` builds it.
 #[cfg(test)]
-fn grid_newton_steps(dist: &dyn crate::ContinuousDistribution) -> u64 {
-    let before = NEWTON_STEPS.with(|steps| steps.get());
+fn grid_evaluations(dist: &dyn crate::ContinuousDistribution) -> u64 {
+    let before = evaluations();
     crate::discretize(
         dist,
         crate::DiscretizationScheme::EqualProbability,
@@ -44,5 +99,5 @@ fn grid_newton_steps(dist: &dyn crate::ContinuousDistribution) -> u64 {
         1e-7,
     )
     .expect("a valid grid");
-    NEWTON_STEPS.with(|steps| steps.get()) - before
+    evaluations() - before
 }

@@ -8,7 +8,7 @@
 //! The [`oracle`] module keeps verbatim copies of the implementations
 //! that recomputed those constants on every call, down to the normal
 //! CDF/quantile built on them; the two Newton inverses carry the current
-//! stopping rule, so the suite still isolates the cached constants. Every
+//! loop, so the suite still isolates the cached constants. Every
 //! test here asserts that the current code returns the same bits as those
 //! copies — for the free functions
 //! and for `pdf`, `cdf`, `survival`, `quantile`,
@@ -30,9 +30,12 @@ use rsj_dist::{
 /// Verbatim copies of the special functions as they were before the
 /// per-law constants were cached. Only `pub` visibility, the lint
 /// attribute and the names of the two iteration caps differ, and both
-/// inverses follow the current stopping rule: they stop on an exact hit
-/// (`err == 0`), and the beta inverse once a Newton step is at most 2 ulp
-/// (it stopped on `dx ≤ 1e-16·x` before). `ln_gamma`, `gamma` and
+/// inverses follow the current loop: they stop on an exact hit
+/// (`err == 0`), the beta inverse once a Newton step is at most 2 ulp
+/// (it stopped on `dx ≤ 1e-16·x` before), and the gamma inverse starts
+/// from the bracket (0, ∞) and doubles `x` until a point above the root
+/// makes it finite (it first searched for a finite `hi` by evaluating
+/// `P(a, hi)`, a value it never reused). `ln_gamma`, `gamma` and
 /// `norm_pdf` are unchanged and used from the crate.
 #[allow(clippy::excessive_precision)]
 mod oracle {
@@ -154,23 +157,11 @@ mod oracle {
             x = a; // always a valid interior point
         }
 
-        // Establish a bracket [lo, hi] with P(a, lo) < p < P(a, hi).
+        // Bracketed Newton on (0, ∞): a step that leaves the bracket
+        // bisects it once `hi` is finite and doubles `x` before, as does
+        // an underflowed density.
         let mut lo = 0.0;
-        let mut hi = x.max(a);
-        let mut guard = 0;
-        while gamma_p(a, hi) < p {
-            hi *= 2.0;
-            guard += 1;
-            if guard > 600 {
-                break;
-            }
-        }
-        if x <= lo || x >= hi {
-            x = 0.5 * (lo + hi); // keep the seed inside the bracket
-        }
-
-        // Bracketed Newton: fall back to bisection whenever the Newton step
-        // leaves the bracket or the density underflows.
+        let mut hi = f64::INFINITY;
         for _ in 0..200 {
             let err = gamma_p(a, x) - p;
             if err == 0.0 {
@@ -184,11 +175,15 @@ mod oracle {
             let pdf = (-x + a1 * x.ln() - gln).exp();
             let mut xn = if pdf > 0.0 { x - err / pdf } else { f64::NAN };
             if !xn.is_finite() || xn <= lo || xn >= hi {
-                xn = 0.5 * (lo + hi);
+                xn = if hi < f64::INFINITY {
+                    0.5 * (lo + hi)
+                } else {
+                    2.0 * x
+                };
             }
             let dx = (xn - x).abs();
             x = xn;
-            if dx <= 1e-15 * x.abs().max(1e-300) || hi - lo <= 1e-15 * hi {
+            if dx <= 1e-15 * x.abs().max(1e-300) || (hi < f64::INFINITY && hi - lo <= 1e-15 * hi) {
                 break;
             }
         }

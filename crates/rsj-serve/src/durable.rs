@@ -196,9 +196,11 @@ pub(crate) struct Journal {
 
 impl Journal {
     /// Recovers `cache` from `config.dir`, then opens the journal for
-    /// appending. Either step can fail on its own; a failure is logged
-    /// and leaves its half `None`, so the server still becomes ready (an
-    /// operator losing durability beats an operator losing serving).
+    /// appending. A failure is logged and leaves the server memory-only,
+    /// so it still becomes ready (an operator losing durability beats an
+    /// operator losing serving). A failed recovery opens no writer: its
+    /// first compaction would snapshot a cache that lacks the plans
+    /// recovery never read and then truncate the journal that holds them.
     pub(crate) fn open(
         config: &DurabilityConfig,
         cache: &PlanCache,
@@ -207,14 +209,16 @@ impl Journal {
             std::thread::sleep(delay);
         }
         let dir = &config.dir;
-        let stats = recover(dir, cache)
-            .inspect_err(|e| {
+        let stats = match recover(dir, cache) {
+            Ok(stats) => stats,
+            Err(e) => {
                 rsj_obs::warn!(
                     "recovery failed for {}; serving memory-only: {e}",
                     dir.display()
                 );
-            })
-            .ok();
+                return (None, None);
+            }
+        };
         let journal = next_generation(dir)
             .and_then(|next_generation| {
                 Ok(Self {
@@ -232,7 +236,7 @@ impl Journal {
                 );
             })
             .ok();
-        (journal, stats)
+        (journal, Some(stats))
     }
 
     /// Journals one solved plan, then compacts `cache` into a snapshot if
@@ -569,6 +573,41 @@ mod tests {
         assert!(generations(&dir).is_empty());
         let bytes = read_log_bytes(&dir.join(JOURNAL_FILE)).unwrap();
         assert_eq!(RecordScanner::new(&bytes).count(), 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_recovery_leaves_the_journal_for_the_next_restart() {
+        let dir = temp_dir("durable_failed_recovery");
+        let mut writer = JournalWriter::open(dir.join(JOURNAL_FILE), false).unwrap();
+        writer.append(&record("a", &[1.0])).unwrap();
+        writer.append(&record("b", &[2.0])).unwrap();
+        drop(writer);
+        // Named like snapshot generation 1, but a directory: recovery
+        // cannot read it.
+        let obstacle = dir.join("snapshot-00000001.snap");
+        fs::create_dir(&obstacle).unwrap();
+
+        let cache = PlanCache::new(16, 2);
+        let (journal, stats) = Journal::open(&durability(&dir, 1), &cache);
+        assert!(stats.is_none(), "recovery cannot read the obstacle");
+        // A plan solved while serving memory-only: with a writer open, its
+        // append would compact a cache without a and b and empty the
+        // journal.
+        let c = record("c", &[3.0]);
+        cache.insert(c.key.clone(), Arc::new(c.plan.clone()));
+        if let Some(mut journal) = journal {
+            journal.append(&c.key, &c.plan, &cache);
+        }
+
+        fs::remove_dir(&obstacle).unwrap();
+        let warm = PlanCache::new(16, 2);
+        let (journal, stats) = Journal::open(&durability(&dir, 1), &warm);
+        assert!(journal.is_some());
+        assert_eq!(stats.expect("recovery runs").journal_records, 2);
+        for tag in ["a", "b"] {
+            assert!(warm.get(&format!("key-{tag}")).is_some(), "lost {tag}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,7 @@
 use crate::error::SimError;
 use crate::wait_time::WaitTimeAnalysis;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rsj_core::{run_job, CostModel, ReservationSequence, RunOutcome};
 use rsj_dist::ContinuousDistribution;
 use rsj_par::{substream_seed, Parallelism};
@@ -77,11 +77,19 @@ pub fn run_batch(
     Ok(stats)
 }
 
+/// Jobs per quantile sweep in [`run_batch_seeded`]. Each chunk of the
+/// sorted uniforms starts cold, so the bits do not depend on the thread
+/// count.
+const SWEEP_CHUNK: usize = 4096;
+
 /// Runs `n` jobs through `seq` with **per-job seeded RNG substreams**: job
-/// `i` draws its duration from a fresh RNG seeded with
+/// `i` draws its uniform from a fresh RNG seeded with
 /// [`substream_seed`]`(seed, i)`, so the sampled workload is a function of
 /// `(seed, i)` alone — independent of execution order — and serial and
-/// parallel runs consume identical randomness. A non-finite or negative
+/// parallel runs consume identical randomness. Durations come by inverse
+/// transform: the uniforms are sorted and inverted as
+/// [`quantiles`](ContinuousDistribution::quantiles) sweeps of 4,096 jobs
+/// on `par`, then scattered back to job order. A non-finite or negative
 /// draw is a typed [`SimError::NonFiniteSample`] naming the lowest
 /// offending job index.
 pub fn run_batch_seeded(
@@ -96,16 +104,27 @@ pub fn run_batch_seeded(
         return Err(SimError::EmptyBatch);
     }
     let _span = rsj_obs::span!("sim.run_batch_seeded", "rsj_sim_batch_wall_seconds");
-    let results: Vec<Result<RunOutcome, SimError>> = par.try_par_run(n, |i| {
-        let mut rng = StdRng::seed_from_u64(substream_seed(seed, i as u64));
-        let t = dist.sample(&mut rng);
-        if !t.is_finite() || t < 0.0 {
-            return Err(SimError::NonFiniteSample { index: i, value: t });
-        }
-        Ok(run_job(seq, cost, t))
+    let uniforms: Vec<f64> = par.try_par_run(n, |i| {
+        StdRng::seed_from_u64(substream_seed(seed, i as u64)).gen::<f64>()
     })?;
-    // Results are in job order, so the first Err is the lowest index.
-    let outcomes = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    // Ties broken by job index, so the order is a function of the draws.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&i, &j| uniforms[i].total_cmp(&uniforms[j]).then(i.cmp(&j)));
+    let sorted: Vec<f64> = order.iter().map(|&i| uniforms[i]).collect();
+    let chunks: Vec<&[f64]> = sorted.chunks(SWEEP_CHUNK).collect();
+    let sweeps = par.try_par_map(&chunks, |_, chunk| dist.quantiles(chunk))?;
+    let mut durations = uniforms;
+    for (&i, t) in order.iter().zip(sweeps.into_iter().flatten()) {
+        durations[i] = t;
+    }
+    if let Some((index, &value)) = durations
+        .iter()
+        .enumerate()
+        .find(|(_, t)| !t.is_finite() || **t < 0.0)
+    {
+        return Err(SimError::NonFiniteSample { index, value });
+    }
+    let outcomes = par.try_par_map(&durations, |_, &t| run_job(seq, cost, t))?;
     let stats = aggregate(&outcomes)?;
     record_batch_metrics(&outcomes, &stats);
     Ok(stats)
@@ -275,6 +294,61 @@ mod tests {
             aggregate(&[bad]),
             Err(SimError::NonFiniteCost { index: 0, .. })
         ));
+    }
+
+    /// A law whose quantile is NaN below p = 0.01.
+    #[derive(Debug)]
+    struct NanBelowOnePercent;
+
+    impl ContinuousDistribution for NanBelowOnePercent {
+        fn name(&self) -> String {
+            "NanBelowOnePercent".into()
+        }
+        fn support(&self) -> rsj_dist::Support {
+            rsj_dist::Support::Bounded {
+                lower: 0.0,
+                upper: 1.0,
+            }
+        }
+        fn pdf(&self, _t: f64) -> f64 {
+            1.0
+        }
+        fn cdf(&self, t: f64) -> f64 {
+            t
+        }
+        fn quantile(&self, p: f64) -> f64 {
+            if p < 0.01 {
+                f64::NAN
+            } else {
+                p
+            }
+        }
+        fn mean(&self) -> f64 {
+            0.5
+        }
+        fn variance(&self) -> f64 {
+            1.0 / 12.0
+        }
+    }
+
+    /// The jobs are inverted in the order of their uniforms, across
+    /// several sweeps, yet the error names the lowest failing job index.
+    #[test]
+    fn a_non_finite_draw_names_the_lowest_job() {
+        let (n, seed) = (10_000, 11);
+        let first = (0..n)
+            .find(|&i| StdRng::seed_from_u64(substream_seed(seed, i as u64)).gen::<f64>() < 0.01)
+            .expect("some job draws below 0.01");
+        let seq = ReservationSequence::single(1.0).unwrap();
+        let c = CostModel::reservation_only();
+        for threads in [1, 3] {
+            let par = Parallelism::new(threads).unwrap();
+            let err = run_batch_seeded(&seq, &NanBelowOnePercent, &c, n, seed, &par).unwrap_err();
+            assert!(
+                matches!(err, SimError::NonFiniteSample { index, value } if index == first && value.is_nan()),
+                "{err:?}, expected job {first}"
+            );
+        }
     }
 
     #[test]

@@ -49,7 +49,12 @@ pub struct SimulateOptions {
 ///
 /// Revision 1: the Beta and Gamma quantiles' Newton loops stop on an exact
 /// hit, and the beta loop once a step is at most 2 ulp.
-pub const SOLVER_REVISION: u32 = 1;
+///
+/// Revision 2: Beta and Gamma equal-probability tables invert their
+/// probabilities as one sweep, each root started from the one before, and
+/// the gamma loop drops its bracket search (which moves Gamma equal-time
+/// tables through their upper bound `Q(1 − ε)`).
+pub const SOLVER_REVISION: u32 = 2;
 
 /// FNV-1a over the IEEE-754 bit patterns of `values`, rendered as 16 hex
 /// digits — the same digest convention as `rsj-bench`'s `perf_gate`, so
