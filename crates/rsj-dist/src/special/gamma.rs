@@ -214,19 +214,24 @@ impl IncGamma {
         super::sweep(ps, |p, from| self.solve(p, from))
     }
 
+    /// `ln x₀` for the leading series term at 0, `P(a, x) ≈ x^a/(a·Γ(a))`.
+    fn ln_series_start(&self, p: f64) -> f64 {
+        (p.ln() + self.a.ln() + self.gln) / self.a
+    }
+
     /// The initial guess for the root of `P(a, x) = p`: Wilson–Hilferty
     /// for `a > 1`, a two-piece low-`a` approximation otherwise.
     fn cold_start(&self, p: f64) -> f64 {
-        let (a, gln) = (self.a, self.gln);
+        let a = self.a;
         let x = if a > 1.0 {
             let z = norm_quantile(p);
             let t = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * a.sqrt());
             if t > 0.0 {
                 a * t * t * t
             } else {
-                // Deep lower tail where Wilson–Hilferty breaks down: use the
-                // leading series term P(a, x) ≈ x^a / (a Γ(a)).
-                ((p * a).ln() + gln).exp().powf(1.0 / a)
+                // Deep lower tail where Wilson–Hilferty breaks down: the
+                // leading series term.
+                self.ln_series_start(p).exp()
             }
         } else {
             let t = 1.0 - a * (0.253 + a * 0.12);
@@ -245,8 +250,10 @@ impl IncGamma {
 
     /// The root of `P(a, x) = p` and the last point its loop evaluated.
     /// It starts from the Taylor step off `from` when that lands in
-    /// (0, ∞), from the cold guess otherwise. Each Newton step takes
-    /// `ln x` once, for both `P` and the density.
+    /// (0, ∞); cold, from the series' leading term in the deep lower tail
+    /// (0 when the root underflows) and from [`cold_start`](Self::cold_start)
+    /// otherwise. Each Newton step takes `ln x` once, for both `P` and the
+    /// density.
     fn solve(&self, p: f64, from: Option<LastPoint>) -> (f64, Option<LastPoint>) {
         assert!(
             (0.0..=1.0).contains(&p),
@@ -259,20 +266,35 @@ impl IncGamma {
             return (f64::INFINITY, None);
         }
         let (a1, gln) = (self.a - 1.0, self.gln);
-        // f′/f = (a − 1)/x − 1.
+        // f′/f = (a − 1)/x − 1 and its two derivatives.
         let warm = from
-            .and_then(|last| last.taylor_start(p, a1 / last.x - 1.0))
+            .and_then(|last| {
+                let u = 1.0 / last.x;
+                last.taylor_start(p, [a1 * u - 1.0, -a1 * u * u, 2.0 * a1 * u * u * u])
+            })
             .filter(|&x| x > 0.0 && x < f64::INFINITY);
-        let mut x = warm.unwrap_or_else(|| self.cold_start(p));
+        let mut x = match warm {
+            Some(x) => x,
+            None => {
+                let deep = super::deep_tail_start(self.ln_series_start(p));
+                let x = deep.unwrap_or_else(|| self.cold_start(p));
+                if x == 0.0 {
+                    return (0.0, None);
+                }
+                x
+            }
+        };
 
         // Bracketed Newton on (0, ∞): a step that leaves the bracket
         // bisects it once `hi` is finite and doubles `x` before, as does
-        // an underflowed density. It stops on an exact hit, once a Newton
-        // step moves `x` by at most 1e-15 relative, or when a finite
-        // bracket collapses.
+        // an underflowed density. It stops on an exact hit, on a Newton
+        // step of at most 1e-15 relative (taken only when it lands strictly
+        // inside the bracket), or once another step moves `x` by at most
+        // that or a finite bracket collapses.
         let mut lo = 0.0;
         let mut hi = f64::INFINITY;
         let mut last = None;
+        let tolerance = |x: f64| 1e-15 * x.abs().max(1e-300);
         for _ in 0..200 {
             let ln_x = x.ln();
             let value = self.p_ln(x, ln_x);
@@ -287,17 +309,25 @@ impl IncGamma {
             } else {
                 lo = x;
             }
-            let mut xn = if pdf > 0.0 { x - err / pdf } else { f64::NAN };
-            if !xn.is_finite() || xn <= lo || xn >= hi {
-                xn = if hi < f64::INFINITY {
+            let newton = if pdf > 0.0 { x - err / pdf } else { f64::NAN };
+            if newton.is_finite() && (newton - x).abs() <= tolerance(newton) {
+                if newton > lo && newton < hi {
+                    x = newton;
+                }
+                break;
+            }
+            let xn = if !newton.is_finite() || newton <= lo || newton >= hi {
+                if hi < f64::INFINITY {
                     0.5 * (lo + hi)
                 } else {
                     2.0 * x
-                };
-            }
+                }
+            } else {
+                newton
+            };
             let dx = (xn - x).abs();
             x = xn;
-            if dx <= 1e-15 * x.abs().max(1e-300) || (hi < f64::INFINITY && hi - lo <= 1e-15 * hi) {
+            if dx <= tolerance(x) || (hi < f64::INFINITY && hi - lo <= 1e-15 * hi) {
                 break;
             }
         }
@@ -450,17 +480,47 @@ mod tests {
         assert!(inverse_gamma_p(2.0, 1.0).is_infinite());
     }
 
-    /// About 10% above the measured counts of the sweep `discretize` runs:
-    /// 2,374 and 2,426 evaluations (2.4 per point). Starting every point
-    /// cold takes 5,281 and 5,803 and fails both grids.
+    /// A single quantile deep in the lower tail is the root, with
+    /// `|P − p| ≤ 1e-12·p`, or 0 exactly when the root lies below the
+    /// smallest subnormal.
+    #[test]
+    fn deep_lower_tail_quantiles_are_the_root_or_zero() {
+        let cases = [
+            (0.02, 1e-9),
+            (0.3, 1e-200),
+            (0.02, 5.6e-7),
+            (2.0, 1e-300),
+            (5.0, 1e-300),
+        ];
+        for (a, p) in cases {
+            let x = inverse_gamma_p(a, p);
+            let underflows = gamma_p(a, f64::from_bits(1)) > p;
+            assert_eq!(x == 0.0, underflows, "Gamma({a}): Q({p:e}) = {x:e}");
+            let residual = (gamma_p(a, x) - p).abs();
+            assert!(
+                underflows || residual <= 1e-12 * p,
+                "Gamma({a}): Q({p:e}) = {x:e}, |P − p| = {residual:.3e}"
+            );
+        }
+    }
+
+    /// About 10% above the measured counts of the sweep `discretize` runs
+    /// at n = 1000 (2,057 and 2,156 evaluations: 2.1 and 2.2 per point) and
+    /// n = 5000 (6,143 and 6,854: 1.23 and 1.37 per point).
     #[test]
     fn equal_probability_grids_take_few_newton_steps() {
-        for (shape, rate, bound) in [(2.0, 2.0, 2_610), (0.6, 1.0, 2_670)] {
+        let grids = [
+            (2.0, 2.0, 1000, 2_260),
+            (0.6, 1.0, 1000, 2_370),
+            (2.0, 2.0, 5000, 6_760),
+            (0.6, 1.0, 5000, 7_540),
+        ];
+        for (shape, rate, n, bound) in grids {
             let dist = crate::GammaDist::new(shape, rate).unwrap();
-            let evals = super::super::grid_evaluations(&dist);
+            let evals = super::super::grid_evaluations(&dist, n);
             assert!(
                 evals <= bound,
-                "Gamma({shape}, {rate}): {evals} evaluations over 1000 points, bound {bound}"
+                "Gamma({shape}, {rate}): {evals} evaluations over {n} points, bound {bound}"
             );
         }
     }

@@ -3,7 +3,8 @@
 //! Everything the nine distributions of the paper need: the gamma-function
 //! family (Lanczos `ln Γ`, regularized incomplete gamma and its inverse), the
 //! beta-function family (regularized incomplete beta and its inverse), the
-//! error-function family and the standard-normal CDF/quantile.
+//! error-function family (a port of fdlibm's `s_erf.c`) and the
+//! standard-normal CDF/quantile.
 //!
 //! No third-party math crate is used here; `statrs` appears only in unit
 //! tests as a cross-validation oracle.
@@ -46,18 +47,39 @@ pub(crate) struct LastPoint {
 }
 
 impl LastPoint {
-    /// The second-order Taylor step of the quantile function from this
-    /// point to probability `p`: `x + d − ½·c·d²` with
-    /// `d = (p − value)/pdf` and `c = f′/f` at `x` (`log_slope`). `None`
-    /// when the second-order term would outgrow the first (`|c·d| > 2`):
-    /// the series then does not describe the quantile at `p`, as when `p`
-    /// lies orders of magnitude past `value` in a steep tail, and a start
-    /// that far off can leave the loop short of the root after its 200
-    /// iterations.
-    pub(crate) fn taylor_start(&self, p: f64, log_slope: f64) -> Option<f64> {
+    /// The fourth-order Taylor step of the quantile function from this
+    /// point to probability `p`:
+    /// `x + d − ½·c·d² + ⅙·(2c² − c′)·d³ + ¹⁄₂₄·(7c·c′ − c″ − 6c³)·d⁴`, with
+    /// `d = (p − value)/pdf`, and `c = f′/f` and its first two derivatives
+    /// `c′` and `c″` at `x` (`log_slope`, in that order). `None` when the
+    /// second-order term would outgrow the first (`|c·d| > 2`): the series
+    /// then does not describe the quantile at `p`, as when `p` lies orders
+    /// of magnitude past `value` in a steep tail, and a start that far off
+    /// can leave the loop short of the root after its 200 iterations.
+    pub(crate) fn taylor_start(&self, p: f64, log_slope: [f64; 3]) -> Option<f64> {
+        let [c, c1, c2] = log_slope;
         let d = (p - self.value) / self.pdf;
-        ((log_slope * d).abs() <= 2.0).then_some(self.x + d - 0.5 * log_slope * d * d)
+        let cd = c * d;
+        let third = (2.0 * c * c - c1) / 6.0;
+        let fourth = (7.0 * c * c1 - c2 - 6.0 * c * c * c) / 24.0;
+        (cd.abs() <= 2.0).then_some(self.x + d * (1.0 - 0.5 * cd + d * d * (third + d * fourth)))
     }
+}
+
+/// The cold start of a root in the deep lower tail, from the leading term
+/// of the function's series at 0, `F(x) ≈ x^a/(a·K)`, solved in log space:
+/// `ln x₀ = (ln p + ln a + ln K)/a`. `Some(x₀)` when `x₀` lies below
+/// 1e-4, where that term describes `F`; `Some(0)` when `ln x₀` is below
+/// the log of the smallest subnormal, so the root underflows; `None`
+/// otherwise.
+pub(crate) fn deep_tail_start(ln_x0: f64) -> Option<f64> {
+    // ln(2⁻¹⁰⁷⁴).
+    const LN_MIN_SUBNORMAL: f64 = -744.440_071_921_381_3;
+    if ln_x0 < LN_MIN_SUBNORMAL {
+        return Some(0.0);
+    }
+    let x0 = ln_x0.exp();
+    (x0 < 1e-4).then_some(x0)
 }
 
 /// Inverts one sweep: `solve(p, from)` returns the root of `p` and the
@@ -87,17 +109,12 @@ pub(crate) fn sweep(
     out
 }
 
-/// Incomplete-function evaluations over the n = 1000 equal-probability
+/// Incomplete-function evaluations over the size-`n` equal-probability
 /// grid of `dist`, as `discretize` builds it.
 #[cfg(test)]
-fn grid_evaluations(dist: &dyn crate::ContinuousDistribution) -> u64 {
+fn grid_evaluations(dist: &dyn crate::ContinuousDistribution, n: usize) -> u64 {
     let before = evaluations();
-    crate::discretize(
-        dist,
-        crate::DiscretizationScheme::EqualProbability,
-        1000,
-        1e-7,
-    )
-    .expect("a valid grid");
+    crate::discretize(dist, crate::DiscretizationScheme::EqualProbability, n, 1e-7)
+        .expect("a valid grid");
     evaluations() - before
 }

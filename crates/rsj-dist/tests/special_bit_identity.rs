@@ -8,7 +8,8 @@
 //! The [`oracle`] module keeps verbatim copies of the implementations
 //! that recomputed those constants on every call, down to the normal
 //! CDF/quantile built on them; the two Newton inverses carry the current
-//! loop, so the suite still isolates the cached constants. Every
+//! loop and start, and `erfc`, which has no constant to cache, is the
+//! crate's own, so the suite still isolates the cached constants. Every
 //! test here asserts that the current code returns the same bits as those
 //! copies — for the free functions
 //! and for `pdf`, `cdf`, `survival`, `quantile`,
@@ -35,12 +36,21 @@ use rsj_dist::{
 /// (it stopped on `dx ≤ 1e-16·x` before), and the gamma inverse starts
 /// from the bracket (0, ∞) and doubles `x` until a point above the root
 /// makes it finite (it first searched for a finite `hi` by evaluating
-/// `P(a, hi)`, a value it never reused). `ln_gamma`, `gamma` and
-/// `norm_pdf` are unchanged and used from the crate.
+/// `P(a, hi)`, a value it never reused). Both stop, without bisecting, on
+/// a Newton step within that tolerance, taking it only when it lands
+/// strictly inside the bracket; both start a root below 1e-4 from the
+/// series' leading term in log space and return 0 for a root below the
+/// smallest subnormal (the gamma start took `exp` before `powf`, so it
+/// underflowed first). `ln_gamma`, `gamma`, `norm_pdf` and `erfc` are
+/// used from the crate: `erfc` is fdlibm's rational approximation, with no
+/// constant to cache (it was `Q(½, x²)`).
 #[allow(clippy::excessive_precision)]
 mod oracle {
+    pub use rsj_dist::special::erfc;
     use rsj_dist::special::{gamma, ln_gamma, norm_pdf};
 
+    // ln(2⁻¹⁰⁷⁴), the log of the smallest subnormal.
+    const LN_MIN_SUBNORMAL: f64 = -744.440_071_921_381_3;
     const MAX_ITER_GAMMA: usize = 400;
     const MAX_ITER_BETA: usize = 300;
     const EPS: f64 = 1e-16;
@@ -133,8 +143,17 @@ mod oracle {
         let gln = ln_gamma(a);
         let a1 = a - 1.0;
 
+        // The leading series term P(a, x) ≈ x^a / (a Γ(a)), in log space:
+        // 0 when the root underflows, the start when it is below 1e-4.
+        let ln_x0 = (p.ln() + a.ln() + gln) / a;
+        if ln_x0 < LN_MIN_SUBNORMAL {
+            return 0.0;
+        }
+
         // Initial guess.
-        let mut x = if a > 1.0 {
+        let mut x = if ln_x0.exp() < 1e-4 {
+            ln_x0.exp()
+        } else if a > 1.0 {
             // Wilson–Hilferty starting point.
             let z = norm_quantile(p);
             let t = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * a.sqrt());
@@ -142,8 +161,8 @@ mod oracle {
                 a * t * t * t
             } else {
                 // Deep lower tail where Wilson–Hilferty breaks down: use the
-                // leading series term P(a, x) ≈ x^a / (a Γ(a)).
-                ((p * a).ln() + gln).exp().powf(1.0 / a)
+                // leading series term.
+                ln_x0.exp()
             }
         } else {
             let t = 1.0 - a * (0.253 + a * 0.12);
@@ -174,6 +193,12 @@ mod oracle {
             }
             let pdf = (-x + a1 * x.ln() - gln).exp();
             let mut xn = if pdf > 0.0 { x - err / pdf } else { f64::NAN };
+            if xn.is_finite() && (xn - x).abs() <= 1e-15 * xn.abs().max(1e-300) {
+                if xn > lo && xn < hi {
+                    x = xn;
+                }
+                break;
+            }
             if !xn.is_finite() || xn <= lo || xn >= hi {
                 xn = if hi < f64::INFINITY {
                     0.5 * (lo + hi)
@@ -286,9 +311,18 @@ mod oracle {
             return 1.0;
         }
 
+        // The leading series term I_x(a, b) ≈ x^a / (a B(a, b)), in log
+        // space: 0 when the root underflows, the start when it is below 1e-4.
+        let ln_x0 = (p.ln() + a.ln() + ln_beta(a, b)) / a;
+        if ln_x0 < LN_MIN_SUBNORMAL {
+            return 0.0;
+        }
+
         // A&S 26.5.22 initial guess.
         let mut x;
-        if a >= 1.0 && b >= 1.0 {
+        if ln_x0.exp() < 1e-4 {
+            x = ln_x0.exp();
+        } else if a >= 1.0 && b >= 1.0 {
             let pp = if p < 0.5 { p } else { 1.0 - p };
             let t = (-2.0 * pp.ln()).sqrt();
             let mut w = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t;
@@ -340,6 +374,12 @@ mod oracle {
             } else {
                 f64::NAN
             };
+            if xn.is_finite() && (xn - x).abs() <= 2.0 * f64::EPSILON * xn.max(1e-300) {
+                if xn > lo && xn < hi {
+                    x = xn;
+                }
+                break;
+            }
             if !xn.is_finite() || xn <= lo || xn >= hi {
                 xn = 0.5 * (lo + hi);
             }
@@ -350,17 +390,6 @@ mod oracle {
             }
         }
         x
-    }
-
-    pub fn erfc(x: f64) -> f64 {
-        if x == 0.0 {
-            return 1.0;
-        }
-        if x > 0.0 {
-            gamma_q(0.5, x * x)
-        } else {
-            1.0 + gamma_p(0.5, x * x)
-        }
     }
 
     pub fn norm_cdf(x: f64) -> f64 {

@@ -54,7 +54,14 @@ pub struct SimulateOptions {
 /// probabilities as one sweep, each root started from the one before, and
 /// the gamma loop drops its bracket search (which moves Gamma equal-time
 /// tables through their upper bound `Q(1 − ε)`).
-pub const SOLVER_REVISION: u32 = 2;
+///
+/// Revision 3: `erf` and `erfc` are fdlibm's rational approximations
+/// (they were the incomplete gamma function), which moves LogNormal and
+/// TruncatedNormal tables and the Gamma quantiles' cold start; along a
+/// sweep, each Beta or Gamma root starts from a fourth-order Taylor step;
+/// and both Newton loops stop on a step within their tolerance instead of
+/// bisecting when it lands on a bracket end.
+pub const SOLVER_REVISION: u32 = 3;
 
 /// FNV-1a over the IEEE-754 bit patterns of `values`, rendered as 16 hex
 /// digits — the same digest convention as `rsj-bench`'s `perf_gate`, so
